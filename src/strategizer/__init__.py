@@ -38,6 +38,7 @@ from .learners import (
     learner_update,
     mwu_strategy,
     replicator_strategy,
+    respond,
     simulate,
     softmax,
 )
@@ -83,7 +84,7 @@ __all__ = [
     "frank_wolfe", "fw_rate_constant", "game_value", "hjb_residual",
     "learner_update", "matching_pennies", "min_br_minmax", "mwu_strategy",
     "normalize_payoffs", "optimize_continuous", "planner_report", "play_ocdp",
-    "playout_labels", "reduce_hamiltonian", "replicator_strategy",
+    "playout_labels", "reduce_hamiltonian", "replicator_strategy", "respond",
     "reward_bounds", "reward_cont", "simulate", "softmax", "unique_br_game",
     "verify_cycle",
 ]

@@ -139,8 +139,7 @@ def cmd_simulate(args) -> int:
     if game.zero_sum and traj.rounds:
         horizon = float(schedule.total)
         cont_schedule = Schedule(
-            mode="continuous",
-            segments=tuple((float(c), x) for c, x in schedule.segments),
+            "continuous", schedule.lengths, schedule.strategies
         ) if schedule.mode == "discrete" else schedule
         cont = reward_cont(cont_schedule, h0, horizon, game.a, eta)
         lo, hi = reward_bounds(game.a, horizon, eta)

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: InputError -> 2,
-PreconditionError -> 3, CapExceededError -> 4.
+The CLI maps these onto process exit codes: InputError -> 2 (including
+DimensionMismatchError), PreconditionError -> 3, CapExceededError -> 4.
 """
 
 
@@ -13,7 +13,7 @@ class InputError(StrategizerError):
     """Malformed or unreadable input (files, matrices, schedules)."""
 
 
-class DimensionMismatchError(StrategizerError):
+class DimensionMismatchError(InputError):
     """Vector/matrix dimensions disagree; message names the offending dimension."""
 
 

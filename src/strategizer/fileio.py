@@ -171,13 +171,14 @@ def schedule_from_json(obj) -> Schedule:
     except (KeyError, TypeError) as exc:
         raise InputError(f"schedule JSON needs mode and segments: {exc}") from exc
     key = "count" if mode == "discrete" else "duration"
-    segs = []
+    lengths, strategies = [], []
     for i, seg in enumerate(segments):
         try:
-            segs.append((seg[key], seg["strategy"]))
+            lengths.append(seg[key])
+            strategies.append(seg["strategy"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"schedule segment {i} needs {key} and strategy: {exc}") from exc
-    return Schedule(mode=mode, segments=tuple(segs))
+    return Schedule(mode, lengths, strategies)
 
 
 def schedule_to_json(schedule: Schedule) -> dict:
@@ -185,8 +186,8 @@ def schedule_to_json(schedule: Schedule) -> dict:
     return {
         "mode": schedule.mode,
         "segments": [
-            {key: length, "strategy": x.weights.tolist()}
-            for length, x in schedule.segments
+            {key: length, "strategy": x}
+            for length, x in zip(schedule.lengths.tolist(), schedule.strategies.tolist())
         ],
     }
 

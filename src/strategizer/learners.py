@@ -12,7 +12,7 @@ t-1, then observes x(t).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -32,6 +32,20 @@ def softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     p = np.exp(z - z.max(axis=-1, keepdims=True))
     return p / p.sum(axis=-1, keepdims=True)
+
+
+def respond(kind: str, h, eta: float = 1.0) -> np.ndarray:
+    """The learner's play from cumulative rewards h of shape (..., m).
+
+    MWU and replicator play softmax(eta * h); best response plays the one-hot
+    lexicographically-first argmax of h (exact float comparison, eta unused).
+    """
+    h = np.asarray(h, dtype=float)
+    if kind != BEST_RESPONSE:
+        return softmax(eta * h)
+    y = np.zeros_like(h)
+    np.put_along_axis(y, np.argmax(h, axis=-1)[..., None], 1.0, axis=-1)
+    return y
 
 
 @dataclass(frozen=True)
@@ -64,81 +78,98 @@ class LearnerState:
                     stacklevel=2,
                 )
 
-    @classmethod
-    def initial(cls, kind: str, m: int, eta: float = 1.0, h0=None) -> "LearnerState":
-        h = np.zeros(m) if h0 is None else np.asarray(h0, dtype=float)
-        if h.shape != (m,):
-            raise DimensionMismatchError(f"h0 has dimension {h.size}, expected {m}")
-        return cls(h=h, eta=eta, kind=kind)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """The optimizer's plan: piecewise-constant strategies over time segments.
+    """The optimizer's plan: piecewise-constant strategies over S segments.
 
-    Discrete mode: each segment is (count, strategy) with a positive integer
-    count of rounds. Continuous mode: (duration, strategy) with duration > 0.
+    ``lengths`` has shape (S,) and ``strategies`` shape (S, n); segment s
+    plays strategies[s] for lengths[s]. Discrete mode: lengths are positive
+    integer round counts. Continuous mode: positive finite durations. Each
+    strategy row is validated like a SimplexVector (finite, negatives down
+    to -1e-9 clipped, positive sum) and renormalised to sum to 1.
     """
 
     mode: str
-    segments: tuple = field(default_factory=tuple)
+    lengths: np.ndarray
+    strategies: np.ndarray
 
     def __post_init__(self):
         if self.mode not in ("discrete", "continuous"):
             raise InputError(f"schedule mode must be discrete or continuous, got {self.mode!r}")
-        segs = []
-        dim = None
-        for length, strategy in self.segments:
-            if self.mode == "discrete":
-                if int(length) != length or length <= 0:
-                    raise InputError(f"discrete segment count must be a positive integer, got {length!r}")
-                length = int(length)
-            else:
-                length = float(length)
-                if not length > 0:
-                    raise InputError(f"segment duration must be positive, got {length!r}")
-            x = strategy if isinstance(strategy, SimplexVector) else SimplexVector(strategy)
-            if dim is None:
-                dim = x.dim
-            elif x.dim != dim:
-                raise DimensionMismatchError(
-                    f"segment strategy has dimension {x.dim}, expected {dim}"
+        try:
+            lengths = np.array(self.lengths, dtype=float)
+            x = np.asarray(self.strategies, dtype=float)
+        except (TypeError, ValueError) as exc:  # ragged rows land here too
+            raise DimensionMismatchError(f"bad schedule row dimension or number: {exc}") from exc
+        if x.ndim == 1 and x.size == 0:
+            x = x.reshape(0, 0)
+        if x.ndim != 2 or lengths.shape != x.shape[:1]:
+            raise InputError(
+                "a schedule needs lengths of shape (S,) and strategies of shape (S, n), "
+                f"got {lengths.shape} and {x.shape}"
+            )
+        if not np.all(np.isfinite(lengths)):
+            raise InputError("schedule lengths must be finite")
+        if self.mode == "discrete":
+            bad = (lengths <= 0) | (lengths != np.floor(lengths))
+            if bad.any():
+                raise InputError(
+                    f"discrete segment count must be a positive integer, got {lengths[bad][0]:g}"
                 )
-            segs.append((length, x))
-        object.__setattr__(self, "segments", tuple(segs))
+            lengths = lengths.astype(np.int64)
+        elif not np.all(lengths > 0):
+            raise InputError(f"segment duration must be positive, got {lengths.min():g}")
+        if x.shape[0] and not x.shape[1]:
+            raise InputError("simplex vector needs at least one weight")
+        if not np.all(np.isfinite(x)):
+            raise InputError("schedule strategy contains non-finite weights")
+        if x.size and x.min() < -1e-9:
+            raise InputError(f"schedule strategy has negative weight {x.min():g}")
+        x = np.maximum(x, 0.0)
+        sums = x.sum(axis=1, keepdims=True)
+        if np.any(sums <= 0.0):
+            raise InputError("schedule strategy weights sum to zero")
+        x = x / sums
+        lengths.flags.writeable = False
+        x.flags.writeable = False
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "strategies", x)
 
     @classmethod
     def constant(cls, strategy, total, mode: str = "discrete") -> "Schedule":
-        if total == 0:
-            return cls(mode=mode, segments=())
-        return cls(mode=mode, segments=((total, strategy),))
+        x = as_weights(strategy)[None, :]
+        schedule = cls(mode, [total], x) if total else cls(mode, np.zeros(0), x[:0])
+        if isinstance(strategy, SimplexVector):
+            # Already validated: keep its weights bit for bit, since dividing
+            # them by their sum again can move the last bit of planner output.
+            object.__setattr__(schedule, "strategies", x[: schedule.lengths.size])
+        return schedule
 
     @classmethod
     def from_rounds(cls, strategies) -> "Schedule":
-        return cls(mode="discrete", segments=tuple((1, s) for s in strategies))
+        """One-round segments from a (T, n) array of per-round strategies."""
+        return cls("discrete", np.ones(len(strategies)), strategies)
 
     @property
     def total(self):
-        return sum(length for length, _ in self.segments)
+        return self.lengths.sum().item()
 
     @property
     def dim(self) -> int | None:
-        return self.segments[0][1].dim if self.segments else None
+        return self.strategies.shape[1] if self.lengths.size else None
 
     def round_strategies(self) -> np.ndarray:
         """Expand a discrete schedule to a (T, n) array of per-round strategies."""
         if self.mode != "discrete":
             raise PreconditionError("round_strategies requires a discrete schedule")
-        if not self.segments:
-            return np.zeros((0, 0))
-        return np.concatenate([np.tile(x.weights, (c, 1)) for c, x in self.segments])
+        return np.repeat(self.strategies, self.lengths, axis=0)
 
     def time_average(self) -> np.ndarray:
         """The schedule's time-average strategy (1/T) * integral of x(s) ds."""
-        if not self.segments:
+        if not self.lengths.size:
             raise PreconditionError("cannot average an empty schedule")
-        acc = sum(length * x.weights for length, x in self.segments)
-        return acc / self.total
+        return self.lengths @ self.strategies / self.total
 
     def integral_to(self, t: float) -> np.ndarray:
         """Exact integral of x(s) ds over [0, t] for a continuous schedule."""
@@ -146,16 +177,9 @@ class Schedule:
             raise PreconditionError("integral_to requires a continuous schedule")
         if t < -1e-12 or t > self.total + 1e-9:
             raise InputError(f"time {t:g} outside the schedule horizon [0, {self.total:g}]")
-        dim = self.dim
-        acc = np.zeros(dim if dim is not None else 0)
-        remaining = max(t, 0.0)
-        for length, x in self.segments:
-            step = min(length, remaining)
-            acc += step * x.weights
-            remaining -= step
-            if remaining <= 0:
-                break
-        return acc
+        # whole segments that end by t, plus the part of the one that straddles it
+        starts = np.cumsum(self.lengths) - self.lengths
+        return np.clip(t - starts, 0.0, self.lengths) @ self.strategies
 
 
 @dataclass(frozen=True)
@@ -180,7 +204,7 @@ def mwu_strategy(state: LearnerState) -> SimplexVector:
     """softmax(eta * h): the MWU play given the current historical rewards."""
     if state.kind != MWU:
         raise PreconditionError(f"mwu_strategy needs an MWU state, got kind={state.kind!r}")
-    return SimplexVector(softmax(state.eta * state.h))
+    return SimplexVector(respond(MWU, state.h, state.eta))
 
 
 def learner_update(state: LearnerState, x, game: BimatrixGame) -> LearnerState:
@@ -212,24 +236,19 @@ def replicator_strategy(
         raise DimensionMismatchError(
             f"schedule strategies have dimension {xint.size}, game has {game.n} rows"
         )
-    h = h0 + game.b.T @ xint
-    return SimplexVector(softmax(eta * h))
+    return SimplexVector(respond(REPLICATOR, h0 + game.b.T @ xint, eta))
 
 
 def br_action(state: LearnerState) -> int:
     """Lexicographically-first maximizer of h (exact float comparison)."""
     if state.kind != BEST_RESPONSE:
         raise PreconditionError(f"br_action needs a best-response state, got kind={state.kind!r}")
-    return int(np.argmax(state.h))
+    return int(np.argmax(respond(BEST_RESPONSE, state.h)))
 
 
 def _simulate_discrete(game, schedule, learner_kind, eta, h0) -> Trajectory:
     x_rounds = schedule.round_strategies()
     big_t = x_rounds.shape[0]
-    if big_t and x_rounds.shape[1] != game.n:
-        raise DimensionMismatchError(
-            f"schedule strategies have dimension {x_rounds.shape[1]}, game has {game.n} rows"
-        )
     if big_t == 0:
         empty = np.zeros((0, 0))
         return Trajectory(
@@ -241,11 +260,7 @@ def _simulate_discrete(game, schedule, learner_kind, eta, h0) -> Trajectory:
     increments = x_rounds @ game.b  # row t is B' x(t)
     h_after = h0 + np.cumsum(increments, axis=0)
     h_before = np.vstack([h0, h_after[:-1]])
-    if learner_kind == MWU:
-        y_rounds = softmax(eta * h_before)
-    else:  # best response: one-hot first argmax
-        y_rounds = np.zeros((big_t, game.m))
-        y_rounds[np.arange(big_t), np.argmax(h_before, axis=1)] = 1.0
+    y_rounds = respond(learner_kind, h_before, eta)
     r_opt = np.einsum("ti,ij,tj->t", x_rounds, game.a, y_rounds)
     r_lrn = np.einsum("ti,ij,tj->t", x_rounds, game.b, y_rounds)
     return Trajectory(
@@ -264,42 +279,24 @@ def _simulate_replicator(game, schedule, eta, h0) -> Trajectory:
     reward equals minus that in zero-sum games and is integrated numerically
     otherwise.
     """
-    segs = schedule.segments
-    n_seg = len(segs)
-    t_end = np.zeros(n_seg)
-    xs = np.zeros((n_seg, game.n))
-    ys = np.zeros((n_seg, game.m))
-    r_opt = np.zeros(n_seg)
-    r_lrn = np.zeros(n_seg)
-    h_after = np.zeros((n_seg, game.m))
-    h = h0.astype(float).copy()
-    clock = 0.0
-    for s, (dur, x) in enumerate(segs):
-        xw = x.weights
-        if xw.size != game.n:
-            raise DimensionMismatchError(
-                f"segment strategy has dimension {xw.size}, game has {game.n} rows"
-            )
-        drift = game.b.T @ xw
-        h_end = h + dur * drift
-        lrn = (logsumexp(eta * h_end) - logsumexp(eta * h)) / eta
-        if game.zero_sum:
-            opt = -lrn
-        else:
-            def inst(u, h=h, drift=drift, xw=xw):
-                return float(xw @ game.a @ softmax(eta * (h + u * drift)))
-            opt, _ = quad(inst, 0.0, dur, limit=200)
-        ys[s] = softmax(eta * h)  # the learner's play as the segment begins
-        xs[s] = xw
-        r_opt[s] = opt
-        r_lrn[s] = lrn
-        h = h_end
-        clock += dur
-        t_end[s] = clock
-        h_after[s] = h
+    durations = schedule.lengths
+    xs = schedule.strategies.reshape(durations.size, game.n)  # (0, n) when empty
+    drifts = xs @ game.b  # row s is B' x_s
+    h = np.cumsum(np.vstack([h0, durations[:, None] * drifts]), axis=0)
+    h_start, h_after = h[:-1], h[1:]
+    r_lrn = (logsumexp(eta * h_after, axis=1) - logsumexp(eta * h_start, axis=1)) / eta
+    if game.zero_sum:
+        r_opt = -r_lrn
+    else:
+        def integrand(u, x, hs, d):
+            return float(x @ game.a @ softmax(eta * (hs + u * d)))
+        r_opt = np.array([
+            quad(integrand, 0.0, dur, args=(x, hs, d), limit=200)[0]
+            for x, hs, d, dur in zip(xs, h_start, drifts, durations)
+        ])
     return Trajectory(
-        mode="continuous", t=t_end,
-        optimizer_strategy=xs, learner_strategy=ys,
+        mode="continuous", t=np.cumsum(durations),
+        optimizer_strategy=xs, learner_strategy=respond(REPLICATOR, h_start, eta),
         optimizer_reward=r_opt, learner_reward=r_lrn,
         h_after=h_after, totals=(float(r_opt.sum()), float(r_lrn.sum())),
     )
@@ -321,6 +318,10 @@ def simulate(
     if learner_kind not in LEARNER_KINDS:
         raise InputError(f"unknown learner kind {learner_kind!r}")
     h0 = np.zeros(game.m) if h0 is None else as_weights(h0, game.m, "h0")
+    if schedule.dim not in (None, game.n):
+        raise DimensionMismatchError(
+            f"schedule strategies have dimension {schedule.dim}, game has {game.n} rows"
+        )
     if learner_kind == REPLICATOR:
         if schedule.mode != "continuous":
             raise PreconditionError("replicator dynamics needs a continuous schedule")

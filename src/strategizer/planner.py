@@ -61,14 +61,10 @@ class AlternatingPlan:
 
         An odd final round plays the base minmax strategy instead.
         """
-        rounds = []
-        for t in range(1, total_rounds + 1):
-            if t == total_rounds and total_rounds % 2 == 1:
-                rounds.append(self.base)
-            elif t % 2 == 1:
-                rounds.append(self.x_odd)
-            else:
-                rounds.append(self.x_even)
+        odd = np.arange(1, total_rounds + 1) % 2 == 1
+        rounds = np.where(odd[:, None], self.x_odd.weights, self.x_even.weights)
+        if total_rounds % 2 == 1:
+            rounds[-1] = self.base.weights
         return Schedule.from_rounds(rounds)
 
 
@@ -95,6 +91,8 @@ def reward_cont(schedule: Schedule, h0, T: float, a, eta: float) -> float:
     if not eta > 0:
         raise InputError("eta must be positive")
     h0 = np.zeros(m) if h0 is None else np.asarray(h0, dtype=float)
+    if h0.shape != (m,):
+        raise InputError(f"h0 has shape {h0.shape}, expected ({m},)")
     xbar = schedule.time_average()
     if xbar.size != n:
         raise InputError(f"schedule strategies have dimension {xbar.size}, game has {n} rows")

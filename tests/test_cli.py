@@ -163,6 +163,38 @@ class TestSimulate:
         )
         assert abs(total - want) <= 1e-9
 
+    def test_h0_dimension_mismatch_exit_2(self, capsys, mp_file, tmp_path):
+        h0 = tmp_path / "h0.txt"
+        h0.write_text("1 2 3\n")
+        code, _, err = run(
+            capsys, "simulate", mp_file, "--learner", "mwu", "--schedule", "uniform",
+            "--h0", str(h0), "--out", str(tmp_path / "h0"),
+        )
+        assert code == 2 and "dimension 3" in err and "Traceback" not in err
+
+    def test_schedule_dimension_mismatch_exit_2(self, capsys, mp_file, tmp_path):
+        sched = tmp_path / "s3.json"
+        sched.write_text(json.dumps({
+            "mode": "continuous",
+            "segments": [{"duration": 1.0, "strategy": [0.2, 0.3, 0.5]}],
+        }))
+        code, _, err = run(
+            capsys, "simulate", mp_file, "--learner", "replicator",
+            "--schedule", str(sched), "--out", str(tmp_path / "s3"),
+        )
+        assert code == 2 and "dimension 3" in err and "Traceback" not in err
+
+    def test_infinite_duration_exit_2(self, capsys, mp_file, tmp_path):
+        sched = tmp_path / "inf.json"
+        sched.write_text(
+            '{"mode": "continuous", "segments": [{"duration": Infinity, "strategy": [0.5, 0.5]}]}'
+        )
+        code, _, err = run(
+            capsys, "simulate", mp_file, "--learner", "replicator",
+            "--schedule", str(sched), "--out", str(tmp_path / "inf"),
+        )
+        assert code == 2 and "lengths must be finite" in err and "Traceback" not in err
+
 
 class TestReduceVerifyBrute:
     def test_reduce_writes_instance(self, capsys, graph_file, tmp_path, monkeypatch):

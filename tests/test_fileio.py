@@ -82,12 +82,12 @@ class TestGameIo:
 
 class TestScheduleIo:
     def test_round_trip(self, tmp_path):
-        sched = Schedule("discrete", ((3, [0.5, 0.5]), (2, [1.0, 0.0])))
+        sched = Schedule("discrete", [3, 2], [[0.5, 0.5], [1.0, 0.0]])
         path = tmp_path / "s.json"
         path.write_text(fileio.canonical_json(fileio.schedule_to_json(sched)))
         back = fileio.read_schedule(str(path))
         assert back.mode == "discrete" and back.total == 5
-        assert np.array_equal(back.segments[1][1].weights, [1.0, 0.0])
+        assert np.array_equal(back.strategies[1], [1.0, 0.0])
 
     def test_continuous_durations(self, tmp_path):
         path = tmp_path / "s.json"
@@ -141,9 +141,9 @@ class TestInstanceIo:
 
 class TestTrajectoryExport:
     def test_csv_header_and_totals(self, mp_game):
-        from strategizer import MWU, SimplexVector, simulate
+        from strategizer import MWU, simulate
 
-        sched = Schedule.from_rounds([SimplexVector.pure(1, 2), SimplexVector.pure(0, 2)])
+        sched = Schedule.from_rounds([[0.0, 1.0], [1.0, 0.0]])
         traj = simulate(mp_game, sched, MWU, eta=0.1)
         text = fileio.trajectory_csv(traj)
         lines = text.strip().splitlines()

@@ -11,6 +11,7 @@ from strategizer import (
     MWU,
     REPLICATOR,
     BimatrixGame,
+    DimensionMismatchError,
     InputError,
     LearnerState,
     PreconditionError,
@@ -130,7 +131,7 @@ class TestReplicatorStrategy:
 
     def test_two_segments_equal_average(self, mp_game):
         x1, x2 = np.array([0.9, 0.1]), np.array([0.3, 0.7])
-        split = Schedule("continuous", ((1.0, x1), (1.0, x2)))
+        split = Schedule("continuous", [1.0, 1.0], [x1, x2])
         merged = Schedule.constant((x1 + x2) / 2, 2.0, "continuous")
         for t in (2.0,):
             ya = replicator_strategy(None, split, t, 0.7, mp_game)
@@ -167,7 +168,7 @@ class TestBrAction:
 
 def alternating_pennies_schedule(total_rounds):
     """The pure schedule: action 2 on odd rounds, action 1 on even rounds."""
-    a2, a1 = SimplexVector.pure(1, 2), SimplexVector.pure(0, 2)
+    a2, a1 = SimplexVector.pure(1, 2).weights, SimplexVector.pure(0, 2).weights
     return Schedule.from_rounds([a2 if t % 2 == 1 else a1 for t in range(1, total_rounds + 1)])
 
 
@@ -215,7 +216,7 @@ class TestSimulate:
             simulate(mp_game, sched, MWU, eta=0.1)
 
     def test_replicator_zero_sum_totals(self, mp_game):
-        sched = Schedule("continuous", ((1.5, [0.9, 0.1]), (2.5, [0.2, 0.8])))
+        sched = Schedule("continuous", [1.5, 2.5], [[0.9, 0.1], [0.2, 0.8]])
         traj = simulate(mp_game, sched, REPLICATOR, eta=0.5)
         assert traj.totals[0] == -traj.totals[1]
         # learner reward equals the log-partition increment
@@ -241,7 +242,7 @@ class TestSimulate:
     def test_mwu_equals_replicator_at_integer_times(self, mp_game):
         plays = [np.array([0.7, 0.3]), np.array([0.2, 0.8]), np.array([0.5, 0.5]), np.array([0.9, 0.1])]
         disc = Schedule.from_rounds(plays)
-        cont = Schedule("continuous", tuple((1.0, p) for p in plays))
+        cont = Schedule("continuous", np.ones(len(plays)), plays)
         traj = simulate(mp_game, disc, MWU, eta=0.45)
         for t in range(1, len(plays) + 1):
             y_rep = replicator_strategy(None, cont, float(t - 1), 0.45, mp_game)
@@ -250,20 +251,132 @@ class TestSimulate:
 
 class TestSchedule:
     def test_total_and_average(self):
-        sched = Schedule("continuous", ((2.0, [1.0, 0.0]), (2.0, [0.0, 1.0])))
+        sched = Schedule("continuous", [2.0, 2.0], [[1.0, 0.0], [0.0, 1.0]])
         assert sched.total == 4.0
         assert np.allclose(sched.time_average(), [0.5, 0.5])
 
     def test_discrete_counts_validated(self):
         with pytest.raises(InputError):
-            Schedule("discrete", ((1.5, [1.0, 0.0]),))
+            Schedule("discrete", [1.5], [[1.0, 0.0]])
 
     def test_dim_consistency(self):
         with pytest.raises(Exception, match="dimension"):
-            Schedule("discrete", ((1, [1.0, 0.0]), (1, [1.0, 0.0, 0.0])))
+            Schedule("discrete", [1, 1], [[1.0, 0.0], [1.0, 0.0, 0.0]])
 
     def test_round_strategies_expansion(self):
-        sched = Schedule("discrete", ((2, [1.0, 0.0]), (1, [0.0, 1.0])))
+        sched = Schedule("discrete", [2, 1], [[1.0, 0.0], [0.0, 1.0]])
         rows = sched.round_strategies()
         assert rows.shape == (3, 2)
         assert np.array_equal(rows[0], rows[1])
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_lengths_rejected(self, mode, bad):
+        with pytest.raises(InputError, match="finite"):
+            Schedule(mode, [1, bad], [[1.0, 0.0], [0.0, 1.0]])
+
+
+def reference_rows(rows):
+    """The per-segment validation the arrays replaced: one SimplexVector per
+    row, and every row of the same dimension."""
+    xs = [SimplexVector(row) for row in rows]
+    if len({x.dim for x in xs}) > 1:
+        raise DimensionMismatchError("segment strategies differ in dimension")
+    return np.array([x.weights for x in xs])
+
+
+def outcome(build, rows):
+    try:
+        return build(rows)
+    except Exception as exc:  # the exception class is the outcome compared
+        return type(exc)
+
+
+class TestFromRoundsMatchesSimplexVector:
+    MALFORMED = {
+        "nan": [0.5, math.nan, 0.5],
+        "negative": [0.5, -1e-6, 0.5],
+        "clipped": [0.5, -1e-10, 0.5],
+        "all_zero": [0.0, 0.0, 0.0],
+        "ragged": [0.5, 0.5],
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_round(self, name, rng):
+        rows = rng.dirichlet(np.ones(3), size=8).tolist()
+        rows.insert(int(rng.integers(0, 9)), self.MALFORMED[name])
+        want = outcome(reference_rows, rows)
+        got = outcome(lambda r: Schedule.from_rounds(r).strategies, rows)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_empty_round(self):
+        assert outcome(reference_rows, [[]]) is InputError
+        with pytest.raises(InputError):
+            Schedule.from_rounds(np.zeros((1, 0)))
+
+    def test_valid_rows(self, rng):
+        for n in (1, 2, 3, 6, 11):
+            rows = rng.dirichlet(np.ones(n), size=200) * rng.uniform(0.1, 10.0, size=(200, 1))
+            rows[rng.random(rows.shape) < 0.2] = 0.0
+            rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+            sched = Schedule.from_rounds(rows)
+            assert sched.lengths.tolist() == [1] * 200
+            assert np.max(np.abs(sched.strategies - reference_rows(rows))) <= 1e-15
+
+
+def replay_rounds(game, rounds, kind, eta, h0):
+    """Round-by-round reference: y from the history so far, then h += B'x."""
+    h = np.zeros(game.m) if h0 is None else np.array(h0, dtype=float)
+    ys, hs = [], []
+    for x in rounds:
+        if kind == MWU:
+            z = eta * h
+            y = np.exp(z - z.max())
+            y /= y.sum()
+        else:
+            y = np.zeros(game.m)
+            y[list(h).index(max(h))] = 1.0
+        ys.append(y)
+        h = h + game.b.T @ x
+        hs.append(h)
+    ys = np.array(ys)
+    r_opt = np.einsum("ti,ij,tj->t", rounds, game.a, ys)
+    r_lrn = np.einsum("ti,ij,tj->t", rounds, game.b, ys)
+    return ys, r_opt, r_lrn, np.array(hs)
+
+
+class TestSimulateMatchesRoundByRound:
+    @pytest.mark.parametrize("kind", [MWU, BEST_RESPONSE])
+    @pytest.mark.parametrize("with_h0", [False, True])
+    def test_random_rounds(self, kind, with_h0, rng):
+        for _ in range(10):
+            n, m = (int(v) for v in rng.integers(2, 7, size=2))
+            game = BimatrixGame(rng.uniform(-1, 1, (n, m)), rng.uniform(-1, 1, (n, m)))
+            rounds = rng.dirichlet(np.ones(n), size=60)
+            h0 = rng.uniform(-2, 2, m) if with_h0 else None
+            self.check(game, rounds, kind, 0.3, h0)
+
+    @pytest.mark.parametrize("kind", [MWU, BEST_RESPONSE])
+    @pytest.mark.parametrize("with_h0", [False, True])
+    def test_exact_ties(self, kind, with_h0, rng):
+        # integer payoffs and pure rounds keep h integral, so argmax ties recur
+        for _ in range(10):
+            b = rng.integers(-1, 2, size=(3, 4)).astype(float)
+            game = BimatrixGame(-b, b)
+            rounds = np.eye(3)[rng.integers(0, 3, size=40)]
+            h0 = [1.0, 0.0, 1.0, 1.0] if with_h0 else None
+            self.check(game, rounds, kind, 0.5, h0)
+
+    @staticmethod
+    def check(game, rounds, kind, eta, h0):
+        traj = simulate(game, Schedule.from_rounds(rounds), kind, eta=eta, h0=h0)
+        ys, r_opt, r_lrn, hs = replay_rounds(game, rounds, kind, eta, h0)
+        assert np.max(np.abs(traj.learner_strategy - ys)) <= 1e-12
+        assert np.max(np.abs(traj.optimizer_reward - r_opt)) <= 1e-12
+        assert np.max(np.abs(traj.learner_reward - r_lrn)) <= 1e-12
+        assert np.max(np.abs(traj.h_after - hs)) <= 1e-12
+        assert abs(traj.totals[0] - r_opt.sum()) <= 1e-12
+        assert abs(traj.totals[1] - r_lrn.sum()) <= 1e-12

@@ -32,7 +32,7 @@ def constant_schedule(x, total):
 class TestRewardCont:
     def test_all_zeros(self):
         a = np.zeros((3, 4))
-        sched = Schedule("continuous", ((2.0, [1, 0, 0]), (3.0, [0, 0.5, 0.5])))
+        sched = Schedule("continuous", [2.0, 3.0], [[1, 0, 0], [0, 0.5, 0.5]])
         assert reward_cont(sched, None, 5.0, a, 0.7) == 0.0
 
     def test_matching_pennies_optimum_is_zero(self, mp_matrix):
@@ -44,12 +44,17 @@ class TestRewardCont:
     def test_depends_only_on_time_average(self, mp_matrix, rng):
         for _ in range(10):
             x1, x2 = rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2))
-            split = Schedule("continuous", ((1.0, x1), (1.0, x2)))
+            split = Schedule("continuous", [1.0, 1.0], [x1, x2])
             merged = constant_schedule((x1 + x2) / 2, 2.0)
-            swapped = Schedule("continuous", ((1.0, x2), (1.0, x1)))
+            swapped = Schedule("continuous", [1.0, 1.0], [x2, x1])
             r = reward_cont(split, None, 2.0, mp_matrix, 0.9)
             assert abs(r - reward_cont(merged, None, 2.0, mp_matrix, 0.9)) <= 1e-12
             assert abs(r - reward_cont(swapped, None, 2.0, mp_matrix, 0.9)) <= 1e-12
+
+    @pytest.mark.parametrize("h0", [[1.0, 2.0, 3.0], [[1.0], [2.0]]])
+    def test_h0_shape_checked(self, mp_matrix, h0):
+        with pytest.raises(InputError, match="h0"):
+            reward_cont(constant_schedule([0.5, 0.5], 1.0), h0, 1.0, mp_matrix, 0.5)
 
     def test_rejects_general_sum(self):
         game = BimatrixGame([[1.0, 0.0]], [[1.0, 0.0]])
