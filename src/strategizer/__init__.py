@@ -31,12 +31,8 @@ from .learners import (
     BEST_RESPONSE,
     MWU,
     REPLICATOR,
-    LearnerState,
     Schedule,
     Trajectory,
-    br_action,
-    learner_update,
-    mwu_strategy,
     replicator_strategy,
     respond,
     simulate,
@@ -75,16 +71,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AlternatingPlan", "AssumptionWitness", "BEST_RESPONSE", "BimatrixGame",
     "CapExceededError", "CycleCheck", "DimensionMismatchError", "DirectedGraph",
-    "GameValueResult", "InputError", "LearnerState", "MWU", "OcdpInstance",
-    "OcdpPlayout", "PlannerResult", "PreconditionError", "REPLICATOR",
-    "Schedule", "SimplexVector", "StrategizerError", "Trajectory",
-    "alternating_gain", "alternating_plan", "asymptotic_lower_bound",
-    "best_response_set", "br_action", "brute_force_ocdp",
-    "check_assumption_no_pure", "expected_payoff", "extract_cycle",
-    "frank_wolfe", "fw_rate_constant", "game_value", "hjb_residual",
-    "learner_update", "matching_pennies", "min_br_minmax", "mwu_strategy",
-    "normalize_payoffs", "optimize_continuous", "planner_report", "play_ocdp",
-    "playout_labels", "reduce_hamiltonian", "replicator_strategy", "respond",
-    "reward_bounds", "reward_cont", "simulate", "softmax", "unique_br_game",
-    "verify_cycle",
+    "GameValueResult", "InputError", "MWU", "OcdpInstance", "OcdpPlayout",
+    "PlannerResult", "PreconditionError", "REPLICATOR", "Schedule",
+    "SimplexVector", "StrategizerError", "Trajectory", "alternating_gain",
+    "alternating_plan", "asymptotic_lower_bound", "best_response_set",
+    "brute_force_ocdp", "check_assumption_no_pure", "expected_payoff",
+    "extract_cycle", "frank_wolfe", "fw_rate_constant", "game_value",
+    "hjb_residual", "matching_pennies", "min_br_minmax", "normalize_payoffs",
+    "optimize_continuous", "planner_report", "play_ocdp", "playout_labels",
+    "reduce_hamiltonian", "replicator_strategy", "respond", "reward_bounds",
+    "reward_cont", "simulate", "softmax", "unique_br_game", "verify_cycle",
 ]

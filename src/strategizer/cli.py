@@ -51,6 +51,13 @@ def _resolve(flag_value, name: str, cast, default):
     return default if env is None else env
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _print_json(obj, out_path=None):
     text = fileio.canonical_json(obj)
     sys.stdout.write(text)
@@ -90,11 +97,15 @@ def cmd_plan(args) -> int:
 def _builtin_schedule(name: str, game: BimatrixGame, learner: str, rounds, eta, eps):
     continuous = learner == REPLICATOR
     mode = "continuous" if continuous else "discrete"
+    if not (continuous or float(rounds).is_integer()):
+        raise InputError(
+            f"--T must be a whole number of rounds for a discrete learner, got {rounds:g}"
+        )
     total = float(rounds) if continuous else int(rounds)
     if name == "uniform":
         return Schedule.constant(SimplexVector.uniform(game.n), total, mode)
     if name.startswith("pure:"):
-        idx = int(name.split(":", 1)[1])
+        idx = _parse_int(name.split(":", 1)[1], "pure action index")
         if not 1 <= idx <= game.n:
             raise InputError(f"pure action index {idx} outside 1..{game.n}")
         return Schedule.constant(SimplexVector.pure(idx - 1, game.n), total, mode)
@@ -241,7 +252,7 @@ def cmd_battery(args) -> int:
     count = _resolve(args.count, "count", int, acceptance.DEFAULT_COUNT)
     numbers = None
     if args.only:
-        numbers = [int(tok) for tok in args.only.split(",")]
+        numbers = [_parse_int(tok, "criterion number") for tok in args.only.split(",")]
         unknown = [k for k in numbers if k not in acceptance.ALL_CRITERIA]
         if unknown:
             raise InputError(f"unknown criteria {unknown}; valid: 1..{len(acceptance.ALL_CRITERIA)}")

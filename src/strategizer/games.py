@@ -176,30 +176,54 @@ def expected_payoff(x, game: BimatrixGame, y, side: str = "optimizer") -> float:
     raise InputError(f"side must be 'optimizer' or 'learner', got {side!r}")
 
 
-def _row_player_lp(a: np.ndarray):
-    """max_x min_j x'Ae_j over the simplex; variables (x, v), maximize v."""
+def _minmax_lp(a: np.ndarray, value: float | None = None, tight: tuple[int, ...] = (),
+               rows=None):
+    """The one minmax LP: variables (x, t) with x on the simplex.
+
+    Columns in `tight` are pinned at x'Ae_j = value and every other column
+    must satisfy x'Ae_j >= value + t. By default the margin t is maximized:
+    with value None (read as 0) t is free, so the optimum is Val(A) itself;
+    given a value, t >= 0, and t = 0 when no column is left unpinned. Given
+    `rows`, t is fixed at 0 and the mass of x on those rows is maximized.
+    Returns the raw linprog result.
+    """
     n, m = a.shape
+    rest = [j for j in range(m) if j not in tight]
     c = np.zeros(n + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-a.T, np.ones((m, 1))])
-    b_ub = np.zeros(m)
-    a_eq = np.zeros((1, n + 1))
+    if rows is None:
+        c[-1] = -1.0
+    else:
+        c[rows] = -1.0
+    if value is None:
+        value, t_bound, opts = 0.0, (None, None), _LP_OPTS
+    else:
+        t_bound = (0, None) if rest and rows is None else (0, 0)
+        opts = _LP_OPTS_PINNED
+    a_eq = np.zeros((1 + len(tight), n + 1))
     a_eq[0, :n] = 1.0
-    res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-        bounds=[(0, None)] * n + [(None, None)],
-        method="highs", options=_LP_OPTS,
+    a_eq[1:, :n] = a[:, list(tight)].T
+    b_eq = np.r_[1.0, np.full(len(tight), value)]
+    a_ub = np.hstack([-a[:, rest].T, np.ones((len(rest), 1))]) if rest else None
+    b_ub = np.full(len(rest), -value) if rest else None
+    return linprog(
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+        bounds=[(0, None)] * n + [t_bound], method="highs", options=opts,
     )
-    if not res.success:  # the LP is always feasible and bounded on the simplex
-        raise RuntimeError(f"minmax LP failed unexpectedly: {res.message}")
-    return SimplexVector(res.x[:n])
 
 
 def game_value(a) -> GameValueResult:
-    """Solve Val(A) = max_x min_y x'Ay = min_y max_x x'Ay by linear programming."""
+    """Solve Val(A) = max_x min_y x'Ay = min_y max_x x'Ay by linear programming.
+
+    One LP gives both strategies: the optimizer's from its primal solution,
+    the learner's from the duals of the column constraints.
+    """
     a = as_matrix(a)
-    x = _row_player_lp(a)
-    y = _row_player_lp(-a.T)  # the column player of A is the row player of -A'
+    n = a.shape[0]
+    res = _minmax_lp(a)
+    if not res.success:  # the LP is always feasible and bounded on the simplex
+        raise RuntimeError(f"minmax LP failed unexpectedly: {res.message}")
+    x = SimplexVector(res.x[:n])
+    y = SimplexVector(-res.ineqlin.marginals)
     lo = float(np.min(x.weights @ a))
     hi = float(np.max(a @ y.weights))
     return GameValueResult(
@@ -223,53 +247,15 @@ def best_response_set(x, game: BimatrixGame, tol: float = DEFAULT_TOL) -> set[in
     return set(np.flatnonzero(scores >= scores.max() - tol).tolist())
 
 
-def _minmax_support_lp(a: np.ndarray, value: float, tight: tuple[int, ...]):
-    """Max-margin minmax strategy with columns `tight` pinned at the value.
-
-    Feasible x satisfy x'Ae_j = value for j in tight and
-    x'Ae_j >= value + margin elsewhere; the margin is maximized.
-    Returns (x, margin) or None if infeasible.
-    """
-    n, m = a.shape
-    rest = [j for j in range(m) if j not in tight]
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    a_eq = np.zeros((1 + len(tight), n + 1))
-    a_eq[0, :n] = 1.0
-    b_eq = np.zeros(1 + len(tight))
-    b_eq[0] = 1.0
-    for r, j in enumerate(tight):
-        a_eq[1 + r, :n] = a[:, j]
-        b_eq[1 + r] = value
-    if rest:
-        a_ub = np.zeros((len(rest), n + 1))
-        b_ub = np.zeros(len(rest))
-        for r, j in enumerate(rest):
-            a_ub[r, :n] = -a[:, j]
-            a_ub[r, -1] = 1.0
-            b_ub[r] = -value
-        t_bound = (0, None)
-    else:
-        a_ub, b_ub = None, None
-        t_bound = (0, 0)  # no slack columns: plain feasibility
-    res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=[(0, None)] * n + [t_bound],
-        method="highs", options=_LP_OPTS_PINNED,
-    )
-    if not res.success:
-        return None
-    return SimplexVector(res.x[:n]), float(res.x[-1])
-
-
 def min_br_minmax(
     a, tol: float = DEFAULT_TOL, max_cols: int = 20
 ) -> tuple[SimplexVector, int]:
     """Minmax strategy with the fewest best responses, and that count k.
 
     Enumerates candidate best-response sets S in increasing cardinality and
-    solves a max-margin feasibility LP for each: the first S whose non-members
+    pins S at the value in the max-margin LP: the first S whose non-members
     can all be held strictly above the value (margin > tol) is the answer.
+    With every column pinned the LP is a plain feasibility check.
     Worst case exponential in the number of columns; intended for small games.
     """
     a = as_matrix(a)
@@ -279,15 +265,12 @@ def min_br_minmax(
             f"instance too large for exact min-BR search ({m} columns > cap {max_cols})"
         )
     value = game_value(a).value
-    for size in range(1, m):
+    for size in range(1, m + 1):
         for tight in combinations(range(m), size):
-            sol = _minmax_support_lp(a, value, tight)
-            if sol is not None and sol[1] > tol:
-                return sol[0], size
-    sol = _minmax_support_lp(a, value, tuple(range(m)))
-    if sol is None:
-        raise RuntimeError("degenerate minmax tie structure: no exact-BR set found")
-    return sol[0], m
+            res = _minmax_lp(a, value, tight)
+            if res.success and (size == m or res.x[-1] > tol):
+                return SimplexVector(res.x[:n]), size
+    raise RuntimeError("degenerate minmax tie structure: no exact-BR set found")
 
 
 def check_assumption_no_pure(
@@ -296,9 +279,9 @@ def check_assumption_no_pure(
     """Search for a minmax x with two best responses differing on support(x).
 
     For every column pair (i1, i2) and the rows where their payoffs differ by
-    more than tol, an LP looks for a minmax strategy keeping both columns at
-    the value while putting as much mass as possible on those rows. Any
-    positive mass yields a witness; exhausting all pairs proves none exists.
+    more than tol, the minmax LP pins both columns at the value and puts as
+    much mass as possible on those rows. Any positive mass yields a witness;
+    exhausting all pairs proves none exists.
     """
     a = as_matrix(a)
     n, m = a.shape
@@ -307,23 +290,13 @@ def check_assumption_no_pure(
         rows = np.flatnonzero(np.abs(a[:, i1] - a[:, i2]) > tol)
         if rows.size == 0:
             continue
-        c = np.zeros(n)
-        c[rows] = -1.0  # maximize total mass on the differing rows
-        a_eq = np.vstack([np.ones(n), a[:, i1], a[:, i2]])
-        b_eq = np.array([1.0, value, value])
-        others = [j for j in range(m) if j != i1 and j != i2]
-        a_ub = -a[:, others].T if others else None
-        b_ub = np.full(len(others), -value) if others else None
-        res = linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-            bounds=[(0, None)] * n, method="highs", options=_LP_OPTS_PINNED,
-        )
+        res = _minmax_lp(a, value, (i1, i2), rows)
         if not res.success:
             continue
         mass = res.x[rows]
         if mass.sum() > tol:
             k = int(rows[np.argmax(mass)])
-            return AssumptionWitness(x=SimplexVector(res.x), i1=i1, i2=i2, k_action=k)
+            return AssumptionWitness(x=SimplexVector(res.x[:n]), i1=i1, i2=i2, k_action=k)
     return None
 
 

@@ -11,7 +11,6 @@ t-1, then observes x(t).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,46 +47,16 @@ def respond(kind: str, h, eta: float = 1.0) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
-class LearnerState:
-    """Cumulative historical reward vector plus the step-size parameter.
-
-    For kind="best_response" eta is unused and ignored.
-    """
-
-    h: np.ndarray
-    eta: float
-    kind: str
-    round: int = 0
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        if h.ndim != 1 or not np.all(np.isfinite(h)):
-            raise InputError("historical rewards must be a finite 1-D vector")
-        h.flags.writeable = False
-        object.__setattr__(self, "h", h)
-        if self.kind not in LEARNER_KINDS:
-            raise InputError(f"unknown learner kind {self.kind!r}")
-        if self.kind != BEST_RESPONSE:
-            if not self.eta > 0:
-                raise InputError("eta must be positive")
-            if self.eta > 0.5:
-                warnings.warn(
-                    f"step size eta={self.eta:g} exceeds 1/2; MWU guarantees are "
-                    "usually stated for eta <= 1/2",
-                    stacklevel=2,
-                )
-
-
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """The optimizer's plan: piecewise-constant strategies over S segments.
 
     ``lengths`` has shape (S,) and ``strategies`` shape (S, n); segment s
     plays strategies[s] for lengths[s]. Discrete mode: lengths are positive
-    integer round counts. Continuous mode: positive finite durations. Each
-    strategy row is validated like a SimplexVector (finite, negatives down
-    to -1e-9 clipped, positive sum) and renormalised to sum to 1.
+    integer round counts below 2**63. Continuous mode: positive finite
+    durations. Each strategy row is validated like a SimplexVector (finite,
+    negatives down to -1e-9 clipped, positive sum) and renormalised to sum
+    to 1.
     """
 
     mode: str
@@ -112,10 +81,11 @@ class Schedule:
         if not np.all(np.isfinite(lengths)):
             raise InputError("schedule lengths must be finite")
         if self.mode == "discrete":
-            bad = (lengths <= 0) | (lengths != np.floor(lengths))
+            bad = (lengths <= 0) | (lengths != np.floor(lengths)) | (lengths >= 2.0**63)
             if bad.any():
                 raise InputError(
-                    f"discrete segment count must be a positive integer, got {lengths[bad][0]:g}"
+                    "discrete segment count must be a positive integer below 2**63, "
+                    f"got {lengths[bad][0]:g}"
                 )
             lengths = lengths.astype(np.int64)
         elif not np.all(lengths > 0):
@@ -200,25 +170,6 @@ class Trajectory:
         return self.t.size
 
 
-def mwu_strategy(state: LearnerState) -> SimplexVector:
-    """softmax(eta * h): the MWU play given the current historical rewards."""
-    if state.kind != MWU:
-        raise PreconditionError(f"mwu_strategy needs an MWU state, got kind={state.kind!r}")
-    return SimplexVector(respond(MWU, state.h, state.eta))
-
-
-def learner_update(state: LearnerState, x, game: BimatrixGame) -> LearnerState:
-    """Accumulate one round of play: h' = h + B' x. Applies to every kind."""
-    xw = as_weights(x, game.n, "optimizer strategy")
-    if state.h.size != game.m:
-        raise DimensionMismatchError(
-            f"history has dimension {state.h.size}, game has {game.m} columns"
-        )
-    return LearnerState(
-        h=state.h + game.b.T @ xw, eta=state.eta, kind=state.kind, round=state.round + 1
-    )
-
-
 def replicator_strategy(
     h0, schedule: Schedule, t: float, eta: float, game: BimatrixGame
 ) -> SimplexVector:
@@ -237,13 +188,6 @@ def replicator_strategy(
             f"schedule strategies have dimension {xint.size}, game has {game.n} rows"
         )
     return SimplexVector(respond(REPLICATOR, h0 + game.b.T @ xint, eta))
-
-
-def br_action(state: LearnerState) -> int:
-    """Lexicographically-first maximizer of h (exact float comparison)."""
-    if state.kind != BEST_RESPONSE:
-        raise PreconditionError(f"br_action needs a best-response state, got kind={state.kind!r}")
-    return int(np.argmax(respond(BEST_RESPONSE, state.h)))
 
 
 def _simulate_discrete(game, schedule, learner_kind, eta, h0) -> Trajectory:

@@ -371,8 +371,8 @@ def planner_report(a, eta: float, T: float, epsilon: float) -> dict:
     """Full zero-sum planning summary as a JSON-ready dict."""
     a = _zero_sum_matrix(a)
     result = optimize_continuous(a, None, T, eta, epsilon)
-    lo, hi = reward_bounds(a, T, eta)
     value = game_value(a).value
+    m = a.shape[1]
     _, k = min_br_minmax(a)
     witness = check_assumption_no_pure(a)
     report = {
@@ -380,9 +380,9 @@ def planner_report(a, eta: float, T: float, epsilon: float) -> dict:
         "x_star": result.x_star.weights.tolist(),
         "r_star": result.r_star,
         "epsilon": result.epsilon,
-        "bounds": [lo, hi],
+        "bounds": [value * T, value * T + math.log(m) / eta],
         "k": k,
-        "asymptotic_bound": value * T + math.log(a.shape[1] / k) / eta,
+        "asymptotic_bound": value * T + math.log(m / k) / eta,
         "assumption1": {"holds": witness is not None},
     }
     if witness is not None:

@@ -196,6 +196,27 @@ class TestSimulate:
         assert code == 2 and "lengths must be finite" in err and "Traceback" not in err
 
 
+def huge_count_schedule(tmp_path):
+    sched = tmp_path / "huge.json"
+    sched.write_text('{"mode": "discrete", "segments": [{"count": 1e20, "strategy": [0.5, 0.5]}]}')
+    return str(sched)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda mp, tmp: ["battery", "--only", "a"],
+    lambda mp, tmp: ["simulate", mp, "--learner", "mwu", "--schedule", "pure:x"],
+    lambda mp, tmp: ["simulate", mp, "--learner", "mwu", "--schedule", "uniform", "--T", "nan"],
+    lambda mp, tmp: ["simulate", mp, "--learner", "br", "--schedule", "uniform", "--T", "2.5"],
+    lambda mp, tmp: ["simulate", mp, "--learner", "mwu", "--schedule", huge_count_schedule(tmp)],
+], ids=["only-not-int", "pure-not-int", "T-nan", "T-fractional", "count-1e20"])
+def test_malformed_input_exit_2(argv, capsys, mp_file, tmp_path):
+    args = argv(mp_file, tmp_path)
+    if args[0] == "simulate":
+        args += ["--out", str(tmp_path / "out")]
+    code, _, err = run(capsys, *args)
+    assert code == 2 and "input error" in err and "Traceback" not in err
+
+
 class TestReduceVerifyBrute:
     def test_reduce_writes_instance(self, capsys, graph_file, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

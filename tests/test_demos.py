@@ -1,4 +1,5 @@
-"""Each narrative demo runs to completion against the library in src/."""
+"""Each narrative demo runs to completion against the library in src/, and
+every name the package exports resolves."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import strategizer
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -19,3 +22,10 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_exports_resolve():
+    names = strategizer.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(strategizer, name)]
+    assert missing == []

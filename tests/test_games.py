@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from strategizer import (
     BimatrixGame,
@@ -137,6 +138,30 @@ class TestGameValue:
             hi = np.max(a @ res.learner_strategy.weights)
             assert lo >= res.value - 1e-8
             assert hi <= res.value + 1e-8
+
+    def test_against_column_player_lp(self):
+        """One LP with the learner from its duals vs. the learner's own LP."""
+        rng = np.random.default_rng(314)
+        games = [rng.uniform(-1, 1, size=(rng.integers(2, 7), rng.integers(2, 7)))
+                 for _ in range(200)]
+        games += [np.zeros((3, 4)), np.ones((2, 4))]
+        for a in games:
+            res = game_value(a)
+            assert abs(res.value - column_player_value(a)) <= 1e-9
+            assert res.certificate_gap <= 1e-8
+            assert np.max(a @ res.learner_strategy.weights) <= res.value + 1e-8
+
+
+def column_player_value(a):
+    """min v over (y, v) with A y <= v and y on the simplex."""
+    n, m = a.shape
+    res = linprog(
+        np.r_[np.zeros(m), 1.0], A_ub=np.hstack([a, -np.ones((n, 1))]), b_ub=np.zeros(n),
+        A_eq=np.r_[np.ones(m), 0.0][None, :], b_eq=[1.0],
+        bounds=[(0, None)] * m + [(None, None)], method="highs",
+    )
+    assert res.success
+    return res.x[-1]
 
 
 class TestBestResponseSet:

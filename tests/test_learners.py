@@ -13,63 +13,48 @@ from strategizer import (
     BimatrixGame,
     DimensionMismatchError,
     InputError,
-    LearnerState,
     PreconditionError,
     Schedule,
     SimplexVector,
-    br_action,
-    learner_update,
-    mwu_strategy,
     replicator_strategy,
+    respond,
     simulate,
 )
 
 OCDP_B_ROW_E1 = np.array([-0.1, 0, 0, 0, 1, 0.85, 0, 0, 0, 0])
 
 
-def mwu_state(h, eta=1.0):
-    return LearnerState(h=np.asarray(h, dtype=float), eta=eta, kind=MWU)
-
-
 class TestMwuStrategy:
+    """MWU plays softmax(eta * h) through the shared response kernel."""
+
     def test_zero_history_uniform(self):
-        y = mwu_strategy(mwu_state(np.zeros(4), eta=0.3))
-        assert np.array_equal(y.weights, np.full(4, 0.25))
+        y = respond(MWU, np.zeros(4), 0.3)
+        assert np.array_equal(y, np.full(4, 0.25))
 
     def test_two_action_formula(self):
         # h = (1, -1): weights (e^eta, e^-eta) normalized
         for eta in (0.05, 0.3, 0.5):
-            y = mwu_strategy(mwu_state([1.0, -1.0], eta=eta))
+            y = respond(MWU, [1.0, -1.0], eta)
             z = math.exp(eta) + math.exp(-eta)
-            assert abs(y.weights[0] - math.exp(eta) / z) <= 1e-15
-            assert abs(y.weights[1] - math.exp(-eta) / z) <= 1e-15
+            assert abs(y[0] - math.exp(eta) / z) <= 1e-15
+            assert abs(y[1] - math.exp(-eta) / z) <= 1e-15
 
-    @pytest.mark.filterwarnings("ignore:step size")
     def test_huge_history_no_overflow(self):
-        y = mwu_strategy(mwu_state([1e4, 0.0], eta=1.0))
-        assert np.all(np.isfinite(y.weights))
-        assert y.weights[1] < 1e-300
+        y = respond(MWU, [1e4, 0.0], 1.0)
+        assert np.all(np.isfinite(y))
+        assert y[1] < 1e-300
         # extended-precision softmax oracle
         with mpmath.workdps(60):
             tiny = mpmath.exp(-10000)
             y0 = float(1 / (1 + tiny))
-        assert abs(y.weights[0] - y0) <= 1e-15
+        assert abs(y[0] - y0) <= 1e-15
 
     def test_sums_to_one_strictly_positive(self, rng):
         for _ in range(20):
             h = rng.uniform(-50, 50, size=5)
-            y = mwu_strategy(mwu_state(h, eta=0.4))
-            assert abs(y.weights.sum() - 1.0) <= 1e-12
-            assert np.all(y.weights > 0)
-
-    def test_wrong_kind_rejected(self):
-        state = LearnerState(h=np.zeros(2), eta=1.0, kind=BEST_RESPONSE)
-        with pytest.raises(PreconditionError):
-            mwu_strategy(state)
-
-    def test_large_eta_warns(self):
-        with pytest.warns(UserWarning, match="eta"):
-            LearnerState(h=np.zeros(2), eta=0.8, kind=MWU)
+            y = respond(MWU, h, 0.4)
+            assert abs(y.sum() - 1.0) <= 1e-12
+            assert np.all(y > 0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -79,23 +64,28 @@ class TestMwuStrategy:
     eta=st.floats(0.01, 0.5),
 )
 def test_mwu_shift_invariance(h, shift, eta):
-    base = mwu_strategy(mwu_state(h, eta=eta)).weights
-    moved = mwu_strategy(mwu_state(np.asarray(h) + shift, eta=eta)).weights
+    base = respond(MWU, h, eta)
+    moved = respond(MWU, np.asarray(h) + shift, eta)
     assert np.max(np.abs(base - moved)) <= 1e-12
 
 
+def one_round(game, x, kind=MWU, h0=None):
+    """Simulate a single round of x; the trajectory records h0 + B'x."""
+    return simulate(game, Schedule.constant(x, 1), kind, eta=0.1, h0=h0)
+
+
 class TestLearnerUpdate:
+    """One simulated round accumulates h' = h + B'x for every learner kind."""
+
     def test_pure_action_adds_row(self, mp_game):
-        state = mwu_state(np.zeros(2), eta=0.1)
-        out = learner_update(state, SimplexVector.pure(0, 2), mp_game)
-        assert np.array_equal(out.h, [-1.0, 1.0])
-        assert out.round == 1
+        traj = one_round(mp_game, SimplexVector.pure(0, 2))
+        assert np.array_equal(traj.h_after[0], [-1.0, 1.0])
+        assert traj.rounds == 1
 
     def test_uniform_over_identical_rows(self):
         game = BimatrixGame(np.zeros((2, 3)), np.array([[1.0, -2.0, 0.5]] * 2))
-        state = mwu_state(np.array([1.0, 1.0, 1.0]), eta=0.1)
-        out = learner_update(state, SimplexVector.uniform(2), game)
-        assert np.array_equal(out.h, [2.0, -1.0, 1.5])
+        traj = one_round(game, SimplexVector.uniform(2), h0=[1.0, 1.0, 1.0])
+        assert np.array_equal(traj.h_after[0], [2.0, -1.0, 1.5])
 
     def test_ocdp_first_round(self):
         # edge (1,5) of the five-vertex instance: source pays -0.1, target +1,
@@ -103,13 +93,12 @@ class TestLearnerUpdate:
         b = np.zeros((3, 10))
         b[0] = OCDP_B_ROW_E1
         game = BimatrixGame(np.zeros((3, 10)), b)
-        state = LearnerState(h=np.zeros(10), eta=1.0, kind=BEST_RESPONSE)
-        out = learner_update(state, SimplexVector.pure(0, 3), game)
-        assert np.array_equal(out.h, OCDP_B_ROW_E1)
+        traj = one_round(game, SimplexVector.pure(0, 3), kind=BEST_RESPONSE)
+        assert np.array_equal(traj.h_after[0], OCDP_B_ROW_E1)
 
     def test_dimension_mismatch(self, mp_game):
         with pytest.raises(Exception, match="dimension"):
-            learner_update(mwu_state(np.zeros(2), 0.1), [1.0, 0.0, 0.0], mp_game)
+            one_round(mp_game, [1.0, 0.0, 0.0])
 
 
 class TestReplicatorStrategy:
@@ -144,26 +133,29 @@ class TestReplicatorStrategy:
             replicator_strategy(None, sched, 3.0, 0.5, mp_game)
 
 
+def br_index(h):
+    """The best-response play as an action index, checking it is one-hot."""
+    y = respond(BEST_RESPONSE, h)
+    (idx,) = np.flatnonzero(y)
+    assert y[idx] == 1.0
+    return int(idx)
+
+
 class TestBrAction:
     def test_zero_history_first_action(self):
-        state = LearnerState(h=np.zeros(6), eta=1.0, kind=BEST_RESPONSE)
-        assert br_action(state) == 0
+        assert br_index(np.zeros(6)) == 0
 
     def test_ocdp_round_two(self):
-        state = LearnerState(h=OCDP_B_ROW_E1, eta=1.0, kind=BEST_RESPONSE)
-        assert br_action(state) == 4  # the +1 entry (vertex 5) beats 0.85
+        assert br_index(OCDP_B_ROW_E1) == 4  # the +1 entry (vertex 5) beats 0.85
 
     def test_point_nine_beats_point_eight_five(self):
         h = np.array([0.9, -3, -3, -3, -3, 0.85, 0.85, 0.85, 0.85, 0.85])
-        state = LearnerState(h=h, eta=1.0, kind=BEST_RESPONSE)
-        assert br_action(state) == 0
+        assert br_index(h) == 0
 
     def test_affine_invariance(self, rng):
         for _ in range(20):
             h = rng.integers(-5, 6, size=6).astype(float)
-            base = br_action(LearnerState(h=h, eta=1.0, kind=BEST_RESPONSE))
-            mapped = br_action(LearnerState(h=2.5 * h + 3.0, eta=1.0, kind=BEST_RESPONSE))
-            assert base == mapped
+            assert br_index(h) == br_index(2.5 * h + 3.0)
 
 
 def alternating_pennies_schedule(total_rounds):

@@ -16,7 +16,9 @@ from strategizer import (
     fw_rate_constant,
     game_value,
     hjb_residual,
+    matching_pennies,
     optimize_continuous,
+    planner_report,
     reward_bounds,
     reward_cont,
     simulate,
@@ -128,6 +130,15 @@ class TestAsymptoticLowerBound:
 
     def test_all_zeros(self):
         assert abs(asymptotic_lower_bound(np.zeros((3, 3)), 10.0, 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [matching_pennies(), unique_br_game(3)], ids=["pennies", "unique_br_3"])
+def test_report_bounds_match_bound_functions(a):
+    """planner_report derives both bounds from its one game value."""
+    eta, big_t = 0.5, 20.0
+    report = planner_report(a, eta, big_t, 1e-6)
+    assert np.max(np.abs(np.subtract(report["bounds"], reward_bounds(a, big_t, eta)))) <= 1e-12
+    assert abs(report["asymptotic_bound"] - asymptotic_lower_bound(a, big_t, eta)) <= 1e-12
 
 
 class TestAlternatingPlan:
