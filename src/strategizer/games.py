@@ -253,9 +253,18 @@ def min_br_minmax(
     """Minmax strategy with the fewest best responses, and that count k.
 
     Enumerates candidate best-response sets S in increasing cardinality and
-    pins S at the value in the max-margin LP: the first S whose non-members
-    can all be held strictly above the value (margin > tol) is the answer.
-    With every column pinned the LP is a plain feasibility check.
+    lexicographic order and pins S at the value in the max-margin LP: the
+    first S whose non-members can all be held strictly above the value
+    (margin > tol) is the answer. With every column pinned the LP is a plain
+    feasibility check.
+
+    The learner's strategy y from game_value prunes the search. For a minmax
+    x with column j unpinned at margin t, x'Ay >= value + t*y_j, while
+    x'Ay <= max_i (Ay)_i = value + gap/2 (gap the certificate gap). Widened
+    by the pinned LP's feasibility tolerance delta, a column with
+    y_j*tol > gap/2 + delta*(1 + max|A|) can never carry a margin above tol,
+    so it lies in every accepted S. Sets missing such a column are skipped
+    without an LP; the enumeration order, and so (x, k), is unchanged.
     Worst case exponential in the number of columns; intended for small games.
     """
     a = as_matrix(a)
@@ -264,9 +273,16 @@ def min_br_minmax(
         raise CapExceededError(
             f"instance too large for exact min-BR search ({m} columns > cap {max_cols})"
         )
-    value = game_value(a).value
-    for size in range(1, m + 1):
+    gv = game_value(a)
+    value = gv.value
+    slack = 0.5 * gv.certificate_gap + _LP_OPTS_PINNED["primal_feasibility_tolerance"] * (
+        1.0 + np.max(np.abs(a))
+    )
+    forced = set(np.flatnonzero(gv.learner_strategy.weights * tol > slack).tolist())
+    for size in range(max(len(forced), 1), m + 1):
         for tight in combinations(range(m), size):
+            if not forced.issubset(tight):
+                continue
             res = _minmax_lp(a, value, tight)
             if res.success and (size == m or res.x[-1] > tol):
                 return SimplexVector(res.x[:n]), size

@@ -17,13 +17,17 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
-from .errors import DimensionMismatchError, InputError, PreconditionError
+from .errors import CapExceededError, DimensionMismatchError, InputError, PreconditionError
 from .games import BimatrixGame, SimplexVector, as_weights
 
 MWU = "mwu"
 REPLICATOR = "replicator"
 BEST_RESPONSE = "best_response"
 LEARNER_KINDS = (MWU, REPLICATOR, BEST_RESPONSE)
+
+# Most rounds a discrete schedule may expand to. The simulator holds several
+# (T, n) and (T, m) float arrays; at this cap each takes 80 MB per column.
+MAX_ROUNDS = 10_000_000
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -53,10 +57,10 @@ class Schedule:
 
     ``lengths`` has shape (S,) and ``strategies`` shape (S, n); segment s
     plays strategies[s] for lengths[s]. Discrete mode: lengths are positive
-    integer round counts below 2**63. Continuous mode: positive finite
-    durations. Each strategy row is validated like a SimplexVector (finite,
-    negatives down to -1e-9 clipped, positive sum) and renormalised to sum
-    to 1.
+    integer round counts totalling below 2**63. Continuous mode: positive
+    finite durations. Each strategy row is validated like a SimplexVector
+    (finite, negatives down to -1e-9 clipped, positive sum) and renormalised
+    to sum to 1. ``total``, the sum of the lengths, is computed once here.
     """
 
     mode: str
@@ -80,14 +84,17 @@ class Schedule:
             )
         if not np.all(np.isfinite(lengths)):
             raise InputError("schedule lengths must be finite")
+        total = lengths.sum().item()
         if self.mode == "discrete":
-            bad = (lengths <= 0) | (lengths != np.floor(lengths)) | (lengths >= 2.0**63)
+            bad = (lengths <= 0) | (lengths != np.floor(lengths))
             if bad.any():
                 raise InputError(
-                    "discrete segment count must be a positive integer below 2**63, "
-                    f"got {lengths[bad][0]:g}"
+                    f"discrete segment count must be a positive integer, got {lengths[bad][0]:g}"
                 )
+            if total >= 2.0**63:
+                raise InputError(f"discrete segment counts must total below 2**63, got {total:g}")
             lengths = lengths.astype(np.int64)
+            total = int(total)
         elif not np.all(lengths > 0):
             raise InputError(f"segment duration must be positive, got {lengths.min():g}")
         if x.shape[0] and not x.shape[1]:
@@ -105,6 +112,7 @@ class Schedule:
         x.flags.writeable = False
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "strategies", x)
+        object.__setattr__(self, "total", total)
 
     @classmethod
     def constant(cls, strategy, total, mode: str = "discrete") -> "Schedule":
@@ -122,17 +130,20 @@ class Schedule:
         return cls("discrete", np.ones(len(strategies)), strategies)
 
     @property
-    def total(self):
-        return self.lengths.sum().item()
-
-    @property
     def dim(self) -> int | None:
         return self.strategies.shape[1] if self.lengths.size else None
 
     def round_strategies(self) -> np.ndarray:
-        """Expand a discrete schedule to a (T, n) array of per-round strategies."""
+        """Expand a discrete schedule to a (T, n) array of per-round strategies.
+
+        Raises CapExceededError when T exceeds MAX_ROUNDS.
+        """
         if self.mode != "discrete":
             raise PreconditionError("round_strategies requires a discrete schedule")
+        if self.total > MAX_ROUNDS:
+            raise CapExceededError(
+                f"schedule has {self.total} rounds, more than the {MAX_ROUNDS} a play-out expands"
+            )
         return np.repeat(self.strategies, self.lengths, axis=0)
 
     def time_average(self) -> np.ndarray:

@@ -30,7 +30,7 @@ from .games import (
     min_br_minmax,
     DEFAULT_TOL,
 )
-from .learners import MWU, Schedule, simulate, softmax
+from .learners import MAX_ROUNDS, MWU, Schedule, simulate, softmax
 
 MAX_FW_ITERATIONS = 10_000_000
 
@@ -61,6 +61,10 @@ class AlternatingPlan:
 
         An odd final round plays the base minmax strategy instead.
         """
+        if total_rounds > MAX_ROUNDS:
+            raise CapExceededError(
+                f"alternating plan of {total_rounds} rounds exceeds the {MAX_ROUNDS}-round cap"
+            )
         odd = np.arange(1, total_rounds + 1) % 2 == 1
         rounds = np.where(odd[:, None], self.x_odd.weights, self.x_even.weights)
         if total_rounds % 2 == 1:
@@ -100,25 +104,40 @@ def reward_cont(schedule: Schedule, h0, T: float, a, eta: float) -> float:
 
 
 def _line_minimize(z: np.ndarray, zeta: np.ndarray, hi: float) -> float:
-    """Exact line search for t in [0, hi] minimizing lse(z + t*zeta).
+    """Exact line search for t in [0, hi] minimizing phi(t) = lse(z + t*zeta).
 
-    Bisection on the (monotone) derivative p(t)'zeta; the derivative at 0 is
-    negative by construction of descent directions.
+    With p = softmax(z + t*zeta), phi'(t) = p'zeta and phi''(t) =
+    p'zeta^2 - (p'zeta)^2 >= 0, so phi' is monotone. If phi'(hi) <= 0 the
+    minimizer is hi. Otherwise safeguarded Newton runs from t = 0 (where
+    phi' < 0 for a descent direction) on a bracket [lo, up] with phi'(lo) <= 0
+    < phi'(up): each evaluation shrinks the bracket, and a bisection step
+    replaces the Newton step whenever that step leaves the bracket or
+    phi'' <= 0. It stops once the step or the bracket is below 1e-15 relative
+    to max(1, t). The Frank-Wolfe gap certifies the outer result, so the
+    search only has to be accurate, not exact.
     """
     p = softmax(z + hi * zeta)
     if p @ zeta <= 0.0:
         return hi
-    lo, up = 0.0, hi
+    zeta2 = zeta * zeta
+    lo, up, t = 0.0, hi, 0.0
     for _ in range(62):
-        mid = 0.5 * (lo + up)
-        p = softmax(z + mid * zeta)
-        if p @ zeta > 0.0:
-            up = mid
+        w = z + t * zeta
+        e = np.exp(w - w.max())
+        s = e.sum()
+        slope = (e @ zeta) / s
+        if slope > 0.0:
+            up = t
         else:
-            lo = mid
-        if up - lo <= 1e-15 * max(1.0, up):
-            break
-    return 0.5 * (lo + up)
+            lo = t
+        curv = (e @ zeta2) / s - slope * slope
+        nxt = t - slope / curv if curv > 0.0 else math.nan
+        if not lo <= nxt <= up:  # a nan step fails this test too
+            nxt = 0.5 * (lo + up)
+        if abs(nxt - t) <= 1e-15 * max(1.0, nxt) or up - lo <= 1e-15 * max(1.0, up):
+            return nxt
+        t = nxt
+    return t
 
 
 def frank_wolfe(

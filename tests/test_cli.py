@@ -196,9 +196,11 @@ class TestSimulate:
         assert code == 2 and "lengths must be finite" in err and "Traceback" not in err
 
 
-def huge_count_schedule(tmp_path):
+def huge_count_schedule(tmp_path, count="1e20"):
     sched = tmp_path / "huge.json"
-    sched.write_text('{"mode": "discrete", "segments": [{"count": 1e20, "strategy": [0.5, 0.5]}]}')
+    sched.write_text(
+        f'{{"mode": "discrete", "segments": [{{"count": {count}, "strategy": [0.5, 0.5]}}]}}'
+    )
     return str(sched)
 
 
@@ -215,6 +217,18 @@ def test_malformed_input_exit_2(argv, capsys, mp_file, tmp_path):
         args += ["--out", str(tmp_path / "out")]
     code, _, err = run(capsys, *args)
     assert code == 2 and "input error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    lambda mp, tmp: ["--schedule", huge_count_schedule(tmp, "1e15")],
+    lambda mp, tmp: ["--schedule", "alternating", "--T", "1e15"],
+], ids=["count-1e15", "alternating-1e15"])
+def test_too_many_rounds_exit_4(argv, capsys, mp_file, tmp_path):
+    code, _, err = run(
+        capsys, "simulate", mp_file, "--learner", "mwu", "--out", str(tmp_path / "out"),
+        *argv(mp_file, tmp_path),
+    )
+    assert code == 4 and "resource cap exceeded" in err and "Traceback" not in err
 
 
 class TestReduceVerifyBrute:

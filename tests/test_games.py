@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from strategizer import (
     min_br_minmax,
     unique_br_game,
 )
+from strategizer import games
 
 
 def value_2x2(a):
@@ -227,6 +230,62 @@ class TestMinBrMinmax:
             game = BimatrixGame.from_zero_sum(a)
             assert np.min(x.weights @ a) >= game_value(a).value - 1e-8
             assert len(best_response_set(x, game)) == k
+
+
+def exhaustive_min_br(a, tol=games.DEFAULT_TOL):
+    """Reference search: every candidate set in order, one LP each, no pruning."""
+    n, m = a.shape
+    value = game_value(a).value
+    for size in range(1, m + 1):
+        for tight in combinations(range(m), size):
+            res = games._minmax_lp(a, value, tight)
+            if res.success and (size == m or res.x[-1] > tol):
+                return SimplexVector(res.x[:n]).weights, size
+    raise AssertionError("no exact-BR set")
+
+
+def min_br_battery(kind, count=200):
+    """200 seeded games, n and m in 2..6, with entries U[-1,1] (kind 0), in
+    {-1, 0, 1} (kind 1) or U[-1,1] rounded to one decimal (kind 2); kind 3 is
+    unique_br_game(3..6), all-zeros and all-ones."""
+    if kind == 3:
+        return [unique_br_game(n) for n in range(3, 7)] + [np.zeros((3, 3)), np.ones((2, 4))]
+    rng = np.random.default_rng(1357 + kind)
+    draw = (
+        lambda shape: rng.uniform(-1, 1, size=shape),
+        lambda shape: rng.integers(-1, 2, size=shape).astype(float),
+        lambda shape: np.round(rng.uniform(-1, 1, size=shape), 1),
+    )[kind]
+    return [draw(tuple(rng.integers(2, 7, size=2))) for _ in range(count)]
+
+
+class TestMinBrPruning:
+    @pytest.mark.parametrize("kind", range(4), ids=["uniform", "ternary", "one-decimal", "special"])
+    def test_matches_exhaustive_search(self, kind):
+        for a in min_br_battery(kind):
+            x, k = min_br_minmax(a)
+            x_ref, k_ref = exhaustive_min_br(a)
+            assert k == k_ref and np.array_equal(x.weights, x_ref), a
+
+    def test_generic_games_need_two_lps(self, monkeypatch):
+        # One value LP, then one pinned LP at the dual support, whenever every
+        # column the learner plays carries enough dual weight to be forced
+        # (above 0.02 at tol 1e-7 on these games).
+        calls = []
+        real = games._minmax_lp
+        monkeypatch.setattr(games, "_minmax_lp", lambda *args: calls.append(1) or real(*args))
+        rng = np.random.default_rng(97)
+        checked = 0
+        for _ in range(20):
+            a = rng.uniform(-1, 1, size=(6, 6))
+            y = game_value(a).learner_strategy.weights
+            if y[y > 0].min() <= 0.05:
+                continue
+            calls.clear()
+            min_br_minmax(a)
+            assert len(calls) <= 2
+            checked += 1
+        assert checked >= 10
 
 
 class TestAssumptionNoPure:

@@ -251,6 +251,11 @@ class TestSchedule:
         with pytest.raises(InputError):
             Schedule("discrete", [1.5], [[1.0, 0.0]])
 
+    def test_discrete_total_cannot_wrap(self):
+        # each count fits in int64, but their int64 sum would wrap negative
+        with pytest.raises(InputError, match="total below 2"):
+            Schedule("discrete", [2**62, 2**62], [[1.0, 0.0], [0.0, 1.0]])
+
     def test_dim_consistency(self):
         with pytest.raises(Exception, match="dimension"):
             Schedule("discrete", [1, 1], [[1.0, 0.0], [1.0, 0.0, 0.0]])

@@ -24,7 +24,9 @@ from strategizer import (
     simulate,
     unique_br_game,
 )
-from strategizer.planner import _objective_terms
+from strategizer import planner
+from strategizer.learners import softmax
+from strategizer.planner import _line_minimize, _objective_terms
 
 
 def constant_schedule(x, total):
@@ -242,6 +244,76 @@ class TestFrankWolfe:
                 fm = np.logaddexp.reduce(z0 + mat @ (x - e))
                 fd[i] = (fp - fm) / (2 * delta)
             assert np.linalg.norm(fd - grad) <= 1e-5 * max(1.0, np.linalg.norm(grad))
+
+
+def bisection_line_minimize(z, zeta, hi):
+    """Reference line search: plain bisection on the sign of p(t)'zeta."""
+    p = softmax(z + hi * zeta)
+    if p @ zeta <= 0.0:
+        return hi
+    lo, up = 0.0, hi
+    for _ in range(62):
+        mid = 0.5 * (lo + up)
+        p = softmax(z + mid * zeta)
+        if p @ zeta > 0.0:
+            up = mid
+        else:
+            lo = mid
+        if up - lo <= 1e-15 * max(1.0, up):
+            break
+    return 0.5 * (lo + up)
+
+
+def line_search_games(count=24, seed=4711):
+    """Seeded U[-1,1] games, n and m in 2..6, cycling eta in {0.1, 1} and eta*T in {10, 100}."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, m = rng.integers(2, 7, size=2)
+        eta = (0.1, 1.0)[i % 2]
+        eta_t = (10.0, 100.0)[(i // 2) % 2]
+        a = rng.uniform(-1, 1, size=(n, m))
+        yield _objective_terms(a, np.zeros(m), eta_t / eta, eta)
+
+
+class TestLineSearch:
+    def test_newton_matches_bisection(self, monkeypatch):
+        searches = []
+
+        def recording(z, zeta, hi):
+            searches.append((z.copy(), zeta.copy(), hi))
+            return _line_minimize(z, zeta, hi)
+
+        monkeypatch.setattr(planner, "_line_minimize", recording)
+        for z0, mat in line_search_games():
+            frank_wolfe(z0, mat, gap_target=1e-12)
+        assert len(searches) > 500
+        for z, zeta, hi in searches:
+            t_ref = bisection_line_minimize(z, zeta, hi)
+            assert abs(_line_minimize(z, zeta, hi) - t_ref) <= 1e-12 * max(1.0, t_ref)
+
+    @pytest.mark.parametrize("search", [_line_minimize, bisection_line_minimize],
+                             ids=["newton", "bisection"])
+    def test_frank_wolfe_certifies_tight_gap(self, search, monkeypatch):
+        monkeypatch.setattr(planner, "_line_minimize", search)
+        for z0, mat in line_search_games():
+            _, gap, _, _ = frank_wolfe(z0, mat, gap_target=1e-12)
+            assert gap <= 1e-12
+
+    def test_newton_certifies_where_bisection_stalls(self, monkeypatch):
+        # bisection resolves t only to 1e-15 absolute, so tiny late steps
+        # zigzag: it stalls above gap 1e-12 here after 20,000 iterations
+        a = np.array([
+            [0.3954595634111311, -0.6935700569063747, 0.5426011294031954],
+            [-0.6501674597301406, 0.8288561725427079, -0.04466593913685046],
+            [-0.2694478736897963, 0.08092258368297167, 0.8818453950451466],
+            [0.9949697334095688, -0.8763226108747277, 0.6249759978270164],
+        ])
+        z0, mat = _objective_terms(a, np.zeros(3), 1000.0, 0.1)
+        _, gap, iterations, _ = frank_wolfe(z0, mat, gap_target=1e-12)
+        assert gap <= 1e-12 and iterations <= 1000
+        monkeypatch.setattr(planner, "_line_minimize", bisection_line_minimize)
+        _, gap, _, _ = frank_wolfe(z0, mat, gap_target=1e-12, max_iter=1000, raise_on_cap=False)
+        assert gap > 1e-12
 
 
 class TestDiscreteVsContinuous:
