@@ -57,6 +57,7 @@ from .planner import (
     alternating_gain,
     alternating_plan,
     asymptotic_lower_bound,
+    fixed_step_objectives,
     frank_wolfe,
     fw_rate_constant,
     hjb_residual,
@@ -76,9 +77,10 @@ __all__ = [
     "SimplexVector", "StrategizerError", "Trajectory", "alternating_gain",
     "alternating_plan", "asymptotic_lower_bound", "best_response_set",
     "brute_force_ocdp", "check_assumption_no_pure", "expected_payoff",
-    "extract_cycle", "frank_wolfe", "fw_rate_constant", "game_value",
-    "hjb_residual", "matching_pennies", "min_br_minmax", "normalize_payoffs",
-    "optimize_continuous", "planner_report", "play_ocdp", "playout_labels",
-    "reduce_hamiltonian", "replicator_strategy", "respond", "reward_bounds",
-    "reward_cont", "simulate", "softmax", "unique_br_game", "verify_cycle",
+    "extract_cycle", "fixed_step_objectives", "frank_wolfe", "fw_rate_constant",
+    "game_value", "hjb_residual", "matching_pennies", "min_br_minmax",
+    "normalize_payoffs", "optimize_continuous", "planner_report", "play_ocdp",
+    "playout_labels", "reduce_hamiltonian", "replicator_strategy", "respond",
+    "reward_bounds", "reward_cont", "simulate", "softmax", "unique_br_game",
+    "verify_cycle",
 ]

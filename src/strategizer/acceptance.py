@@ -28,6 +28,7 @@ from .planner import (
     _objective_terms,
     alternating_gain,
     alternating_plan,
+    fixed_step_objectives,
     frank_wolfe,
     fw_rate_constant,
     hjb_residual,
@@ -270,7 +271,7 @@ def criterion_7(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
             a = games[i % 3]
             h = rng.uniform(-1.0, 1.0, size=3)
             t = float(rng.uniform(1.0, 4.0))
-            worst = max(worst, hjb_residual(h, t, a, eta, fd_step=1e-4))
+            worst = max(worst, hjb_residual(h, t, a, eta, 1e-4))
         return worst <= 1e-3, f"max residual {worst:.2e} over 20 points (tol 1e-3)"
 
     return _timed(7, "HJB residual", RUNTIME_BUDGETS[7], check)
@@ -366,13 +367,10 @@ def criterion_10(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
         worst_rel = 0.0
         for a in games:
             z0, mat = _objective_terms(a, np.zeros(a.shape[1]), big_t, eta)
-            x_ref, _, _, _ = frank_wolfe(z0, mat, gap_target=1e-11)
+            x_ref, _, _ = frank_wolfe(z0, mat, gap_target=1e-11)
             f_ref = float(np.logaddexp.reduce(z0 + mat @ x_ref))
             cert = fw_rate_constant(a, big_t, eta)
-            _, _, _, log = frank_wolfe(
-                z0, mat, gap_target=0.0, step="fixed", max_iter=300,
-                log_objective=True, raise_on_cap=False,
-            )
+            log = fixed_step_objectives(z0, mat, 300)
             for s in range(1, len(log)):
                 if log[s] - f_ref > 2.0 * cert / (s + 1):
                     rate_ok = False

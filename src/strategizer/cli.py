@@ -204,7 +204,7 @@ def cmd_verify(args) -> int:
         print("sequence: " + " ".join(inst.row_labels[i] for i in res.sequence))
         sequence = list(res.sequence)
     else:
-        sequence = [int(i) - 1 for i in witness["sequence"]]
+        sequence = [i - 1 for i in witness["sequence"]]
     playout = play_ocdp(inst, sequence)
     print(f"reward {playout.total_reward} (k = {inst.k})")
     print("learner: " + " ".join(playout_labels(inst, playout)))
@@ -224,10 +224,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_brute(args) -> int:
-    try:
-        inst = fileio.read_instance(args.input)
-    except InputError:
-        inst = reduce_hamiltonian(fileio.read_graph(args.input))
+    inst = fileio.read_instance_or_graph(args.input)
     cap = _resolve(args.cap, "cap", int, 10_000_000)
     best, seq = brute_force_ocdp(inst, cap=cap)
     verdict = "YES" if best >= inst.k else "NO"

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError
 from .games import BimatrixGame, as_matrix
 from .learners import Schedule, Trajectory
-from .ocdp import DirectedGraph, OcdpInstance
+from .ocdp import DirectedGraph, OcdpInstance, reduce_hamiltonian
 
 
 def format_float(x: float) -> str:
@@ -131,11 +131,7 @@ def _parse_matrix_text(text: str, path: str) -> np.ndarray:
 def read_matrix(path: str) -> np.ndarray:
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-        return matrix_from_json(obj)
+        return matrix_from_json(_read_json(path, text))
     return _parse_matrix_text(text, path)
 
 
@@ -144,10 +140,7 @@ def read_game(path: str) -> BimatrixGame:
     JSON object yields a general-sum game."""
     text = _read_text(path)
     if text.lstrip().startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        obj = _read_json(path, text)
         if "a" in obj and "b" in obj:
             return BimatrixGame(matrix_from_json(obj["a"]), matrix_from_json(obj["b"]))
         return BimatrixGame.from_zero_sum(matrix_from_json(obj))
@@ -162,6 +155,14 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_json(path: str, text: str | None = None):
+    """Parse the JSON file at path (or its text, if already read)."""
+    try:
+        return json.loads(_read_text(path) if text is None else text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
 # --- schedules ---------------------------------------------------------------
 
 def schedule_from_json(obj) -> Schedule:
@@ -170,6 +171,8 @@ def schedule_from_json(obj) -> Schedule:
         segments = obj["segments"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"schedule JSON needs mode and segments: {exc}") from exc
+    if not isinstance(segments, list):
+        raise InputError("schedule segments must be a list")
     key = "count" if mode == "discrete" else "duration"
     lengths, strategies = [], []
     for i, seg in enumerate(segments):
@@ -193,12 +196,7 @@ def schedule_to_json(schedule: Schedule) -> dict:
 
 
 def read_schedule(path: str) -> Schedule:
-    text = _read_text(path)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return schedule_from_json(obj)
+    return schedule_from_json(_read_json(path))
 
 
 # --- graphs -------------------------------------------------------------------
@@ -285,49 +283,48 @@ def instance_to_json(inst: OcdpInstance) -> dict:
 
 
 def instance_from_json(obj) -> OcdpInstance:
-    from .ocdp import _exact_int_matrix
-
     try:
-        a = matrix_from_json(obj["a"])
-        b = matrix_from_json(obj["b"])
         labels = obj["labels"]
-        edges = tuple(tuple(e) for e in labels["edges"])
-        inst = OcdpInstance(
-            a=a,
-            b=b,
+        return OcdpInstance(
+            a=matrix_from_json(obj["a"]),
+            b=matrix_from_json(obj["b"]),
             k=int(obj["k"]),
             T=int(obj["T"]),
             row_labels=tuple(labels["rows"]),
             col_labels=tuple(labels["cols"]),
-            edges=edges,
+            edges=tuple(tuple(e) for e in labels["edges"]),
             n_graph_vertices=int(labels["n_graph_vertices"]),
             normalized=bool(obj["normalized"]),
-            b_int=_exact_int_matrix(b),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise InputError(f"instance JSON needs field {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise InputError(f"malformed instance JSON: {exc}") from exc
-    return inst
 
 
 def read_instance(path: str) -> OcdpInstance:
+    return instance_from_json(_read_json(path))
+
+
+def read_instance_or_graph(path: str) -> OcdpInstance:
+    """A JSON object is read as an instance; anything else is a graph,
+    returned as its reduced instance."""
     text = _read_text(path)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return instance_from_json(obj)
+    if text.lstrip().startswith("{"):
+        return instance_from_json(_read_json(path, text))
+    return reduce_hamiltonian(read_graph(path))
 
 
 def read_witness(path: str) -> dict:
     """A witness file holds {"cycle": [vertices]} and/or {"sequence": [edge ids]}
-    with 1-based ids."""
-    text = _read_text(path)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(obj, dict) or ("cycle" not in obj and "sequence" not in obj):
+    with 1-based integer ids; a null field counts as absent."""
+    obj = _read_json(path)
+    if not isinstance(obj, dict) or (obj.get("cycle") is None and obj.get("sequence") is None):
         raise InputError(f"{path}: witness JSON needs a 'cycle' or 'sequence' field")
+    for key in ("cycle", "sequence"):
+        ids = obj.get(key)
+        if not (ids is None or isinstance(ids, list) and all(type(v) is int for v in ids)):
+            raise InputError(f"{path}: witness '{key}' must be a list of integers")
     return obj
 
 

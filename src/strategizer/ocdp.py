@@ -14,7 +14,9 @@ arithmetic: tie-breaking is bit-reproducible by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,7 +68,8 @@ class OcdpInstance:
 
     Columns 0..n-1 are v_1..v_n and columns n..2n-1 are v_in_1..v_in_n; this
     ordering is what the learner's lexicographic tie-breaking acts on.
-    b_int holds B scaled by 160 as exact integers.
+    Construction validates the instance and derives the exact integer forms
+    play-outs use: a_int holds the 0/1 matrix A, b_int holds B scaled by 160.
     """
 
     a: np.ndarray
@@ -78,7 +81,28 @@ class OcdpInstance:
     edges: tuple
     n_graph_vertices: int
     normalized: bool
-    b_int: np.ndarray
+    a_int: np.ndarray = field(init=False, repr=False)
+    b_int: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        labels = (len(self.row_labels), len(self.col_labels))
+        if not self.a.shape == self.b.shape == labels:
+            raise InputError(
+                f"shapes disagree: A {self.a.shape}, B {self.b.shape}, labels {labels}"
+            )
+        if not np.all((self.a == 0.0) | (self.a == 1.0)):
+            raise InputError("optimizer payoffs A must all be 0 or 1")
+        if not (self.k >= 1 and self.T >= 1):
+            raise InputError(f"k and T must be positive, got k = {self.k}, T = {self.T}")
+        scaled = self.b * PAYOFF_DENOMINATOR
+        b_int = np.rint(scaled).astype(np.int64)
+        if np.max(np.abs(scaled - b_int)) > 1e-9:
+            raise InputError(
+                f"learner payoffs are not multiples of 1/{PAYOFF_DENOMINATOR}; "
+                "exact play-out unavailable"
+            )
+        object.__setattr__(self, "a_int", self.a.astype(np.int64))
+        object.__setattr__(self, "b_int", b_int)
 
     @property
     def n_actions_opt(self) -> int:
@@ -100,17 +124,6 @@ class OcdpPlayout:
     learner_actions: tuple
     history_trace: np.ndarray
     total_reward: int
-
-
-def _exact_int_matrix(b: np.ndarray) -> np.ndarray:
-    scaled = b * PAYOFF_DENOMINATOR
-    b_int = np.rint(scaled).astype(np.int64)
-    if np.max(np.abs(scaled - b_int)) > 1e-9:
-        raise InputError(
-            f"learner payoffs are not multiples of 1/{PAYOFF_DENOMINATOR}; "
-            "exact play-out unavailable"
-        )
-    return b_int
 
 
 def reduce_hamiltonian(g: DirectedGraph) -> OcdpInstance:
@@ -148,7 +161,6 @@ def reduce_hamiltonian(g: DirectedGraph) -> OcdpInstance:
         edges=g.edges,
         n_graph_vertices=n,
         normalized=False,
-        b_int=_exact_int_matrix(b),
     )
 
 
@@ -163,18 +175,7 @@ def normalize_payoffs(inst: OcdpInstance) -> OcdpInstance:
         raise PreconditionError("instance payoffs are already normalized")
     b = (inst.b + 4.0) / 8.0
     b.flags.writeable = False
-    return OcdpInstance(
-        a=inst.a,
-        b=b,
-        k=inst.k,
-        T=inst.T,
-        row_labels=inst.row_labels,
-        col_labels=inst.col_labels,
-        edges=inst.edges,
-        n_graph_vertices=inst.n_graph_vertices,
-        normalized=True,
-        b_int=_exact_int_matrix(b),
-    )
+    return dataclasses.replace(inst, b=b, normalized=True)
 
 
 def play_ocdp(inst: OcdpInstance, sequence) -> OcdpPlayout:
@@ -191,17 +192,15 @@ def play_ocdp(inst: OcdpInstance, sequence) -> OcdpPlayout:
     for r in seq:
         if not 0 <= r < inst.n_actions_opt:
             raise InputError(f"action index {r} outside 0..{inst.n_actions_opt - 1}")
-    b_rows = inst.b_int
     h = np.zeros(mm, dtype=np.int64)
     trace = np.zeros((inst.T + 1, mm), dtype=np.int64)
     actions = []
     total = 0
-    a01 = np.rint(inst.a).astype(np.int64)
     for t, r in enumerate(seq, start=1):
         j = int(np.argmax(h))
         actions.append(j)
-        total += int(a01[r, j])
-        h = h + b_rows[r]
+        total += int(inst.a_int[r, j])
+        h = h + inst.b_int[r]
         trace[t] = h
     return OcdpPlayout(
         sequence=tuple(seq),
@@ -293,8 +292,16 @@ def brute_force_ocdp(inst: OcdpInstance, cap: int = 10_000_000):
 
     Depth-first search with the admissible bound "each remaining round adds
     at most 1", plus a global stop once the ceiling T is reached. Returns
-    (max_reward, first maximizing sequence in lexicographic order).
+    (max_reward, first maximizing sequence in lexicographic order). The
+    search recurses once per round, so T may use at most half of Python's
+    recursion limit.
     """
+    depth_cap = sys.getrecursionlimit() // 2
+    if inst.T > depth_cap:
+        raise CapExceededError(
+            f"brute force recurses once per round: T = {inst.T} exceeds the "
+            f"recursion headroom of {depth_cap} rounds"
+        )
     n_act = inst.n_actions_opt
     total_sequences = n_act**inst.T
     if total_sequences > cap:
@@ -303,8 +310,8 @@ def brute_force_ocdp(inst: OcdpInstance, cap: int = 10_000_000):
         )
     mm = inst.n_actions_learner
     big_t = inst.T
-    b_rows = [tuple(int(v) for v in row) for row in inst.b_int]
-    a01 = [tuple(int(round(v)) for v in row) for row in inst.a]
+    b_rows = [tuple(row) for row in inst.b_int.tolist()]
+    a01 = [tuple(row) for row in inst.a_int.tolist()]
     best = -1
     best_seq: tuple = ()
     h = [0] * mm

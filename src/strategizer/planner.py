@@ -140,75 +140,51 @@ def _line_minimize(z: np.ndarray, zeta: np.ndarray, hi: float) -> float:
     return t
 
 
-def frank_wolfe(
-    z0: np.ndarray,
-    mat: np.ndarray,
-    gap_target: float,
-    step: str = "linesearch",
-    away: bool = True,
-    max_iter: int = MAX_FW_ITERATIONS,
-    x0: np.ndarray | None = None,
-    log_objective: bool = False,
-    raise_on_cap: bool = True,
-):
+def frank_wolfe(z0: np.ndarray, mat: np.ndarray, gap_target: float,
+                max_iter: int = MAX_FW_ITERATIONS, x0: np.ndarray | None = None):
     """Minimize f(x) = lse(z0 + mat @ x) over the probability simplex.
 
-    step="linesearch" uses exact line search; away=True additionally allows
-    away steps (mass removal from the worst active coordinate), which is what
-    makes tight duality-gap targets affordable. step="fixed" is the classical
-    gamma_s = 2/(s+2) schedule whose objective gap after s steps is bounded by
-    2*beta*R^2/(s+1); it ignores `away`.
-
-    Returns (x, gap, iterations, objective_log). The Frank-Wolfe gap
+    Away-step Frank-Wolfe with exact line search: each iteration moves
+    toward the best vertex or, when that certifies more descent, away from
+    the worst active one, which is what makes tight duality-gap targets
+    affordable. Returns (x, gap, iterations). The Frank-Wolfe gap
     max_v grad'(x - v) upper-bounds f(x) - f*, so it certifies optimality
-    regardless of the path taken.
+    regardless of the path taken; CapExceededError is raised if max_iter
+    iterations do not bring it to gap_target.
     """
     m, n = mat.shape
     x = np.full(n, 1.0 / n) if x0 is None else np.array(x0, dtype=float)
-    log = []
     for it in range(max_iter + 1):
         z = z0 + mat @ x
-        c = z.max()
-        p = np.exp(z - c)
-        s = p.sum()
-        if log_objective:
-            log.append(c + math.log(s))
-        p /= s
+        p = np.exp(z - z.max())
+        p /= p.sum()
         g = mat.T @ p
         s_idx = int(np.argmin(g))
         gx = g @ x
         gap = gx - g[s_idx]
         if gap <= gap_target:
-            return x, float(gap), it, log
+            return x, float(gap), it
         if it == max_iter:
             break
-        if step == "fixed":
-            gamma = 2.0 / (it + 2.0)
-            x = x + gamma * (-x)
-            x[s_idx] += gamma
-            continue
         d = -x.copy()
         d[s_idx] += 1.0
         hi = 1.0
-        if away:
-            support = np.flatnonzero(x > 1e-15)
-            a_idx = support[int(np.argmax(g[support]))]
-            gap_away = g[a_idx] - gx
-            if gap_away > gap and support.size > 1:
-                d = x.copy()
-                d[a_idx] -= 1.0
-                xa = x[a_idx]
-                hi = min(xa / (1.0 - xa), 1e12) if xa < 1.0 else 1e12
+        support = np.flatnonzero(x > 1e-15)
+        a_idx = support[int(np.argmax(g[support]))]
+        gap_away = g[a_idx] - gx
+        if gap_away > gap and support.size > 1:
+            d = x.copy()
+            d[a_idx] -= 1.0
+            xa = x[a_idx]
+            hi = min(xa / (1.0 - xa), 1e12) if xa < 1.0 else 1e12
         gamma = _line_minimize(z, mat @ d, hi)
         x = x + gamma * d
         np.maximum(x, 0.0, out=x)
         x /= x.sum()
-    if raise_on_cap:
-        raise CapExceededError(
-            f"Frank-Wolfe iteration cap {max_iter} reached before certifying gap "
-            f"{gap_target:g} (best gap {gap:g})"
-        )
-    return x, float(gap), max_iter, log
+    raise CapExceededError(
+        f"Frank-Wolfe iteration cap {max_iter} reached before certifying gap "
+        f"{gap_target:g} (best gap {gap:g})"
+    )
 
 
 def _objective_terms(a: np.ndarray, h0: np.ndarray, T: float, eta: float):
@@ -216,22 +192,13 @@ def _objective_terms(a: np.ndarray, h0: np.ndarray, T: float, eta: float):
     return eta * h0, -eta * T * a.T
 
 
-def optimize_continuous(
-    a,
-    h0,
-    T: float,
-    eta: float,
-    epsilon: float,
-    step: str = "linesearch",
-    away: bool = True,
-    max_iter: int = MAX_FW_ITERATIONS,
-) -> PlannerResult:
+def optimize_continuous(a, h0, T: float, eta: float, epsilon: float) -> PlannerResult:
     """Frank-Wolfe search for an epsilon-optimal constant strategy.
 
     Runs until the Frank-Wolfe duality gap certifies a reward suboptimality
     of at most epsilon (gap <= epsilon * eta on the rescaled objective). The
-    classical fixed-step analysis needs ceil(2/(epsilon*eta)) iterations; the
-    default line-search/away variant typically certifies much sooner.
+    classical fixed-step analysis needs ceil(2/(epsilon*eta)) iterations;
+    away steps with exact line search typically certify much sooner.
     """
     a = _zero_sum_matrix(a)
     n, m = a.shape
@@ -243,9 +210,7 @@ def optimize_continuous(
         raise InputError("horizon T must be positive")
     h0 = np.zeros(m) if h0 is None else np.asarray(h0, dtype=float)
     z0, mat = _objective_terms(a, h0, T, eta)
-    x, gap, iterations, _ = frank_wolfe(
-        z0, mat, gap_target=epsilon * eta, step=step, away=away, max_iter=max_iter
-    )
+    x, gap, iterations = frank_wolfe(z0, mat, gap_target=epsilon * eta)
     x_star = SimplexVector(x)
     r_star = reward_cont(Schedule.constant(x_star, T, mode="continuous"), h0, T, a, eta)
     return PlannerResult(
@@ -371,7 +336,7 @@ def hjb_residual(h, t: float, a, eta: float, fd_step: float) -> float:
 def _value_to_go(a, h, t, eta, epsilon, x0=None):
     """(argmin x, reward) of the closed form at history h with t remaining."""
     z0, mat = _objective_terms(a, h, t, eta)
-    x, _, _, _ = frank_wolfe(z0, mat, gap_target=epsilon * eta, x0=x0)
+    x, _, _ = frank_wolfe(z0, mat, gap_target=epsilon * eta, x0=x0)
     value = float(logsumexp(z0) - logsumexp(z0 + mat @ x)) / eta
     return x, value
 
@@ -384,6 +349,31 @@ def fw_rate_constant(a, T: float, eta: float) -> float:
     """
     a = as_matrix(a)
     return 2.0 * (eta * T * np.linalg.norm(a, 2)) ** 2
+
+
+def fixed_step_objectives(z0: np.ndarray, mat: np.ndarray, steps: int) -> list:
+    """Objective values f(x_s) of classical Frank-Wolfe with step 2/(s+2).
+
+    The reference run for the rate bound f(x_s) - f* <= 2*C/(s+1), with C
+    from fw_rate_constant: it starts at the uniform point, records f(x_s)
+    for s = 0, 1, ..., steps and stops early once the Frank-Wolfe gap is 0.
+    """
+    x = np.full(mat.shape[1], 1.0 / mat.shape[1])
+    values = []
+    for s in range(steps + 1):
+        z = z0 + mat @ x
+        c = z.max()
+        p = np.exp(z - c)
+        total = p.sum()
+        values.append(c + math.log(total))
+        g = mat.T @ (p / total)
+        v = int(np.argmin(g))
+        if g @ x - g[v] <= 0.0:
+            break
+        gamma = 2.0 / (s + 2.0)
+        x = x + gamma * (-x)
+        x[v] += gamma
+    return values
 
 
 def planner_report(a, eta: float, T: float, epsilon: float) -> dict:

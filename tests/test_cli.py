@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from strategizer import DirectedGraph, fileio, reduce_hamiltonian
+from strategizer.acceptance import example_graph
 from strategizer.cli import main
 
 MP_TEXT = "1 -1\n-1 1\n"
@@ -229,6 +231,50 @@ def test_too_many_rounds_exit_4(argv, capsys, mp_file, tmp_path):
         *argv(mp_file, tmp_path),
     )
     assert code == 4 and "resource cap exceeded" in err and "Traceback" not in err
+
+
+def instance_json(graph=None, **changes):
+    """The reduced instance of a graph (default: the example) as JSON with
+    fields replaced; a None value drops the field."""
+    obj = fileio.instance_to_json(reduce_hamiltonian(graph or example_graph()))
+    obj.update(changes)
+    return {key: value for key, value in obj.items() if value is not None}
+
+
+@pytest.mark.parametrize("command, content, message", [
+    ("verify", {"sequence": ["x", 1, 2]}, "list of integers"),
+    ("verify", {"cycle": [1, "a"]}, "list of integers"),
+    ("verify", {"sequence": 5}, "list of integers"),
+    ("verify", {"cycle": "12"}, "list of integers"),
+    ("verify", {"sequence": [1.5, 2, 4, 6, 7, 1]}, "list of integers"),
+    ("verify", {"cycle": None}, "'cycle' or 'sequence'"),
+    ("simulate", {"mode": "discrete", "segments": 5}, "segments must be a list"),
+    ("brute", instance_json(k=None), "needs field 'k'"),
+    ("brute", instance_json(T=-2), "must be positive"),
+    ("brute", instance_json(a={"rows": 7, "cols": 10, "data": [[0.5] * 10] * 7}),
+     "0 or 1"),
+    ("brute", instance_json(b={"rows": 7, "cols": 1, "data": [[0.0]] * 7}), "shape"),
+], ids=["sequence-str", "cycle-str", "sequence-int", "cycle-string", "sequence-float",
+        "cycle-null", "segments-int", "instance-no-k", "instance-negative-T",
+        "instance-fractional-a", "instance-b-shape"])
+def test_malformed_file_exit_2(command, content, message, capsys, graph_file, mp_file, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    argv = {
+        "verify": ["verify", graph_file, str(path)],
+        "simulate": ["simulate", mp_file, "--learner", "mwu", "--schedule", str(path),
+                     "--out", str(tmp_path / "out")],
+        "brute": ["brute", str(path)],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and message in err and "Traceback" not in err
+
+
+def test_brute_long_horizon_exit_4(capsys, tmp_path):
+    path = tmp_path / "one-edge.json"
+    path.write_text(json.dumps(instance_json(DirectedGraph(2, ((1, 2),)), T=5000)))
+    code, _, err = run(capsys, "brute", str(path))
+    assert code == 4 and "T = 5000" in err and "Traceback" not in err
 
 
 class TestReduceVerifyBrute:

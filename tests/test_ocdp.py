@@ -76,6 +76,27 @@ class TestReduceHamiltonian:
         assert inst.a.shape == (29, 60)
 
 
+class TestOcdpInstance:
+    def test_exact_integer_forms(self, example_graph_5):
+        inst = reduce_hamiltonian(example_graph_5)
+        assert np.array_equal(inst.a_int, EXAMPLE_A) and inst.a_int.dtype == np.int64
+        assert np.array_equal(inst.b_int, np.rint(EXAMPLE_B * 160))
+        norm = normalize_payoffs(inst)
+        assert np.array_equal(norm.b_int, inst.b_int // 8 + 80)  # 160*(b + 4)/8
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda i: {"a": np.where(i.a == 1.0, 0.7, 0.5)}, "0 or 1"),
+        (lambda i: {"T": -2}, "positive"),
+        (lambda i: {"k": 0}, "positive"),
+        (lambda i: {"b": i.b[:, :-1]}, "shape"),
+        (lambda i: {"row_labels": i.row_labels[:-1]}, "shape"),
+    ], ids=["fractional-a", "negative-T", "zero-k", "b-shape", "row-labels"])
+    def test_rejects_malformed(self, example_graph_5, change, message):
+        inst = reduce_hamiltonian(example_graph_5)
+        with pytest.raises(InputError, match=message):
+            dataclasses.replace(inst, **change(inst))
+
+
 class TestNormalizePayoffs:
     def test_fixed_map(self, example_graph_5):
         inst = normalize_payoffs(reduce_hamiltonian(example_graph_5))
@@ -213,6 +234,13 @@ class TestBruteForce:
         inst = reduce_hamiltonian(example_graph_5)
         with pytest.raises(CapExceededError, match="cap"):
             brute_force_ocdp(inst, cap=100)
+
+    def test_recursion_headroom(self):
+        # one edge: a single sequence of any length, which the |E|^T cap passes
+        inst = reduce_hamiltonian(DirectedGraph(2, ((1, 2),)))
+        assert brute_force_ocdp(dataclasses.replace(inst, T=200))[0] == 1
+        with pytest.raises(CapExceededError, match="T = 5000"):
+            brute_force_ocdp(dataclasses.replace(inst, T=5000))
 
     def test_agreement_with_hamiltonian_oracle(self, rng):
         for _ in range(25):

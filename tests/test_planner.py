@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from strategizer import (
     BimatrixGame,
+    CapExceededError,
     InputError,
     MWU,
     PreconditionError,
@@ -12,6 +14,7 @@ from strategizer import (
     alternating_gain,
     alternating_plan,
     asymptotic_lower_bound,
+    fixed_step_objectives,
     frank_wolfe,
     fw_rate_constant,
     game_value,
@@ -87,10 +90,6 @@ class TestOptimizeContinuous:
         a = unique_br_game(3)
         res = optimize_continuous(a, None, 50.0, 1.0, 1e-6)
         assert abs(res.r_star - (50.0 + math.log(6))) <= 0.01
-
-    def test_fixed_step_variant(self, mp_matrix):
-        res = optimize_continuous(mp_matrix, None, 5.0, 0.5, 1e-3, step="fixed", away=False)
-        assert abs(res.r_star) <= 1e-3
 
     def test_epsilon_validated(self, mp_matrix):
         with pytest.raises(InputError):
@@ -204,28 +203,41 @@ class TestHjbResidual:
 
 
 class TestFrankWolfe:
-    def test_linesearch_objective_monotone(self, rng):
+    def test_linesearch_objective_monotone(self, rng, monkeypatch):
+        objectives = []
+
+        def recording(z, zeta, hi):
+            objectives.append(float(logsumexp(z)))
+            return _line_minimize(z, zeta, hi)
+
+        monkeypatch.setattr(planner, "_line_minimize", recording)
         a = rng.uniform(-1, 1, size=(4, 5))
         z0, mat = _objective_terms(a, np.zeros(5), 20.0, 0.5)
-        _, gap, _, log = frank_wolfe(z0, mat, gap_target=1e-9, log_objective=True)
-        assert gap <= 1e-9
-        diffs = np.diff(np.array(log))
-        assert np.all(diffs <= 1e-12)
+        _, gap, _ = frank_wolfe(z0, mat, gap_target=1e-9)
+        assert gap <= 1e-9 and len(objectives) > 1
+        assert np.all(np.diff(objectives) <= 1e-12)
 
     def test_fixed_step_rate_bound(self, rng):
         eta, big_t = 0.5, 5.0
         for _ in range(3):
             a = rng.uniform(-1, 1, size=(3, 4))
             z0, mat = _objective_terms(a, np.zeros(4), big_t, eta)
-            x_ref, _, _, _ = frank_wolfe(z0, mat, gap_target=1e-11)
+            x_ref, _, _ = frank_wolfe(z0, mat, gap_target=1e-11)
             f_ref = float(np.logaddexp.reduce(z0 + mat @ x_ref))
             cert = fw_rate_constant(a, big_t, eta)
-            _, _, _, log = frank_wolfe(
-                z0, mat, gap_target=0.0, step="fixed", max_iter=200,
-                log_objective=True, raise_on_cap=False,
-            )
+            log = fixed_step_objectives(z0, mat, 200)
             for s in range(1, len(log)):
                 assert log[s] - f_ref <= 2.0 * cert / (s + 1)
+
+    def test_fixed_step_stops_at_zero_gap(self):
+        # row 1 dominates: the first step (gamma = 1) lands on the optimal
+        # vertex e_1, where the Frank-Wolfe gap is exactly 0
+        a = np.array([[1.0, 0.5], [0.0, -0.5]])
+        z0, mat = _objective_terms(a, np.zeros(2), 5.0, 0.5)
+        log = fixed_step_objectives(z0, mat, 300)
+        assert len(log) == 2
+        assert log[0] == pytest.approx(logsumexp(z0 + mat @ [0.5, 0.5]), abs=1e-12)
+        assert log[1] == pytest.approx(logsumexp(z0 + mat[:, 0]), abs=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
         a = rng.uniform(-1, 1, size=(4, 4))
@@ -296,7 +308,7 @@ class TestLineSearch:
     def test_frank_wolfe_certifies_tight_gap(self, search, monkeypatch):
         monkeypatch.setattr(planner, "_line_minimize", search)
         for z0, mat in line_search_games():
-            _, gap, _, _ = frank_wolfe(z0, mat, gap_target=1e-12)
+            _, gap, _ = frank_wolfe(z0, mat, gap_target=1e-12)
             assert gap <= 1e-12
 
     def test_newton_certifies_where_bisection_stalls(self, monkeypatch):
@@ -309,11 +321,11 @@ class TestLineSearch:
             [0.9949697334095688, -0.8763226108747277, 0.6249759978270164],
         ])
         z0, mat = _objective_terms(a, np.zeros(3), 1000.0, 0.1)
-        _, gap, iterations, _ = frank_wolfe(z0, mat, gap_target=1e-12)
+        _, gap, iterations = frank_wolfe(z0, mat, gap_target=1e-12)
         assert gap <= 1e-12 and iterations <= 1000
         monkeypatch.setattr(planner, "_line_minimize", bisection_line_minimize)
-        _, gap, _, _ = frank_wolfe(z0, mat, gap_target=1e-12, max_iter=1000, raise_on_cap=False)
-        assert gap > 1e-12
+        with pytest.raises(CapExceededError, match="cap 1000"):
+            frank_wolfe(z0, mat, gap_target=1e-12, max_iter=1000)
 
 
 class TestDiscreteVsContinuous:
