@@ -3,7 +3,8 @@
 Subcommands: value, plan, simulate, reduce, verify, brute, battery. Numeric
 parameters can also come from environment variables prefixed STRATEGIZER_
 (flags win). Exit codes: 0 success, 1 negative verdict/failed battery,
-2 input error, 3 precondition violated, 4 resource cap exceeded.
+2 input error, 3 precondition violated, 4 resource cap exceeded; any other
+library error also exits 1.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 
 from . import acceptance, fileio
-from .errors import CapExceededError, InputError, PreconditionError
+from .errors import CapExceededError, InputError, PreconditionError, StrategizerError
 from .games import BimatrixGame, SimplexVector, game_value
 from .learners import BEST_RESPONSE, MWU, REPLICATOR, Schedule, simulate
 from .ocdp import (
@@ -234,7 +235,8 @@ def cmd_brute(args) -> int:
     if args.out:
         playout = play_ocdp(inst, seq)
         cycle = None
-        if best >= inst.k and inst.T == inst.n_graph_vertices + 1:
+        # only a play-out earning n+1 in the reduction's n+1 rounds traces a cycle
+        if best >= inst.k and best == inst.T == inst.n_graph_vertices + 1:
             graph = DirectedGraph(inst.n_graph_vertices, inst.edges)
             cycle = extract_cycle(inst, playout, graph)
         fileio.atomic_write(
@@ -336,6 +338,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 4
+    except StrategizerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

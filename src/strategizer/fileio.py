@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError
 from .games import BimatrixGame, as_matrix
 from .learners import Schedule, Trajectory
-from .ocdp import DirectedGraph, OcdpInstance, reduce_hamiltonian
+from .ocdp import DirectedGraph, OcdpInstance, normalize_payoffs, reduce_hamiltonian
 
 
 def format_float(x: float) -> str:
@@ -282,24 +282,53 @@ def instance_to_json(inst: OcdpInstance) -> dict:
     }
 
 
+def _whole_number(value, name: str) -> int:
+    """A JSON integer, or a float without a fractional part, as an int."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise InputError(f"instance field {name!r} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def instance_from_json(obj) -> OcdpInstance:
+    """Read an instance; its payoffs must be the reduction of the graph its
+    labels name (normalized when flagged), row for row."""
     try:
         labels = obj["labels"]
-        return OcdpInstance(
+        inst = OcdpInstance(
             a=matrix_from_json(obj["a"]),
             b=matrix_from_json(obj["b"]),
-            k=int(obj["k"]),
-            T=int(obj["T"]),
+            k=_whole_number(obj["k"], "k"),
+            T=_whole_number(obj["T"], "T"),
             row_labels=tuple(labels["rows"]),
             col_labels=tuple(labels["cols"]),
-            edges=tuple(tuple(e) for e in labels["edges"]),
-            n_graph_vertices=int(labels["n_graph_vertices"]),
+            edges=tuple(
+                tuple(_whole_number(v, "labels.edges") for v in e) for e in labels["edges"]
+            ),
+            n_graph_vertices=_whole_number(labels["n_graph_vertices"], "n_graph_vertices"),
             normalized=bool(obj["normalized"]),
         )
+        reduced = reduce_hamiltonian(DirectedGraph(inst.n_graph_vertices, inst.edges))
     except KeyError as exc:
         raise InputError(f"instance JSON needs field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed instance JSON: {exc}") from exc
+    if inst.normalized:
+        reduced = normalize_payoffs(reduced)
+    if inst.a.shape != reduced.a.shape:
+        raise InputError(
+            f"labels.edges name {len(inst.edges)} edges on {inst.n_graph_vertices} vertices, "
+            f"which reduce to a {reduced.a.shape} instance, but A is {inst.a.shape}"
+        )
+    wrong = (inst.a_int != reduced.a_int).any(axis=1) | (inst.b_int != reduced.b_int).any(axis=1)
+    if wrong.any():
+        row = int(np.argmax(wrong))
+        raise InputError(
+            f"labels.edges do not match the payoffs: row {row + 1} of A and B does not "
+            f"encode edge {inst.edges[row]}"
+        )
+    return inst
 
 
 def read_instance(path: str) -> OcdpInstance:

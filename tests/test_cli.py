@@ -2,9 +2,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from strategizer import DirectedGraph, fileio, reduce_hamiltonian
+from strategizer import DirectedGraph, StrategizerError, cli, fileio, reduce_hamiltonian
 from strategizer.acceptance import example_graph
 from strategizer.cli import main
 
@@ -241,6 +242,11 @@ def instance_json(graph=None, **changes):
     return {key: value for key, value in obj.items() if value is not None}
 
 
+def relabelled(**changes):
+    """The example instance's labels with fields replaced."""
+    return {**instance_json()["labels"], **changes}
+
+
 @pytest.mark.parametrize("command, content, message", [
     ("verify", {"sequence": ["x", 1, 2]}, "list of integers"),
     ("verify", {"cycle": [1, "a"]}, "list of integers"),
@@ -254,9 +260,18 @@ def instance_json(graph=None, **changes):
     ("brute", instance_json(a={"rows": 7, "cols": 10, "data": [[0.5] * 10] * 7}),
      "0 or 1"),
     ("brute", instance_json(b={"rows": 7, "cols": 1, "data": [[0.0]] * 7}), "shape"),
+    ("brute", instance_json(T=4.7), "'T' must be a whole number"),
+    ("brute", instance_json(k="6"), "'k' must be a whole number"),
+    ("brute", instance_json(labels=relabelled(n_graph_vertices=5.5)), "'n_graph_vertices'"),
+    ("brute", instance_json(labels=relabelled(edges=[[1.5, 5], *example_graph().edges[1:]])),
+     "'labels.edges' must be a whole number, got 1.5"),
+    ("brute", instance_json(labels=relabelled(edges=example_graph().edges[::-1])),
+     "row 1 of A and B does not encode edge (3, 1)"),
 ], ids=["sequence-str", "cycle-str", "sequence-int", "cycle-string", "sequence-float",
         "cycle-null", "segments-int", "instance-no-k", "instance-negative-T",
-        "instance-fractional-a", "instance-b-shape"])
+        "instance-fractional-a", "instance-b-shape", "instance-fractional-T",
+        "instance-string-k", "instance-fractional-vertices", "instance-fractional-edge",
+        "instance-reversed-edges"])
 def test_malformed_file_exit_2(command, content, message, capsys, graph_file, mp_file, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
@@ -275,6 +290,84 @@ def test_brute_long_horizon_exit_4(capsys, tmp_path):
     path.write_text(json.dumps(instance_json(DirectedGraph(2, ((1, 2),)), T=5000)))
     code, _, err = run(capsys, "brute", str(path))
     assert code == 4 and "T = 5000" in err and "Traceback" not in err
+
+
+def test_brute_out_reversed_edges_exit_2(capsys, tmp_path):
+    path = tmp_path / "reversed.json"
+    edges = [list(e) for e in example_graph().edges[::-1]]
+    path.write_text(json.dumps(instance_json(labels=relabelled(edges=edges))))
+    code, _, err = run(capsys, "brute", str(path), "--out", str(tmp_path / "w.json"))
+    assert code == 2 and "labels.edges do not match" in err and "Traceback" not in err
+    assert not (tmp_path / "w.json").exists()
+
+
+def test_brute_out_small_k_writes_no_cycle(capsys, tmp_path):
+    # k = 1 is reached on a graph with no Hamiltonian cycle
+    path = tmp_path / "k1.json"
+    path.write_text(json.dumps(instance_json(DirectedGraph(3, ((1, 2), (2, 1), (2, 3))), k=1)))
+    code, out, err = run(capsys, "brute", str(path), "--out", str(tmp_path / "w.json"))
+    assert code == 0 and "YES: reward 1 is achievable" in out and "Traceback" not in err
+    assert json.loads((tmp_path / "w.json").read_text())["cycle"] is None
+
+
+def test_unhandled_library_error_exit_1(capsys, monkeypatch, mp_file):
+    class NewError(StrategizerError):
+        pass
+
+    def fail(args):
+        raise NewError("something new went wrong")
+
+    monkeypatch.setattr(cli, "cmd_value", fail)
+    code, _, err = run(capsys, "value", mp_file)
+    assert code == 1 and err == "error: something new went wrong\n"
+
+
+def general_sum_files(tmp_path, a, b, segments):
+    game = tmp_path / "gs-game.json"
+    game.write_text(json.dumps({"a": fileio.matrix_to_json(a), "b": fileio.matrix_to_json(b)}))
+    sched = tmp_path / "gs-schedule.json"
+    sched.write_text(json.dumps({"mode": "continuous", "segments": [
+        {"duration": dur, "strategy": list(x)} for dur, x in segments]}))
+    return str(game), str(sched)
+
+
+def test_simulate_replicator_general_sum(capsys, tmp_path):
+    from scipy.integrate import quad
+
+    a = np.array([[1.0, -0.5, 0.2], [0.0, 0.8, -1.0]])
+    b = np.array([[0.3, -1.0, 0.6], [-0.4, 0.9, 0.1]])
+    segments = [(1.5, (0.7, 0.3)), (0.75, (0.1, 0.9)), (4.0, (0.5, 0.5))]
+    game, sched = general_sum_files(tmp_path, a, b, segments)
+    prefix = str(tmp_path / "gs")
+    code, out, _ = run(capsys, "simulate", game, "--learner", "replicator",
+                       "--schedule", sched, "--eta", "2.0", "--out", prefix)
+    assert code == 0
+    traj = json.loads(open(prefix + ".json").read())
+    h = np.zeros(3)
+    for (dur, x), got in zip(segments, traj["optimizer_reward"]):
+        c, d = np.array(x) @ a, np.array(x) @ b
+
+        def f(u, h=h):
+            z = 2.0 * (h + u * d)
+            p = np.exp(z - z.max())
+            return float(c @ p / p.sum())
+        want = quad(f, 0.0, dur, limit=200)[0]
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        h = h + dur * d
+    assert float(out.splitlines()[0].split()[-1]) == pytest.approx(
+        sum(traj["optimizer_reward"]), rel=1e-15)
+
+
+def test_simulate_replicator_cap_exit_4(capsys, tmp_path):
+    # the integrand 1e6 * tanh(5 * (u - 5)) integrates to 0, and rounding in
+    # its 1e6-sized values keeps the error estimate above the absolute tolerance
+    game, _ = general_sum_files(tmp_path, [[1e6, -1e6]], [[1.0, 0.0]], [])
+    h0 = tmp_path / "h0.txt"
+    h0.write_text("-5 0\n")
+    code, _, err = run(capsys, "simulate", game, "--learner", "replicator",
+                       "--schedule", "pure:1", "--T", "10", "--eta", "10", "--h0", str(h0),
+                       "--out", str(tmp_path / "cap"))
+    assert code == 4 and "200 bisections" in err and "Traceback" not in err
 
 
 class TestReduceVerifyBrute:

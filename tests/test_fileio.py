@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from strategizer import InputError, Schedule, reduce_hamiltonian
+from strategizer import InputError, Schedule, normalize_payoffs, reduce_hamiltonian
 from strategizer import fileio
 
 
@@ -131,6 +131,20 @@ class TestInstanceIo:
         assert np.array_equal(back.b, inst.b)
         assert np.array_equal(back.b_int, inst.b_int)
         assert back.k == inst.k and back.col_labels == inst.col_labels
+
+    def test_whole_float_counts_accepted(self, example_graph_5):
+        obj = fileio.instance_to_json(reduce_hamiltonian(example_graph_5))
+        obj.update(k=6.0, T=6.0)
+        back = fileio.instance_from_json(obj)
+        assert (back.k, back.T) == (6, 6) and type(back.T) is int
+
+    def test_normalized_instance_matches_its_edges(self, example_graph_5):
+        inst = normalize_payoffs(reduce_hamiltonian(example_graph_5))
+        obj = json.loads(fileio.canonical_json(fileio.instance_to_json(inst)))
+        assert np.array_equal(fileio.instance_from_json(obj).b, inst.b)
+        obj["labels"]["edges"][0] = [1, 3]  # same source, other target
+        with pytest.raises(InputError, match="row 1 of A and B does not encode edge"):
+            fileio.instance_from_json(obj)
 
     def test_witness_requires_fields(self, tmp_path):
         path = tmp_path / "w.json"

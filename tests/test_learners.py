@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strategizer import learners
 from strategizer import (
     BEST_RESPONSE,
     MWU,
     REPLICATOR,
     BimatrixGame,
+    CapExceededError,
     DimensionMismatchError,
     InputError,
     PreconditionError,
@@ -377,3 +380,148 @@ class TestSimulateMatchesRoundByRound:
         assert np.max(np.abs(traj.h_after - hs)) <= 1e-12
         assert abs(traj.totals[0] - r_opt.sum()) <= 1e-12
         assert abs(traj.totals[1] - r_lrn.sum()) <= 1e-12
+
+
+def softmax_rows(z):
+    p = np.exp(z - z.max(axis=-1, keepdims=True))
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def segment_starts(game, schedule, h0):
+    """h at the start of each segment, summed segment by segment."""
+    h, starts = np.array(h0, dtype=float), []
+    for dur, x in zip(schedule.lengths, schedule.strategies):
+        starts.append(h.copy())
+        h = h + dur * (x @ game.b)
+    return starts
+
+
+def stiff_segments(seed, count, max_actions=6):
+    """One-segment general-sum runs that last 10 to 1e5 time units, far longer
+    than their crossing width, with an initial history of scale 1 to 100."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n, m = rng.integers(2, 7), rng.integers(2, max_actions + 1)
+        a, b = rng.uniform(-1.0, 1.0, size=(2, n, m))
+        x = rng.dirichlet(np.ones(n))
+        dur = 10 ** rng.uniform(1.0, 5.0)
+        eta = 10 ** rng.uniform(-1.0, math.log10(5.0))
+        h0 = rng.uniform(-1.0, 1.0, m) * 10 ** rng.uniform(0.0, 2.0)
+        if dur * eta * np.ptp(x @ b) <= 5e4:  # keeps the dense oracle under 2e5 pieces
+            out.append((BimatrixGame(a, b), x, dur, eta, h0))
+    return out
+
+
+def dense_gauss_legendre(c, h, d, dur, eta):
+    """Composite 16-point Gauss-Legendre on a uniform mesh, four pieces per
+    crossing width 1/(eta * max|d_i - d_j|)."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    pieces = int(np.ceil(4 * max(1.0, dur * eta * np.ptp(d))))
+    edges = np.linspace(0.0, dur, pieces + 1)
+    total = 0.0
+    for k in range(0, pieces, 10_000):
+        e = edges[k:k + 10_001, None]
+        lo, hi = e[:-1], e[1:]
+        u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+        f = softmax_rows(eta * (h + u[..., None] * d)) @ c
+        total += np.sum(0.5 * (hi - lo) * f * weights)
+    return total
+
+
+class TestReplicatorQuadrature:
+    """The optimizer's general-sum segment reward, integrated by the batched
+    G10-K21 rule, against scipy's quad and a dense oracle."""
+
+    def test_matches_quad_on_replay_shaped_games(self):
+        from scipy.integrate import quad
+
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            n, m = rng.integers(2, 7, size=2)
+            game = BimatrixGame(rng.uniform(-1, 1, (n, m)), rng.uniform(-1, 1, (n, m)))
+            sched = Schedule("continuous", rng.uniform(0.5, 1.5, 100),
+                             rng.dirichlet(np.ones(n), 100))
+            traj = simulate(game, sched, REPLICATOR, eta=0.5)
+            rows = zip(sched.lengths, sched.strategies, segment_starts(game, sched, np.zeros(m)))
+            for got, (dur, x, h) in zip(traj.optimizer_reward, rows):
+                c, d = x @ game.a, x @ game.b
+                want = quad(lambda u: float(c @ softmax_rows(0.5 * (h + u * d))), 0.0, dur,
+                            limit=200)[0]
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_qk21_matches_quadpack(self):
+        # where quad accepts its first QK21 evaluation (21 calls), it returns
+        # that rule's result and error estimate unchanged
+        from scipy.integrate import quad
+
+        rng = np.random.default_rng(5)
+        compared = above_floor = 0
+        for _ in range(200):
+            m = rng.integers(2, 7)
+            c, h, d = rng.uniform(-1, 1, (3, m))
+            eta, lo = 10 ** rng.uniform(-1, 1), rng.uniform(-1, 1)
+            hi = lo + 10 ** rng.uniform(0, 1.3)
+            want, want_err, info = quad(
+                lambda u: float(c @ softmax_rows(eta * (3 * h + u * d))), lo, hi, full_output=1)
+            if info["neval"] != 21:
+                continue
+            got, err = learners._qk21(c[None], 3 * h[None], d[None], eta,
+                                      np.array([lo]), np.array([hi]))
+            assert abs(got[0] - want) <= 1e-14 * max(1.0, abs(want))
+            # the Kronrod-Gauss difference cancels, so summation order moves it
+            assert abs(err[0] - want_err) <= 1e-2 * want_err
+            compared += 1
+            above_floor += want_err > 500 * np.finfo(float).eps * abs(want)
+        assert compared >= 100 and above_floor >= 10
+
+    def test_matches_dense_oracle_on_stiff_segments(self):
+        from scipy.integrate import quad
+
+        quad_misses = 0
+        for game, x, dur, eta, h0 in stiff_segments(2, 30) + stiff_segments(4, 10, 20):
+            c, d = x @ game.a, x @ game.b
+            want = dense_gauss_legendre(c, h0, d, dur, eta)
+            sched = Schedule("continuous", [dur], [x])
+            got = simulate(game, sched, REPLICATOR, eta=eta, h0=h0).optimizer_reward[0]
+            assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # quad warns where it gives up
+                q = quad(lambda u: float(c @ softmax_rows(eta * (h0 + u * d))), 0.0, dur,
+                         limit=200)[0]
+            quad_misses += abs(q - want) > 1e-8 * max(1.0, abs(want))
+        assert quad_misses >= 1  # the set holds segments quad gets wrong
+
+    def test_empty_and_single_action_schedules(self):
+        game = BimatrixGame([[1.0, 2.0]], [[0.5, -0.5]])
+        empty = simulate(game, Schedule("continuous", np.zeros(0), np.zeros((0, 1))),
+                         REPLICATOR, eta=1.0)
+        assert empty.optimizer_reward.shape == (0,)
+        # one learner action: the reward is A[0, 0] times the duration, exactly
+        flat = BimatrixGame([[3.0], [1.0]], [[2.0], [0.0]])
+        traj = simulate(flat, Schedule("continuous", [2.5], [[0.5, 0.5]]), REPLICATOR, eta=1.0)
+        assert traj.optimizer_reward[0] == pytest.approx(5.0, rel=1e-15)
+
+    def test_unreachable_tolerance_raises_cap(self):
+        # f = 1e6 * tanh(5 * (u - 5)) is odd about u = 5: the integral is 0,
+        # and rounding in the 1e6-sized values keeps every error estimate
+        # above the absolute tolerance 1.49e-8.
+        game = BimatrixGame([[1e6, -1e6]], [[1.0, 0.0]])
+        sched = Schedule("continuous", [10.0], [[1.0]])
+        with pytest.raises(CapExceededError, match="200 bisections"):
+            simulate(game, sched, REPLICATOR, eta=10.0, h0=[-5.0, 0.0])
+
+    def test_batch_bound_keeps_results(self, monkeypatch):
+        # one segment per seeding chunk and one piece per QK21 batch
+        rng = np.random.default_rng(11)
+        game = BimatrixGame(rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (3, 4)))
+        sched = Schedule("continuous", rng.uniform(0.5, 20.0, 12), rng.dirichlet(np.ones(3), 12))
+        whole = simulate(game, sched, REPLICATOR, eta=2.0).optimizer_reward
+        monkeypatch.setattr(learners, "_QUAD_BATCH", 1)
+        batched = simulate(game, sched, REPLICATOR, eta=2.0).optimizer_reward
+        assert np.allclose(batched, whole, rtol=1e-12, atol=1e-12)
+        # a failing segment is named by its place in the whole schedule
+        cap_game = BimatrixGame([[1e6, -1e6]], [[1.0, 0.0]])
+        cap_sched = Schedule("continuous", [1.0, 2.0, 10.0], [[1.0]] * 3)
+        with pytest.raises(CapExceededError, match="segment 3:"):
+            simulate(cap_game, cap_sched, REPLICATOR, eta=10.0, h0=[-8.0, 0.0])
