@@ -47,7 +47,8 @@ print()
 print("== A game where the minmax choice matters =====================")
 a = unique_br_game(3)                      # 5 rows, 6 columns, value 1
 game = BimatrixGame.from_zero_sum(a)
-print(f"value {game_value(a).value:.3f}")
+gv = game_value(a)                         # one analysis, passed to the searches
+print(f"value {gv.value:.3f}")
 
 # Two minmax strategies, very different best-response counts:
 spread_out = np.array([1 / 3, 1 / 3, 1 / 3, 0.0, 0.0])
@@ -55,7 +56,7 @@ concentrated = np.array([0.0, 0.0, 0.5, 0.5, 0.0])
 print(f"uniform-over-diagonal mix leaves {len(best_response_set(spread_out, game))} best responses")
 print(f"the concentrated mix leaves     {len(best_response_set(concentrated, game))} best response")
 
-x, k = min_br_minmax(a)
+x, k = min_br_minmax(a, gv)
 lo, hi = reward_bounds(a, T, eta)
 print(f"least best-response count k = {k}; reward bracket [{lo:.3f}, {hi:.3f}]")
 

@@ -24,7 +24,7 @@ game = BimatrixGame.from_zero_sum(mp)
 T = 1000
 
 print("== The alternating plan =======================================")
-plan = alternating_plan(mp, delta_scale=1.0)   # full perturbation: pure actions
+plan = alternating_plan(mp)   # full perturbation: pure actions
 print(f"odd rounds play  {plan.x_odd.weights}")
 print(f"even rounds play {plan.x_even.weights}")
 print(f"their average is the minmax strategy {plan.base.weights}")

@@ -21,7 +21,6 @@ from .games import (
     SimplexVector,
     best_response_set,
     check_assumption_no_pure,
-    expected_payoff,
     game_value,
     matching_pennies,
     min_br_minmax,
@@ -56,7 +55,6 @@ from .planner import (
     PlannerResult,
     alternating_gain,
     alternating_plan,
-    asymptotic_lower_bound,
     fixed_step_objectives,
     frank_wolfe,
     fw_rate_constant,
@@ -75,9 +73,9 @@ __all__ = [
     "GameValueResult", "InputError", "MWU", "OcdpInstance", "OcdpPlayout",
     "PlannerResult", "PreconditionError", "REPLICATOR", "Schedule",
     "SimplexVector", "StrategizerError", "Trajectory", "alternating_gain",
-    "alternating_plan", "asymptotic_lower_bound", "best_response_set",
-    "brute_force_ocdp", "check_assumption_no_pure", "expected_payoff",
-    "extract_cycle", "fixed_step_objectives", "frank_wolfe", "fw_rate_constant",
+    "alternating_plan", "best_response_set", "brute_force_ocdp",
+    "check_assumption_no_pure", "extract_cycle", "fixed_step_objectives",
+    "frank_wolfe", "fw_rate_constant",
     "game_value", "hjb_residual", "matching_pennies", "min_br_minmax",
     "normalize_payoffs", "optimize_continuous", "planner_report", "play_ocdp",
     "playout_labels", "reduce_hamiltonian", "replicator_strategy", "respond",

@@ -139,7 +139,7 @@ def criterion_1(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
 
     def check():
         a = matching_pennies()
-        plan = alternating_plan(a, delta_scale=1.0)
+        plan = alternating_plan(a)
         game = BimatrixGame.from_zero_sum(a)
         big_t = 1000
         worst = 0.0
@@ -237,7 +237,7 @@ def criterion_5(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
                 Schedule.constant(x_star, big_t, "continuous"), None, big_t, a, eta
             )
             worst = max(worst, abs(r - (big_t + math.log(6.0))))
-        _, k = min_br_minmax(a)
+        _, k = min_br_minmax(a, game_value(a))
         ok = worst <= 0.01 and k == 1
         return ok, f"max |reward - (T + ln 6)| = {worst:.2e} (tol 0.01), k = {k} (want 1)"
 
@@ -249,7 +249,7 @@ def criterion_6(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
 
     def check():
         a = matching_pennies()
-        plan = alternating_plan(a, delta_scale=1.0)
+        plan = alternating_plan(a)
         big_t = 2000
         slopes = [alternating_gain(a, eta, big_t, plan=plan) for eta in (0.05, 0.1, 0.2, 0.4)]
         spread = (max(slopes) - min(slopes)) / (sum(slopes) / len(slopes))

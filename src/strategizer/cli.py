@@ -120,7 +120,7 @@ def _builtin_schedule(name: str, game: BimatrixGame, learner: str, rounds, eta, 
             raise PreconditionError("the alternating plan needs a zero-sum game")
         if continuous:
             raise PreconditionError("the alternating builtin is discrete; replicator needs a continuous schedule")
-        return alternating_plan(game.a, delta_scale=1.0).to_schedule(int(rounds))
+        return alternating_plan(game.a).to_schedule(int(rounds))
     raise InputError(
         f"unknown builtin schedule {name!r}; use uniform, pure:i, constant-xstar, or alternating"
     )

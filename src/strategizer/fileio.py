@@ -309,18 +309,20 @@ def instance_from_json(obj) -> OcdpInstance:
             n_graph_vertices=_whole_number(labels["n_graph_vertices"], "n_graph_vertices"),
             normalized=bool(obj["normalized"]),
         )
-        reduced = reduce_hamiltonian(DirectedGraph(inst.n_graph_vertices, inst.edges))
+        graph = DirectedGraph(inst.n_graph_vertices, inst.edges)
     except KeyError as exc:
         raise InputError(f"instance JSON needs field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed instance JSON: {exc}") from exc
+    shape = (graph.n_edges, 2 * graph.n_vertices)  # checked before the reduction is built
+    if inst.a.shape != shape:
+        raise InputError(
+            f"labels.edges name {graph.n_edges} edges on {graph.n_vertices} vertices, "
+            f"which reduce to a {shape} instance, but A is {inst.a.shape}"
+        )
+    reduced = reduce_hamiltonian(graph)
     if inst.normalized:
         reduced = normalize_payoffs(reduced)
-    if inst.a.shape != reduced.a.shape:
-        raise InputError(
-            f"labels.edges name {len(inst.edges)} edges on {inst.n_graph_vertices} vertices, "
-            f"which reduce to a {reduced.a.shape} instance, but A is {inst.a.shape}"
-        )
     wrong = (inst.a_int != reduced.a_int).any(axis=1) | (inst.b_int != reduced.b_int).any(axis=1)
     if wrong.any():
         row = int(np.argmax(wrong))

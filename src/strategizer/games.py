@@ -15,9 +15,12 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import CapExceededError, DimensionMismatchError, InputError
+from .errors import CapExceededError, DimensionMismatchError, InputError, PreconditionError
 
 DEFAULT_TOL = 1e-7
+
+# pinned LPs one min_br_minmax search may solve before it gives up (exit 4)
+MAX_MIN_BR_LPS = 10_000
 
 _LP_OPTS = {
     "primal_feasibility_tolerance": 1e-10,
@@ -35,7 +38,10 @@ _LP_OPTS_PINNED = {
 
 def as_matrix(a) -> np.ndarray:
     """Validate and return a finite 2-D float payoff matrix."""
-    m = np.asarray(a, dtype=float)
+    try:
+        m = np.asarray(a, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
+        raise InputError(f"payoff matrix is not a table of numbers: {exc}") from None
     if m.ndim != 2 or m.size == 0:
         raise InputError(f"payoff matrix must be 2-D and non-empty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -165,17 +171,6 @@ class AssumptionWitness:
     k_action: int
 
 
-def expected_payoff(x, game: BimatrixGame, y, side: str = "optimizer") -> float:
-    """Return x' A y (side="optimizer") or x' B y (side="learner")."""
-    xw = as_weights(x, game.n, "optimizer strategy")
-    yw = as_weights(y, game.m, "learner strategy")
-    if side == "optimizer":
-        return float(xw @ game.a @ yw)
-    if side == "learner":
-        return float(xw @ game.b @ yw)
-    raise InputError(f"side must be 'optimizer' or 'learner', got {side!r}")
-
-
 def _minmax_lp(a: np.ndarray, value: float | None = None, tight: tuple[int, ...] = (),
                rows=None):
     """The one minmax LP: variables (x, t) with x on the simplex.
@@ -220,8 +215,8 @@ def game_value(a) -> GameValueResult:
     a = as_matrix(a)
     n = a.shape[0]
     res = _minmax_lp(a)
-    if not res.success:  # the LP is always feasible and bounded on the simplex
-        raise RuntimeError(f"minmax LP failed unexpectedly: {res.message}")
+    if not res.success:  # feasible and bounded, so only payoffs HiGHS cannot take
+        raise InputError(f"minmax LP rejected the payoffs: {res.message}")
     x = SimplexVector(res.x[:n])
     y = SimplexVector(-res.ineqlin.marginals)
     lo = float(np.min(x.weights @ a))
@@ -247,70 +242,66 @@ def best_response_set(x, game: BimatrixGame, tol: float = DEFAULT_TOL) -> set[in
     return set(np.flatnonzero(scores >= scores.max() - tol).tolist())
 
 
-def min_br_minmax(
-    a, tol: float = DEFAULT_TOL, max_cols: int = 20
-) -> tuple[SimplexVector, int]:
+def min_br_minmax(a, gv: GameValueResult) -> tuple[SimplexVector, int]:
     """Minmax strategy with the fewest best responses, and that count k.
 
-    Enumerates candidate best-response sets S in increasing cardinality and
-    lexicographic order and pins S at the value in the max-margin LP: the
-    first S whose non-members can all be held strictly above the value
-    (margin > tol) is the answer. With every column pinned the LP is a plain
-    feasibility check.
+    Takes the game's analysis gv from game_value. Enumerates candidate
+    best-response sets S in increasing cardinality and lexicographic order
+    and pins S at the value in the max-margin LP: the first S whose
+    non-members can all be held strictly above the value (margin above
+    tol = DEFAULT_TOL) is the answer. With every column pinned the LP is a
+    plain feasibility check.
 
-    The learner's strategy y from game_value prunes the search. For a minmax
-    x with column j unpinned at margin t, x'Ay >= value + t*y_j, while
+    The learner's strategy y in gv prunes the search. For a minmax x with
+    column j unpinned at margin t, x'Ay >= value + t*y_j, while
     x'Ay <= max_i (Ay)_i = value + gap/2 (gap the certificate gap). Widened
     by the pinned LP's feasibility tolerance delta, a column with
     y_j*tol > gap/2 + delta*(1 + max|A|) can never carry a margin above tol,
-    so it lies in every accepted S. Sets missing such a column are skipped
-    without an LP; the enumeration order, and so (x, k), is unchanged.
-    Worst case exponential in the number of columns; intended for small games.
+    so it lies in every accepted S. Only supersets of these forced columns
+    are enumerated; adding the same forced set to two sets of equal size
+    keeps their lexicographic order, so (x, k) is unchanged. The search
+    raises CapExceededError after MAX_MIN_BR_LPS pinned LPs.
     """
     a = as_matrix(a)
     n, m = a.shape
-    if m > max_cols:
-        raise CapExceededError(
-            f"instance too large for exact min-BR search ({m} columns > cap {max_cols})"
-        )
-    gv = game_value(a)
-    value = gv.value
     slack = 0.5 * gv.certificate_gap + _LP_OPTS_PINNED["primal_feasibility_tolerance"] * (
         1.0 + np.max(np.abs(a))
     )
-    forced = set(np.flatnonzero(gv.learner_strategy.weights * tol > slack).tolist())
-    for size in range(max(len(forced), 1), m + 1):
-        for tight in combinations(range(m), size):
-            if not forced.issubset(tight):
-                continue
-            res = _minmax_lp(a, value, tight)
-            if res.success and (size == m or res.x[-1] > tol):
-                return SimplexVector(res.x[:n]), size
-    raise RuntimeError("degenerate minmax tie structure: no exact-BR set found")
+    y = as_weights(gv.learner_strategy, m, "learner strategy")
+    forced = set(np.flatnonzero(y * DEFAULT_TOL > slack).tolist())
+    unforced = [j for j in range(m) if j not in forced]
+    candidates = (tuple(sorted(forced.union(extra))) for size in range(max(len(forced), 1), m + 1)
+                  for extra in combinations(unforced, size - len(forced)))
+    for lps, tight in enumerate(candidates):
+        if lps == MAX_MIN_BR_LPS:
+            raise CapExceededError(f"min-BR search on {m} columns exceeded its budget of {lps} LPs")
+        res = _minmax_lp(a, gv.value, tight)
+        if res.success and (len(tight) == m or res.x[-1] > DEFAULT_TOL):
+            return SimplexVector(res.x[:n]), len(tight)
+    raise PreconditionError(f"no exact best-response set: a column stays within {DEFAULT_TOL:g} "
+                            "of the value at every minmax strategy without being tight")
 
 
-def check_assumption_no_pure(
-    a, tol: float = DEFAULT_TOL
-) -> AssumptionWitness | None:
+def check_assumption_no_pure(a, gv: GameValueResult) -> AssumptionWitness | None:
     """Search for a minmax x with two best responses differing on support(x).
 
-    For every column pair (i1, i2) and the rows where their payoffs differ by
-    more than tol, the minmax LP pins both columns at the value and puts as
+    Takes the game's analysis gv from game_value. For every column pair
+    (i1, i2) and the rows where their payoffs differ by more than
+    DEFAULT_TOL, the minmax LP pins both columns at the value and puts as
     much mass as possible on those rows. Any positive mass yields a witness;
     exhausting all pairs proves none exists.
     """
     a = as_matrix(a)
     n, m = a.shape
-    value = game_value(a).value
     for i1, i2 in combinations(range(m), 2):
-        rows = np.flatnonzero(np.abs(a[:, i1] - a[:, i2]) > tol)
+        rows = np.flatnonzero(np.abs(a[:, i1] - a[:, i2]) > DEFAULT_TOL)
         if rows.size == 0:
             continue
-        res = _minmax_lp(a, value, (i1, i2), rows)
+        res = _minmax_lp(a, gv.value, (i1, i2), rows)
         if not res.success:
             continue
         mass = res.x[rows]
-        if mass.sum() > tol:
+        if mass.sum() > DEFAULT_TOL:
             k = int(rows[np.argmax(mass)])
             return AssumptionWitness(x=SimplexVector(res.x[:n]), i1=i1, i2=i2, k_action=k)
     return None

@@ -11,6 +11,7 @@ t-1, then observes x(t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,7 +412,10 @@ def _simulate_replicator(game, schedule, eta, h0) -> Trajectory:
     drifts = xs @ game.b  # row s is B' x_s
     h = np.cumsum(np.vstack([h0, durations[:, None] * drifts]), axis=0)
     h_start, h_after = h[:-1], h[1:]
-    r_lrn = (logsumexp(eta * h_after, axis=1) - logsumexp(eta * h_start, axis=1)) / eta
+    scaled = eta * h
+    if not np.isfinite(scaled).all():  # before the integration, which would bisect NaN
+        raise InputError("eta times the learner's history overflows")
+    r_lrn = (logsumexp(scaled[1:], axis=1) - logsumexp(scaled[:-1], axis=1)) / eta
     if game.zero_sum:
         r_opt = -r_lrn
     else:
@@ -424,6 +428,7 @@ def _simulate_replicator(game, schedule, eta, h0) -> Trajectory:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is checked before returning
 def simulate(
     game: BimatrixGame,
     schedule: Schedule,
@@ -439,6 +444,8 @@ def simulate(
     """
     if learner_kind not in LEARNER_KINDS:
         raise InputError(f"unknown learner kind {learner_kind!r}")
+    if not math.isfinite(eta):
+        raise InputError(f"eta must be finite, got {eta:g}")
     h0 = np.zeros(game.m) if h0 is None else as_weights(h0, game.m, "h0")
     if schedule.dim not in (None, game.n):
         raise DimensionMismatchError(
@@ -449,9 +456,14 @@ def simulate(
             raise PreconditionError("replicator dynamics needs a continuous schedule")
         if not eta > 0:
             raise InputError("eta must be positive")
-        return _simulate_replicator(game, schedule, eta, h0)
-    if schedule.mode != "discrete":
+    elif schedule.mode != "discrete":
         raise PreconditionError(f"{learner_kind} needs a discrete schedule")
-    if learner_kind == MWU and not eta > 0:
+    elif learner_kind == MWU and not eta > 0:
         raise InputError("eta must be positive")
-    return _simulate_discrete(game, schedule, learner_kind, eta, h0)
+    if learner_kind == REPLICATOR:
+        traj = _simulate_replicator(game, schedule, eta, h0)
+    else:
+        traj = _simulate_discrete(game, schedule, learner_kind, eta, h0)
+    if not all(map(math.isfinite, traj.totals)):
+        raise InputError("eta times the learner's history overflows")
+    return traj

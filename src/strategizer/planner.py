@@ -28,7 +28,6 @@ from .games import (
     check_assumption_no_pure,
     game_value,
     min_br_minmax,
-    DEFAULT_TOL,
 )
 from .learners import MAX_ROUNDS, MWU, Schedule, simulate, softmax
 
@@ -61,6 +60,8 @@ class AlternatingPlan:
 
         An odd final round plays the base minmax strategy instead.
         """
+        if total_rounds < 0:
+            raise InputError(f"an alternating plan cannot run {total_rounds} rounds")
         if total_rounds > MAX_ROUNDS:
             raise CapExceededError(
                 f"alternating plan of {total_rounds} rounds exceeds the {MAX_ROUNDS}-round cap"
@@ -100,7 +101,11 @@ def reward_cont(schedule: Schedule, h0, T: float, a, eta: float) -> float:
     xbar = schedule.time_average()
     if xbar.size != n:
         raise InputError(f"schedule strategies have dimension {xbar.size}, game has {n} rows")
-    return float(logsumexp(eta * h0) - logsumexp(eta * (h0 - T * (a.T @ xbar)))) / eta
+    with np.errstate(over="ignore", invalid="ignore"):
+        reward = float(logsumexp(eta * h0) - logsumexp(eta * (h0 - T * (a.T @ xbar)))) / eta
+    if not math.isfinite(reward):
+        raise InputError(f"the reward overflows floating point at eta = {eta:g}, T = {T:g}")
+    return reward
 
 
 def _line_minimize(z: np.ndarray, zeta: np.ndarray, hi: float) -> float:
@@ -140,6 +145,7 @@ def _line_minimize(z: np.ndarray, zeta: np.ndarray, hi: float) -> float:
     return t
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow makes the gap non-finite, which raises
 def frank_wolfe(z0: np.ndarray, mat: np.ndarray, gap_target: float,
                 max_iter: int = MAX_FW_ITERATIONS, x0: np.ndarray | None = None):
     """Minimize f(x) = lse(z0 + mat @ x) over the probability simplex.
@@ -164,6 +170,8 @@ def frank_wolfe(z0: np.ndarray, mat: np.ndarray, gap_target: float,
         gap = gx - g[s_idx]
         if gap <= gap_target:
             return x, float(gap), it
+        if not math.isfinite(gap):
+            raise InputError(f"Frank-Wolfe gap is {gap:g}: the objective is not finite")
         if it == max_iter:
             break
         d = -x.copy()
@@ -178,9 +186,12 @@ def frank_wolfe(z0: np.ndarray, mat: np.ndarray, gap_target: float,
             xa = x[a_idx]
             hi = min(xa / (1.0 - xa), 1e12) if xa < 1.0 else 1e12
         gamma = _line_minimize(z, mat @ d, hi)
-        x = x + gamma * d
-        np.maximum(x, 0.0, out=x)
-        x /= x.sum()
+        x_next = x + gamma * d
+        np.maximum(x_next, 0.0, out=x_next)
+        x_next /= x_next.sum()
+        if np.array_equal(x_next, x):  # a fixed point: every later step repeats this one
+            raise CapExceededError(f"Frank-Wolfe stalled at gap {gap:g} > {gap_target:g}")
+        x = x_next
     raise CapExceededError(
         f"Frank-Wolfe iteration cap {max_iter} reached before certifying gap "
         f"{gap_target:g} (best gap {gap:g})"
@@ -209,7 +220,11 @@ def optimize_continuous(a, h0, T: float, eta: float, epsilon: float) -> PlannerR
     if not T > 0:
         raise InputError("horizon T must be positive")
     h0 = np.zeros(m) if h0 is None else np.asarray(h0, dtype=float)
-    z0, mat = _objective_terms(a, h0, T, eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z0, mat = _objective_terms(a, h0, T, eta)
+    # the solver's z - max(z) stays finite only if 2*(max|z0| + max|mat|) does
+    if not math.isfinite(2.0 * (float(np.max(np.abs(z0))) + float(np.max(np.abs(mat))))):
+        raise InputError(f"eta = {eta:g} and T = {T:g} overflow eta*h0 or eta*T*A")
     x, gap, iterations = frank_wolfe(z0, mat, gap_target=epsilon * eta)
     x_star = SimplexVector(x)
     r_star = reward_cont(Schedule.constant(x_star, T, mode="continuous"), h0, T, a, eta)
@@ -227,39 +242,21 @@ def reward_bounds(a, T: float, eta: float) -> tuple[float, float]:
     return value * T, value * T + math.log(a.shape[1]) / eta
 
 
-def asymptotic_lower_bound(a, T: float, eta: float) -> float:
-    """Val(A)*T + ln(m/k)/eta with k the least best-response count.
-
-    Valid up to a correction that vanishes as eta*T grows; treat it as an
-    asymptotic reference line, not a hard bound at finite eta*T.
-    """
-    a = _zero_sum_matrix(a)
-    if not eta > 0:
-        raise InputError("eta must be positive")
-    _, k = min_br_minmax(a)
-    value = game_value(a).value
-    return value * T + math.log(a.shape[1] / k) / eta
-
-
-def alternating_plan(a, tol: float = DEFAULT_TOL, delta_scale: float = 0.5) -> AlternatingPlan:
+def alternating_plan(a) -> AlternatingPlan:
     """Perturb a no-pure-assumption witness into an odd/even strategy pair.
 
     x_odd = (1-delta)*x + delta*e_k and x_even = (1+delta)*x - delta*e_k,
-    where delta is delta_scale times the largest simplex-feasible symmetric
-    perturbation. delta_scale=1 pushes to the boundary; on matching pennies
-    that reproduces the pure alternation schedule.
+    where delta is the largest simplex-feasible symmetric perturbation. On
+    matching pennies that reproduces the pure alternation schedule.
     """
     a = _zero_sum_matrix(a)
-    if not 0 < delta_scale <= 1:
-        raise InputError("delta_scale must be in (0, 1]")
-    witness = check_assumption_no_pure(a, tol=tol)
+    witness = check_assumption_no_pure(a, game_value(a))
     if witness is None:
         raise PreconditionError("game does not satisfy the no-pure assumption")
     x = witness.x.weights
     k = witness.k_action
     xk = x[k]
-    delta_max = 1.0 if xk >= 1.0 - 1e-12 else min(1.0, xk / (1.0 - xk))
-    delta = delta_scale * delta_max
+    delta = 1.0 if xk >= 1.0 - 1e-12 else min(1.0, xk / (1.0 - xk))
     e_k = np.zeros(x.size)
     e_k[k] = 1.0
     x_odd = (1.0 - delta) * x + delta * e_k
@@ -276,17 +273,13 @@ def alternating_plan(a, tol: float = DEFAULT_TOL, delta_scale: float = 0.5) -> A
     )
 
 
-def alternating_gain(a, eta: float, T: int, plan: AlternatingPlan | None = None,
-                     delta_scale: float = 1.0) -> float:
+def alternating_gain(a, eta: float, T: int, plan: AlternatingPlan) -> float:
     """Measured per-round surplus slope (total - T*Val) / (eta*T) vs MWU.
 
     The theory guarantees a positive game-dependent constant; this reports
-    the empirical one for the given plan (by default the full-perturbation
-    alternating plan).
+    the empirical one for the given plan.
     """
     a = _zero_sum_matrix(a)
-    if plan is None:
-        plan = alternating_plan(a, delta_scale=delta_scale)
     game = BimatrixGame.from_zero_sum(a)
     traj = simulate(game, plan.to_schedule(T), MWU, eta=eta)
     value = game_value(a).value
@@ -380,10 +373,11 @@ def planner_report(a, eta: float, T: float, epsilon: float) -> dict:
     """Full zero-sum planning summary as a JSON-ready dict."""
     a = _zero_sum_matrix(a)
     result = optimize_continuous(a, None, T, eta, epsilon)
-    value = game_value(a).value
+    gv = game_value(a)
+    value = gv.value
     m = a.shape[1]
-    _, k = min_br_minmax(a)
-    witness = check_assumption_no_pure(a)
+    _, k = min_br_minmax(a, gv)
+    witness = check_assumption_no_pure(a, gv)
     report = {
         "value": value,
         "x_star": result.x_star.weights.tolist(),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strategizer import BimatrixGame, DirectedGraph, matching_pennies
+from strategizer import BimatrixGame, DirectedGraph, games, matching_pennies
 
 
 @pytest.fixture
@@ -25,3 +25,18 @@ def example_graph_5():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def minmax_lp_calls(monkeypatch):
+    """The `value` argument of every games._minmax_lp call from now on, in
+    order: None for a value LP, the pinned value otherwise."""
+    calls = []
+    real = games._minmax_lp
+
+    def counted(a, value=None, *args):
+        calls.append(value)
+        return real(a, value, *args)
+
+    monkeypatch.setattr(games, "_minmax_lp", counted)
+    return calls

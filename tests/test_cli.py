@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -234,6 +235,44 @@ def test_too_many_rounds_exit_4(argv, capsys, mp_file, tmp_path):
     assert code == 4 and "resource cap exceeded" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, matrix, args, code, message", [
+    # eta or T not finite, or eta*T*A overflowing: these ran Frank-Wolfe
+    # into its iteration cap (about an hour) or wrote NaN
+    ("plan", MP_TEXT, ["--eta", "inf"], 2, "overflow eta"),
+    ("plan", MP_TEXT, ["--T", "inf"], 2, "overflow eta"),
+    ("plan", MP_TEXT, ["--eta", "1e308", "--T", "1e308"], 2, "overflow eta"),
+    ("simulate", MP_TEXT, ["--learner", "mwu", "--schedule", "uniform", "--eta", "inf"],
+     2, "eta must be finite"),
+    # shrunk examples of tests/test_cli_contract.py
+    ("value", '{"rows": 2, "cols": 1, "data": [[0], [0, 0]]}', [], 2, "not a table of numbers"),
+    ("plan", "0\n", ["--eta", "3", "--T", "1e308"], 2, "overflow eta"),
+    ("plan", "1 -3\n", ["--eta", "1e308", "--T", "0.5"], 2, "overflow eta"),
+    ("plan", "0.0 1.49e-08\n", ["--eta", "1", "--T", "1"], 3, "no exact best-response set"),
+    ("simulate", "1.0\n", ["--learner", "replicator", "--schedule", "uniform", "--eta", "2",
+                           "--T", "1e308"], 2, "history overflows"),
+    ("simulate", "0 0 2\n", ["--learner", "mwu", "--schedule", "constant-xstar",
+                             "--eta", "0.5", "--T", "1e308"], 2, "overflow eta"),
+    ("simulate", "0 0 0\n0 1 0\n0 -1 0\n", ["--learner", "mwu", "--schedule", "alternating",
+                                           "--T", "-1"], 2, "cannot run -1 rounds"),
+    # payoffs beyond what the solvers can certify or take
+    ("plan", "1 -1e6\n-1e6 2\n", ["--eta", "1", "--T", "10"], 4, "Frank-Wolfe stalled"),
+    ("plan", "1 -1e16\n-1e16 2\n", ["--eta", "1", "--T", "10"], 2, "minmax LP rejected"),
+], ids=["plan-eta-inf", "plan-T-inf", "plan-eta-T-1e308", "simulate-eta-inf", "ragged-json",
+        "plan-T-1e308", "plan-eta-1e308", "plan-near-tie", "replicator-T-1e308",
+        "constant-xstar-T-1e308", "alternating-T-negative", "plan-payoffs-1e6",
+        "plan-payoffs-1e16"])
+def test_extreme_numbers_exit_at_once(command, matrix, args, code, message, capsys, tmp_path):
+    game = tmp_path / "game.txt"
+    game.write_text(matrix)
+    argv = [command, str(game), *args]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    start = time.perf_counter()
+    got, _, err = run(capsys, *argv)
+    assert got == code and message in err and "Traceback" not in err
+    assert time.perf_counter() - start < 10
+
+
 def instance_json(graph=None, **changes):
     """The reduced instance of a graph (default: the example) as JSON with
     fields replaced; a None value drops the field."""
@@ -267,11 +306,13 @@ def relabelled(**changes):
      "'labels.edges' must be a whole number, got 1.5"),
     ("brute", instance_json(labels=relabelled(edges=example_graph().edges[::-1])),
      "row 1 of A and B does not encode edge (3, 1)"),
+    ("brute", instance_json(labels=relabelled(n_graph_vertices=1e16)),
+     "which reduce to a (7, 20000000000000000) instance"),
 ], ids=["sequence-str", "cycle-str", "sequence-int", "cycle-string", "sequence-float",
         "cycle-null", "segments-int", "instance-no-k", "instance-negative-T",
         "instance-fractional-a", "instance-b-shape", "instance-fractional-T",
         "instance-string-k", "instance-fractional-vertices", "instance-fractional-edge",
-        "instance-reversed-edges"])
+        "instance-reversed-edges", "instance-1e16-vertices"])
 def test_malformed_file_exit_2(command, content, message, capsys, graph_file, mp_file, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))

@@ -14,7 +14,6 @@ from strategizer import (
     SimplexVector,
     best_response_set,
     check_assumption_no_pure,
-    expected_payoff,
     game_value,
     min_br_minmax,
     unique_br_game,
@@ -80,32 +79,6 @@ class TestBimatrixGame:
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
             BimatrixGame.from_zero_sum([[np.inf, 0.0]])
-
-
-class TestExpectedPayoff:
-    def test_pure_vs_pure(self, mp_game):
-        x = SimplexVector.pure(0, 2)
-        y = SimplexVector.pure(0, 2)
-        assert expected_payoff(x, mp_game, y) == 1.0
-
-    def test_uniform_zero_column_sums(self):
-        game = BimatrixGame.from_zero_sum([[1.0, -2.0], [-1.0, 2.0]])
-        u = SimplexVector.uniform(2)
-        assert abs(expected_payoff(u, game, u)) <= 1e-15
-
-    def test_mixed_2x2(self):
-        game = BimatrixGame.from_zero_sum([[2.0, 0.0], [0.0, 1.0]])
-        got = expected_payoff([1 / 3, 2 / 3], game, [1.0, 0.0])
-        assert abs(got - 2 / 3) <= 1e-15
-
-    def test_learner_side(self, mp_game):
-        x = SimplexVector.pure(0, 2)
-        y = SimplexVector.pure(0, 2)
-        assert expected_payoff(x, mp_game, y, side="learner") == -1.0
-
-    def test_dimension_error_names_dim(self, mp_game):
-        with pytest.raises(DimensionMismatchError, match="dimension 3"):
-            expected_payoff([1.0, 0.0, 0.0], mp_game, [1.0, 0.0])
 
 
 class TestGameValue:
@@ -181,6 +154,10 @@ class TestBestResponseSet:
         x_star = [0.0, 0.0, 0.5, 0.5, 0.0]
         assert best_response_set(x_star, game) == {5}
 
+    def test_dimension_error_names_dim(self, mp_game):
+        with pytest.raises(DimensionMismatchError, match="dimension 3"):
+            best_response_set([1.0, 0.0, 0.0], mp_game)
+
     def test_never_empty_and_monotone_in_tol(self, rng):
         for _ in range(20):
             a = rng.uniform(-1, 1, size=(3, 4))
@@ -203,30 +180,57 @@ class TestBestResponseSet:
 
 class TestMinBrMinmax:
     def test_matching_pennies(self, mp_matrix):
-        x, k = min_br_minmax(mp_matrix)
+        x, k = min_br_minmax(mp_matrix, game_value(mp_matrix))
         assert k == 2
         assert np.allclose(x.weights, [0.5, 0.5], atol=1e-8)
 
     def test_unique_br_example(self):
         a = unique_br_game(3)
-        x, k = min_br_minmax(a)
+        x, k = min_br_minmax(a, game_value(a))
         assert k == 1
         game = BimatrixGame.from_zero_sum(a)
         assert best_response_set(x, game) == {5}
         assert np.min(x.weights @ a) >= game_value(a).value - 1e-8
 
     def test_all_zeros_k_equals_m(self):
-        _, k = min_br_minmax(np.zeros((2, 4)))
+        zeros = np.zeros((2, 4))
+        _, k = min_br_minmax(zeros, game_value(zeros))
         assert k == 4
 
-    def test_cap(self):
-        with pytest.raises(CapExceededError, match="too large"):
-            min_br_minmax(np.zeros((2, 21)))
+    def test_cap(self, monkeypatch, minmax_lp_calls):
+        # small dual weights force few columns here, so the search solves
+        # seven pinned LPs; one fewer in the budget stops it with exit 4
+        a = np.random.default_rng(2468).uniform(-1, 1, (6, 6))
+        gv = game_value(a)
+        minmax_lp_calls.clear()
+        x, k = min_br_minmax(a, gv)
+        assert len(minmax_lp_calls) == 7
+        monkeypatch.setattr(games, "MAX_MIN_BR_LPS", 7)
+        x_again, k_again = min_br_minmax(a, gv)
+        assert k_again == k and np.array_equal(x_again.weights, x.weights)
+        monkeypatch.setattr(games, "MAX_MIN_BR_LPS", 6)
+        with pytest.raises(CapExceededError, match="budget of 6 LPs"):
+            min_br_minmax(a, gv)
+
+    def test_many_columns_need_few_lps(self, minmax_lp_calls):
+        # 25 columns were over the old 20-column cap; with the forced dual
+        # support pinned, the first candidate set is the answer
+        a = np.random.default_rng(25).uniform(-1, 1, (3, 25))
+        gv = game_value(a)
+        minmax_lp_calls.clear()
+        x, k = min_br_minmax(a, gv)
+        assert len(minmax_lp_calls) == 1
+        assert np.min(x.weights @ a) >= gv.value - 1e-8
+        assert len(best_response_set(x, BimatrixGame.from_zero_sum(a))) == k
+
+    def test_analysis_dimension_checked(self, mp_matrix):
+        with pytest.raises(DimensionMismatchError, match="dimension 2"):
+            min_br_minmax(np.zeros((2, 3)), game_value(mp_matrix))
 
     def test_contract_on_random_games(self, rng):
         for _ in range(10):
             a = rng.uniform(-1, 1, size=(3, 4))
-            x, k = min_br_minmax(a)
+            x, k = min_br_minmax(a, game_value(a))
             game = BimatrixGame.from_zero_sum(a)
             assert np.min(x.weights @ a) >= game_value(a).value - 1e-8
             assert len(best_response_set(x, game)) == k
@@ -263,17 +267,14 @@ class TestMinBrPruning:
     @pytest.mark.parametrize("kind", range(4), ids=["uniform", "ternary", "one-decimal", "special"])
     def test_matches_exhaustive_search(self, kind):
         for a in min_br_battery(kind):
-            x, k = min_br_minmax(a)
+            x, k = min_br_minmax(a, game_value(a))
             x_ref, k_ref = exhaustive_min_br(a)
             assert k == k_ref and np.array_equal(x.weights, x_ref), a
 
-    def test_generic_games_need_two_lps(self, monkeypatch):
+    def test_generic_games_need_two_lps(self, minmax_lp_calls):
         # One value LP, then one pinned LP at the dual support, whenever every
         # column the learner plays carries enough dual weight to be forced
         # (above 0.02 at tol 1e-7 on these games).
-        calls = []
-        real = games._minmax_lp
-        monkeypatch.setattr(games, "_minmax_lp", lambda *args: calls.append(1) or real(*args))
         rng = np.random.default_rng(97)
         checked = 0
         for _ in range(20):
@@ -281,28 +282,29 @@ class TestMinBrPruning:
             y = game_value(a).learner_strategy.weights
             if y[y > 0].min() <= 0.05:
                 continue
-            calls.clear()
-            min_br_minmax(a)
-            assert len(calls) <= 2
+            minmax_lp_calls.clear()
+            min_br_minmax(a, game_value(a))
+            assert len(minmax_lp_calls) <= 2
             checked += 1
         assert checked >= 10
 
 
 class TestAssumptionNoPure:
     def test_matching_pennies_witness(self, mp_matrix):
-        w = check_assumption_no_pure(mp_matrix)
+        w = check_assumption_no_pure(mp_matrix, game_value(mp_matrix))
         assert w is not None
         assert np.allclose(w.x.weights, [0.5, 0.5], atol=1e-8)
         assert {w.i1, w.i2} == {0, 1}
         assert abs(mp_matrix[w.k_action, w.i1] - mp_matrix[w.k_action, w.i2]) == 2.0
 
     def test_all_zeros_none(self):
-        assert check_assumption_no_pure(np.zeros((3, 3))) is None
+        zeros = np.zeros((3, 3))
+        assert check_assumption_no_pure(zeros, game_value(zeros)) is None
 
     def test_row_dominant_none(self):
         # unique minmax x = (1, 0); its best responses pay identically on support
         a = np.array([[1.0, 1.0], [0.0, 0.0]])
-        assert check_assumption_no_pure(a) is None
+        assert check_assumption_no_pure(a, game_value(a)) is None
         # brute-force the (degenerate) minmax set to confirm no witness exists
         value = game_value(a).value
         for p in np.linspace(0.0, 1.0, 201):

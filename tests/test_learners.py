@@ -174,6 +174,20 @@ class TestSimulate:
             assert abs(traj.totals[0] - 500 * math.tanh(eta)) <= 1e-9
             assert abs(traj.totals[0] + traj.totals[1]) <= 1e-9  # zero-sum
 
+    def test_eta_must_be_finite(self, mp_game):
+        sched = alternating_pennies_schedule(4)
+        for eta in (math.inf, math.nan):
+            with pytest.raises(InputError, match="finite"):
+                simulate(mp_game, sched, MWU, eta=eta)
+
+    def test_overflowing_history_rejected(self, mp_game):
+        # eta*h passes 1e308 in round 3 of MWU, and at once in replicator dynamics
+        with pytest.raises(InputError, match="overflows"):
+            simulate(mp_game, Schedule.constant([1.0, 0.0], 3), MWU, eta=1e308)
+        with pytest.raises(InputError, match="overflows"):
+            simulate(mp_game, Schedule.constant([1.0, 0.0], 1e300, "continuous"),
+                     REPLICATOR, eta=1e10)
+
     def test_empty_horizon(self, mp_game):
         traj = simulate(mp_game, Schedule.constant(SimplexVector.uniform(2), 0), MWU, eta=0.1)
         assert traj.rounds == 0 and traj.totals == (0.0, 0.0)

@@ -13,13 +13,13 @@ from strategizer import (
     Schedule,
     alternating_gain,
     alternating_plan,
-    asymptotic_lower_bound,
     fixed_step_objectives,
     frank_wolfe,
     fw_rate_constant,
     game_value,
     hjb_residual,
     matching_pennies,
+    min_br_minmax,
     optimize_continuous,
     planner_report,
     reward_bounds,
@@ -95,6 +95,11 @@ class TestOptimizeContinuous:
         with pytest.raises(InputError):
             optimize_continuous(mp_matrix, None, 10.0, 0.5, 0.0)
 
+    def test_eta_and_T_must_be_finite(self, mp_matrix):
+        for eta, big_t in ((math.inf, 10.0), (1.0, math.inf), (1e308, 1e308), (3.0, 1e308)):
+            with pytest.raises(InputError, match="overflow eta"):
+                optimize_continuous(mp_matrix, None, big_t, eta, 1e-6)
+
     def test_bracket_on_random_games(self, rng):
         for _ in range(10):
             a = rng.uniform(-1, 1, size=(rng.integers(2, 5), rng.integers(2, 5)))
@@ -121,32 +126,48 @@ class TestRewardBounds:
 
 
 class TestAsymptoticLowerBound:
+    """planner_report's asymptotic_bound, Val*T + ln(m/k)/eta."""
+
     def test_matching_pennies_degenerates(self, mp_matrix):
-        assert abs(asymptotic_lower_bound(mp_matrix, 100.0, 0.5)) <= 1e-9
+        assert abs(planner_report(mp_matrix, 0.5, 100.0, 1e-6)["asymptotic_bound"]) <= 1e-9
 
     def test_unique_br_example(self):
-        a = unique_br_game(3)
-        want = 50.0 + math.log(6)
-        assert abs(asymptotic_lower_bound(a, 50.0, 1.0) - want) <= 1e-8
+        report = planner_report(unique_br_game(3), 1.0, 50.0, 1e-6)
+        assert abs(report["asymptotic_bound"] - (50.0 + math.log(6))) <= 1e-8
 
     def test_all_zeros(self):
-        assert abs(asymptotic_lower_bound(np.zeros((3, 3)), 10.0, 1.0)) <= 1e-12
+        report = planner_report(np.zeros((3, 3)), 1.0, 10.0, 1e-6)
+        assert abs(report["asymptotic_bound"]) <= 1e-12
 
 
 @pytest.mark.parametrize("a", [matching_pennies(), unique_br_game(3)], ids=["pennies", "unique_br_3"])
 def test_report_bounds_match_bound_functions(a):
-    """planner_report derives both bounds from its one game value."""
+    """planner_report derives every bound from its one game value."""
     eta, big_t = 0.5, 20.0
     report = planner_report(a, eta, big_t, 1e-6)
     assert np.max(np.abs(np.subtract(report["bounds"], reward_bounds(a, big_t, eta)))) <= 1e-12
-    assert abs(report["asymptotic_bound"] - asymptotic_lower_bound(a, big_t, eta)) <= 1e-12
+    gv = game_value(a)
+    _, k = min_br_minmax(a, gv)
+    want = gv.value * big_t + math.log(a.shape[1] / k) / eta
+    assert report["k"] == k
+    assert abs(report["asymptotic_bound"] - want) <= 1e-12
+
+
+def test_one_value_lp_per_report(minmax_lp_calls):
+    """The report solves the value LP once and passes the analysis along."""
+    rng = np.random.default_rng(31)
+    seeded = [rng.uniform(-1, 1, size=tuple(rng.integers(2, 7, size=2))) for _ in range(4)]
+    for a in [matching_pennies(), unique_br_game(3)] + seeded:
+        minmax_lp_calls.clear()
+        planner_report(a, 1.0, 10.0, 1e-6)
+        assert minmax_lp_calls.count(None) == 1
 
 
 class TestAlternatingPlan:
     def test_matching_pennies_default_delta(self, mp_matrix):
         plan = alternating_plan(mp_matrix)
-        assert abs(plan.delta - 0.5) <= 1e-9
-        assert np.allclose(np.sort(plan.x_odd.weights), [0.25, 0.75], atol=1e-9)
+        assert plan.delta == 1.0
+        assert np.array_equal(np.sort(plan.x_odd.weights), [0.0, 1.0])
         assert np.allclose((plan.x_odd.weights + plan.x_even.weights) / 2, plan.base.weights, atol=1e-12)
         # sign conditions
         a = mp_matrix
@@ -154,7 +175,7 @@ class TestAlternatingPlan:
         assert plan.x_even.weights @ a[:, plan.i1] < plan.x_even.weights @ a[:, plan.i2]
 
     def test_full_delta_is_pure_alternation(self, mp_matrix):
-        plan = alternating_plan(mp_matrix, delta_scale=1.0)
+        plan = alternating_plan(mp_matrix)
         assert set(map(tuple, [plan.x_odd.weights, plan.x_even.weights])) == {
             (1.0, 0.0), (0.0, 1.0),
         }
@@ -163,7 +184,7 @@ class TestAlternatingPlan:
         assert abs(traj.totals[0] - 500 * math.tanh(0.1)) <= 1e-9
 
     def test_pair_reward_beats_value(self, mp_matrix):
-        plan = alternating_plan(mp_matrix)  # default half perturbation
+        plan = alternating_plan(mp_matrix)
         game = BimatrixGame.from_zero_sum(mp_matrix)
         traj = simulate(game, plan.to_schedule(2), MWU, eta=0.3)
         assert traj.totals[0] > 2 * game_value(mp_matrix).value
@@ -179,7 +200,7 @@ class TestAlternatingPlan:
             alternating_plan(np.zeros((2, 2)))
 
     def test_gain_positive(self, mp_matrix):
-        gain = alternating_gain(mp_matrix, 0.2, 400)
+        gain = alternating_gain(mp_matrix, 0.2, 400, alternating_plan(mp_matrix))
         assert gain > 0
 
 
@@ -203,6 +224,19 @@ class TestHjbResidual:
 
 
 class TestFrankWolfe:
+    def test_non_finite_gap_raises_at_once(self):
+        mat = np.array([[math.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(InputError, match="not finite"):
+            frank_wolfe(np.zeros(2), mat, 1e-6)
+
+    def test_fixed_point_raises_cap_at_once(self):
+        # at payoffs of 1e6 the gap cannot reach 1e-6: a step stops moving x
+        # long before the iteration cap
+        a = np.array([[1.0, -1e6], [-1e6, 2.0]])
+        z0, mat = _objective_terms(a, np.zeros(2), 10.0, 1.0)
+        with pytest.raises(CapExceededError, match="stalled"):
+            frank_wolfe(z0, mat, 1e-6)
+
     def test_linesearch_objective_monotone(self, rng, monkeypatch):
         objectives = []
 
