@@ -30,7 +30,7 @@ eta, T = 1.0, 50.0
 print("== Matching pennies ===========================================")
 mp = matching_pennies()
 val = game_value(mp)
-print(f"value {val.value:+.3f}, minmax strategy {val.optimizer_strategy.weights}")
+print(f"value {val.value:+.3f}, minmax strategy {val.optimizer_strategy}")
 
 # The continuous-time reward of any schedule depends only on its time
 # average; the uniform average is optimal here and earns exactly 0.
@@ -40,7 +40,7 @@ print(f"reward of the uniform average : {reward_cont(uniform, None, T, mp, eta):
 print(f"reward of a skewed average    : {reward_cont(skewed, None, T, mp, eta):+.6f}")
 
 res = optimize_continuous(mp, None, T, eta, epsilon=1e-6)
-print(f"planner: x* = {res.x_star.weights}, r* = {res.r_star:.2e} "
+print(f"planner: x* = {res.x_star}, r* = {res.r_star:.2e} "
       f"(certified within {res.epsilon:.1e}, {res.iterations} iterations)")
 
 print()

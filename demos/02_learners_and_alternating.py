@@ -25,9 +25,9 @@ T = 1000
 
 print("== The alternating plan =======================================")
 plan = alternating_plan(mp)   # full perturbation: pure actions
-print(f"odd rounds play  {plan.x_odd.weights}")
-print(f"even rounds play {plan.x_even.weights}")
-print(f"their average is the minmax strategy {plan.base.weights}")
+print(f"odd rounds play  {plan.x_odd}")
+print(f"even rounds play {plan.x_even}")
+print(f"their average is the minmax strategy {plan.base}")
 
 print()
 print("eta     simulated total   (T/2)*tanh(eta)")

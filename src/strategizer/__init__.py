@@ -18,7 +18,7 @@ from .games import (
     AssumptionWitness,
     BimatrixGame,
     GameValueResult,
-    SimplexVector,
+    as_simplex,
     best_response_set,
     check_assumption_no_pure,
     game_value,
@@ -72,8 +72,8 @@ __all__ = [
     "CapExceededError", "CycleCheck", "DimensionMismatchError", "DirectedGraph",
     "GameValueResult", "InputError", "MWU", "OcdpInstance", "OcdpPlayout",
     "PlannerResult", "PreconditionError", "REPLICATOR", "Schedule",
-    "SimplexVector", "StrategizerError", "Trajectory", "alternating_gain",
-    "alternating_plan", "best_response_set", "brute_force_ocdp",
+    "StrategizerError", "Trajectory", "alternating_gain", "alternating_plan",
+    "as_simplex", "best_response_set", "brute_force_ocdp",
     "check_assumption_no_pure", "extract_cycle", "fixed_step_objectives",
     "frank_wolfe", "fw_rate_constant",
     "game_value", "hjb_residual", "matching_pennies", "min_br_minmax",

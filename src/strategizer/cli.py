@@ -13,9 +13,11 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import acceptance, fileio
 from .errors import CapExceededError, InputError, PreconditionError, StrategizerError
-from .games import BimatrixGame, SimplexVector, game_value
+from .games import BimatrixGame, game_value
 from .learners import BEST_RESPONSE, MWU, REPLICATOR, Schedule, simulate
 from .ocdp import (
     DirectedGraph,
@@ -72,8 +74,8 @@ def cmd_value(args) -> int:
     _print_json(
         {
             "value": res.value,
-            "optimizer_strategy": res.optimizer_strategy.weights.tolist(),
-            "learner_strategy": res.learner_strategy.weights.tolist(),
+            "optimizer_strategy": res.optimizer_strategy.tolist(),
+            "learner_strategy": res.learner_strategy.tolist(),
             "certificate_gap": res.certificate_gap,
         },
         args.out,
@@ -104,12 +106,12 @@ def _builtin_schedule(name: str, game: BimatrixGame, learner: str, rounds, eta, 
         )
     total = float(rounds) if continuous else int(rounds)
     if name == "uniform":
-        return Schedule.constant(SimplexVector.uniform(game.n), total, mode)
+        return Schedule.constant(np.full(game.n, 1.0 / game.n), total, mode)
     if name.startswith("pure:"):
         idx = _parse_int(name.split(":", 1)[1], "pure action index")
         if not 1 <= idx <= game.n:
             raise InputError(f"pure action index {idx} outside 1..{game.n}")
-        return Schedule.constant(SimplexVector.pure(idx - 1, game.n), total, mode)
+        return Schedule.constant(np.arange(game.n) == idx - 1, total, mode)
     if name == "constant-xstar":
         if not game.zero_sum:
             raise PreconditionError("constant-xstar runs the zero-sum planner; game is general-sum")

@@ -49,82 +49,72 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-class SimplexVector:
-    """A probability distribution over a finite action set.
+def as_simplex(values) -> np.ndarray:
+    """Probability weights along the last axis, validated and read-only.
 
-    Weights are validated to be non-negative (tiny negative noise up to 1e-9
-    is clipped) and renormalized to sum to 1 at construction time.
+    Works on one strategy of shape (n,) or a stack of shape (..., n) in one
+    pass. Weights must be finite; negatives down to -1e-9 are clipped to 0,
+    every vector needs at least one weight and a positive sum, and each is
+    divided by its sum. Returns a new read-only float array.
     """
-
-    __slots__ = ("weights",)
-
-    def __init__(self, values):
-        w = np.asarray(values, dtype=float).ravel()
-        if w.size == 0:
-            raise InputError("simplex vector needs at least one weight")
-        if not np.all(np.isfinite(w)):
-            raise InputError("simplex vector contains non-finite weights")
-        if w.min() < -1e-9:
-            raise InputError(f"simplex vector has negative weight {w.min():g}")
-        w = np.maximum(w, 0.0)
-        s = w.sum()
-        if s <= 0.0:
-            raise InputError("simplex vector weights sum to zero")
-        w = w / s
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, dim: int) -> "SimplexVector":
-        return cls(np.full(dim, 1.0 / dim))
-
-    @classmethod
-    def pure(cls, index: int, dim: int) -> "SimplexVector":
-        w = np.zeros(dim)
-        w[index] = 1.0
-        return cls(w)
-
-    @property
-    def dim(self) -> int:
-        return self.weights.size
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplexVector is immutable")
-
-    def __repr__(self):
-        return f"SimplexVector({np.array2string(self.weights, precision=6)})"
-
-
-def as_weights(x, dim: int | None = None, what: str = "strategy") -> np.ndarray:
-    """Coerce a SimplexVector or array-like to a weight array, checking dim."""
-    w = x.weights if isinstance(x, SimplexVector) else np.asarray(x, dtype=float).ravel()
-    if dim is not None and w.size != dim:
-        raise DimensionMismatchError(f"{what} has dimension {w.size}, expected {dim}")
+    try:
+        w = np.array(values, dtype=float, ndmin=1)
+    except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
+        raise DimensionMismatchError(f"strategy is not an array of numbers: {exc}") from None
+    if w.shape[-1] == 0 and 0 not in w.shape[:-1]:
+        raise DimensionMismatchError("a strategy needs at least one weight")
+    if not np.all(np.isfinite(w)):
+        raise InputError("strategy contains non-finite weights")
+    if w.size and w.min() < -1e-9:
+        raise InputError(f"strategy has negative weight {w.min():g}")
+    np.maximum(w, 0.0, out=w)
+    sums = w.sum(axis=-1, keepdims=True)
+    if np.any(sums <= 0.0):
+        raise InputError("strategy weights sum to zero")
+    w /= sums
+    w.flags.writeable = False
     return w
 
 
+def as_weights(x, dim: int, what: str) -> np.ndarray:
+    """x as a finite float vector of length dim; errors name it `what`."""
+    try:
+        w = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
+        raise DimensionMismatchError(f"{what} is not a vector of numbers: {exc}") from None
+    if w.shape != (dim,):
+        size = w.size if w.ndim == 1 else f"shape {w.shape}"
+        raise DimensionMismatchError(f"{what} has dimension {size}, expected {dim}")
+    if not np.all(np.isfinite(w)):
+        raise InputError(f"{what} has non-finite entries")
+    return w
+
+
+@dataclass(frozen=True, eq=False)
 class BimatrixGame:
-    """A two-player matrix game (optimizer utility A, learner utility B)."""
+    """A two-player matrix game (optimizer utility A, learner utility B).
 
-    __slots__ = ("a", "b", "zero_sum")
+    Both matrices are validated and made read-only at construction.
+    """
 
-    def __init__(self, a, b, zero_sum: bool = False):
-        a = as_matrix(a)
-        b = as_matrix(b)
+    a: np.ndarray
+    b: np.ndarray
+    zero_sum: bool = False
+
+    def __post_init__(self):
+        a = as_matrix(self.a)
+        b = as_matrix(self.b)
         if a.shape != b.shape:
             raise DimensionMismatchError(
                 f"utility matrices disagree: A is {a.shape}, B is {b.shape}"
             )
-        if zero_sum and np.max(np.abs(a + b)) != 0.0:
+        if self.zero_sum and np.max(np.abs(a + b)) != 0.0:
             raise InputError("zero_sum flag requires B = -A exactly")
         a.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "zero_sum", bool(zero_sum))
+        object.__setattr__(self, "zero_sum", bool(self.zero_sum))
 
     @classmethod
     def from_zero_sum(cls, a) -> "BimatrixGame":
@@ -138,9 +128,6 @@ class BimatrixGame:
     @property
     def m(self) -> int:
         return self.a.shape[1]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BimatrixGame is immutable")
 
     def __repr__(self):
         kind = "zero-sum" if self.zero_sum else "general-sum"
@@ -156,8 +143,8 @@ class GameValueResult:
     """
 
     value: float
-    optimizer_strategy: SimplexVector
-    learner_strategy: SimplexVector
+    optimizer_strategy: np.ndarray
+    learner_strategy: np.ndarray
     certificate_gap: float
 
 
@@ -165,7 +152,7 @@ class GameValueResult:
 class AssumptionWitness:
     """Witness that two best responses differ on the support of a minmax x."""
 
-    x: SimplexVector
+    x: np.ndarray
     i1: int
     i2: int
     k_action: int
@@ -217,10 +204,10 @@ def game_value(a) -> GameValueResult:
     res = _minmax_lp(a)
     if not res.success:  # feasible and bounded, so only payoffs HiGHS cannot take
         raise InputError(f"minmax LP rejected the payoffs: {res.message}")
-    x = SimplexVector(res.x[:n])
-    y = SimplexVector(-res.ineqlin.marginals)
-    lo = float(np.min(x.weights @ a))
-    hi = float(np.max(a @ y.weights))
+    x = as_simplex(res.x[:n])
+    y = as_simplex(-res.ineqlin.marginals)
+    lo = float(np.min(x @ a))
+    hi = float(np.max(a @ y))
     return GameValueResult(
         value=0.5 * (lo + hi),
         optimizer_strategy=x,
@@ -242,7 +229,7 @@ def best_response_set(x, game: BimatrixGame, tol: float = DEFAULT_TOL) -> set[in
     return set(np.flatnonzero(scores >= scores.max() - tol).tolist())
 
 
-def min_br_minmax(a, gv: GameValueResult) -> tuple[SimplexVector, int]:
+def min_br_minmax(a, gv: GameValueResult) -> tuple[np.ndarray, int]:
     """Minmax strategy with the fewest best responses, and that count k.
 
     Takes the game's analysis gv from game_value. Enumerates candidate
@@ -277,7 +264,7 @@ def min_br_minmax(a, gv: GameValueResult) -> tuple[SimplexVector, int]:
             raise CapExceededError(f"min-BR search on {m} columns exceeded its budget of {lps} LPs")
         res = _minmax_lp(a, gv.value, tight)
         if res.success and (len(tight) == m or res.x[-1] > DEFAULT_TOL):
-            return SimplexVector(res.x[:n]), len(tight)
+            return as_simplex(res.x[:n]), len(tight)
     raise PreconditionError(f"no exact best-response set: a column stays within {DEFAULT_TOL:g} "
                             "of the value at every minmax strategy without being tight")
 
@@ -303,7 +290,7 @@ def check_assumption_no_pure(a, gv: GameValueResult) -> AssumptionWitness | None
         mass = res.x[rows]
         if mass.sum() > DEFAULT_TOL:
             k = int(rows[np.argmax(mass)])
-            return AssumptionWitness(x=SimplexVector(res.x[:n]), i1=i1, i2=i2, k_action=k)
+            return AssumptionWitness(x=as_simplex(res.x[:n]), i1=i1, i2=i2, k_action=k)
     return None
 
 

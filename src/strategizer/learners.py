@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import CapExceededError, DimensionMismatchError, InputError, PreconditionError
-from .games import BimatrixGame, SimplexVector, as_weights
+from .games import BimatrixGame, as_simplex, as_weights
 
 MWU = "mwu"
 REPLICATOR = "replicator"
@@ -104,9 +104,8 @@ class Schedule:
     ``lengths`` has shape (S,) and ``strategies`` shape (S, n); segment s
     plays strategies[s] for lengths[s]. Discrete mode: lengths are positive
     integer round counts totalling below 2**63. Continuous mode: positive
-    finite durations. Each strategy row is validated like a SimplexVector
-    (finite, negatives down to -1e-9 clipped, positive sum) and renormalised
-    to sum to 1. ``total``, the sum of the lengths, is computed once here.
+    finite durations. All strategy rows go through games.as_simplex in one
+    pass. ``total``, the sum of the lengths, is computed once here.
     """
 
     mode: str
@@ -143,32 +142,15 @@ class Schedule:
             total = int(total)
         elif not np.all(lengths > 0):
             raise InputError(f"segment duration must be positive, got {lengths.min():g}")
-        if x.shape[0] and not x.shape[1]:
-            raise InputError("simplex vector needs at least one weight")
-        if not np.all(np.isfinite(x)):
-            raise InputError("schedule strategy contains non-finite weights")
-        if x.size and x.min() < -1e-9:
-            raise InputError(f"schedule strategy has negative weight {x.min():g}")
-        x = np.maximum(x, 0.0)
-        sums = x.sum(axis=1, keepdims=True)
-        if np.any(sums <= 0.0):
-            raise InputError("schedule strategy weights sum to zero")
-        x = x / sums
         lengths.flags.writeable = False
-        x.flags.writeable = False
         object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "strategies", x)
+        object.__setattr__(self, "strategies", as_simplex(x))
         object.__setattr__(self, "total", total)
 
     @classmethod
     def constant(cls, strategy, total, mode: str = "discrete") -> "Schedule":
-        x = as_weights(strategy)[None, :]
-        schedule = cls(mode, [total], x) if total else cls(mode, np.zeros(0), x[:0])
-        if isinstance(strategy, SimplexVector):
-            # Already validated: keep its weights bit for bit, since dividing
-            # them by their sum again can move the last bit of planner output.
-            object.__setattr__(schedule, "strategies", x[: schedule.lengths.size])
-        return schedule
+        """One segment playing strategy for total; no segment when total is 0."""
+        return cls(mode, [total], [strategy]) if total else cls(mode, [], [])
 
     @classmethod
     def from_rounds(cls, strategies) -> "Schedule":
@@ -229,7 +211,7 @@ class Trajectory:
 
 def replicator_strategy(
     h0, schedule: Schedule, t: float, eta: float, game: BimatrixGame
-) -> SimplexVector:
+) -> np.ndarray:
     """Replicator-dynamics play at time t under a piecewise-constant schedule.
 
     y_i(t) is proportional to exp(eta * (h0_i + integral_0^t x(s)' B e_i ds));
@@ -244,7 +226,7 @@ def replicator_strategy(
         raise DimensionMismatchError(
             f"schedule strategies have dimension {xint.size}, game has {game.n} rows"
         )
-    return SimplexVector(respond(REPLICATOR, h0 + game.b.T @ xint, eta))
+    return as_simplex(respond(REPLICATOR, h0 + game.b.T @ xint, eta))
 
 
 def _simulate_discrete(game, schedule, learner_kind, eta, h0) -> Trajectory:

@@ -24,6 +24,11 @@ from .errors import CapExceededError, InputError, PreconditionError
 
 PAYOFF_DENOMINATOR = 160
 
+# Most payoff cells (|E| rows times 2n columns) a reduction may build. An
+# instance holds four such matrices (A, B and their integer forms) of 8 bytes
+# a cell, 320 MB at this cap.
+MAX_REDUCTION_CELLS = 10_000_000
+
 
 @dataclass(frozen=True)
 class DirectedGraph:
@@ -132,12 +137,18 @@ def reduce_hamiltonian(g: DirectedGraph) -> OcdpInstance:
 
     A[e, v_j] = 1 iff e leaves v_j (0 against every v_in). B pays the source
     vertex -0.1 (v_1) or -4, the target vertex +1, and the source's v_in
-    column 0.85. k = T = n+1. Runs in O(|E| * n).
+    column 0.85. k = T = n+1. Runs in O(|E| * n); raises CapExceededError
+    before allocating when |E| * 2n exceeds MAX_REDUCTION_CELLS.
     """
     if g.n_edges == 0:
         raise InputError("empty graph: the reduction needs at least one edge")
     n = g.n_vertices
     m = g.n_edges
+    if m * 2 * n > MAX_REDUCTION_CELLS:
+        raise CapExceededError(
+            f"reducing {n} vertices / {m} edges needs {m * 2 * n} payoff cells, "
+            f"more than the {MAX_REDUCTION_CELLS} a reduction builds"
+        )
     a = np.zeros((m, 2 * n))
     b = np.zeros((m, 2 * n))
     for i, (u, v) in enumerate(g.edges):

@@ -23,8 +23,9 @@ from scipy.special import logsumexp
 from .errors import CapExceededError, InputError, PreconditionError
 from .games import (
     BimatrixGame,
-    SimplexVector,
     as_matrix,
+    as_simplex,
+    as_weights,
     check_assumption_no_pure,
     game_value,
     min_br_minmax,
@@ -38,7 +39,7 @@ MAX_FW_ITERATIONS = 10_000_000
 class PlannerResult:
     """Near-optimal constant strategy with its certified suboptimality."""
 
-    x_star: SimplexVector
+    x_star: np.ndarray
     r_star: float
     epsilon: float
     iterations: int
@@ -48,9 +49,9 @@ class PlannerResult:
 class AlternatingPlan:
     """Odd/even perturbation pair of a minmax strategy: (x_odd + x_even)/2 = base."""
 
-    x_odd: SimplexVector
-    x_even: SimplexVector
-    base: SimplexVector
+    x_odd: np.ndarray
+    x_even: np.ndarray
+    base: np.ndarray
     delta: float
     i1: int
     i2: int
@@ -67,9 +68,9 @@ class AlternatingPlan:
                 f"alternating plan of {total_rounds} rounds exceeds the {MAX_ROUNDS}-round cap"
             )
         odd = np.arange(1, total_rounds + 1) % 2 == 1
-        rounds = np.where(odd[:, None], self.x_odd.weights, self.x_even.weights)
+        rounds = np.where(odd[:, None], self.x_odd, self.x_even)
         if total_rounds % 2 == 1:
-            rounds[-1] = self.base.weights
+            rounds[-1] = self.base
         return Schedule.from_rounds(rounds)
 
 
@@ -95,9 +96,7 @@ def reward_cont(schedule: Schedule, h0, T: float, a, eta: float) -> float:
         raise InputError(f"schedule covers {schedule.total:g} time units, horizon is {T:g}")
     if not eta > 0:
         raise InputError("eta must be positive")
-    h0 = np.zeros(m) if h0 is None else np.asarray(h0, dtype=float)
-    if h0.shape != (m,):
-        raise InputError(f"h0 has shape {h0.shape}, expected ({m},)")
+    h0 = np.zeros(m) if h0 is None else as_weights(h0, m, "h0")
     xbar = schedule.time_average()
     if xbar.size != n:
         raise InputError(f"schedule strategies have dimension {xbar.size}, game has {n} rows")
@@ -219,17 +218,18 @@ def optimize_continuous(a, h0, T: float, eta: float, epsilon: float) -> PlannerR
         raise InputError("eta must be positive")
     if not T > 0:
         raise InputError("horizon T must be positive")
-    h0 = np.zeros(m) if h0 is None else np.asarray(h0, dtype=float)
+    h0 = np.zeros(m) if h0 is None else as_weights(h0, m, "h0")
     with np.errstate(over="ignore", invalid="ignore"):
         z0, mat = _objective_terms(a, h0, T, eta)
     # the solver's z - max(z) stays finite only if 2*(max|z0| + max|mat|) does
     if not math.isfinite(2.0 * (float(np.max(np.abs(z0))) + float(np.max(np.abs(mat))))):
         raise InputError(f"eta = {eta:g} and T = {T:g} overflow eta*h0 or eta*T*A")
     x, gap, iterations = frank_wolfe(z0, mat, gap_target=epsilon * eta)
-    x_star = SimplexVector(x)
-    r_star = reward_cont(Schedule.constant(x_star, T, mode="continuous"), h0, T, a, eta)
+    schedule = Schedule.constant(x, T, mode="continuous")
+    r_star = reward_cont(schedule, h0, T, a, eta)
     return PlannerResult(
-        x_star=x_star, r_star=r_star, epsilon=gap / eta, iterations=max(iterations, 1)
+        x_star=schedule.strategies[0], r_star=r_star, epsilon=gap / eta,
+        iterations=max(iterations, 1),
     )
 
 
@@ -253,7 +253,7 @@ def alternating_plan(a) -> AlternatingPlan:
     witness = check_assumption_no_pure(a, game_value(a))
     if witness is None:
         raise PreconditionError("game does not satisfy the no-pure assumption")
-    x = witness.x.weights
+    x = witness.x
     k = witness.k_action
     xk = x[k]
     delta = 1.0 if xk >= 1.0 - 1e-12 else min(1.0, xk / (1.0 - xk))
@@ -264,8 +264,8 @@ def alternating_plan(a) -> AlternatingPlan:
     if x_odd @ a[:, witness.i1] < x_odd @ a[:, witness.i2]:
         x_odd, x_even = x_even, x_odd
     return AlternatingPlan(
-        x_odd=SimplexVector(x_odd),
-        x_even=SimplexVector(x_even),
+        x_odd=as_simplex(x_odd),
+        x_even=as_simplex(x_even),
         base=witness.x,
         delta=delta,
         i1=witness.i1,
@@ -305,9 +305,7 @@ def hjb_residual(h, t: float, a, eta: float, fd_step: float) -> float:
         raise InputError("fd_step must be positive")
     if not t > fd_step:
         raise InputError("t must exceed fd_step for the central time difference")
-    h = np.asarray(h, dtype=float)
-    if h.shape != (m,):
-        raise InputError(f"h has dimension {h.size}, game has {m} columns")
+    h = as_weights(h, m, "h")
     inner_eps = fd_step**2
 
     center, _ = _value_to_go(a, h, t, eta, inner_eps, x0=None)
@@ -380,7 +378,7 @@ def planner_report(a, eta: float, T: float, epsilon: float) -> dict:
     witness = check_assumption_no_pure(a, gv)
     report = {
         "value": value,
-        "x_star": result.x_star.weights.tolist(),
+        "x_star": result.x_star.tolist(),
         "r_star": result.r_star,
         "epsilon": result.epsilon,
         "bounds": [value * T, value * T + math.log(m) / eta],
@@ -390,7 +388,7 @@ def planner_report(a, eta: float, T: float, epsilon: float) -> dict:
     }
     if witness is not None:
         report["assumption1"]["witness"] = {
-            "x": witness.x.weights.tolist(),
+            "x": witness.x.tolist(),
             "i1": witness.i1 + 1,
             "i2": witness.i2 + 1,
             "k_action": witness.k_action + 1,

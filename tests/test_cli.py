@@ -159,10 +159,10 @@ class TestSimulate:
         assert code == 0
         total = float(out.splitlines()[0].split()[-1])
         # constant pure play against the replicator: closed form is available
-        from strategizer import Schedule, SimplexVector, reward_cont, matching_pennies
+        from strategizer import Schedule, reward_cont, matching_pennies
 
         want = reward_cont(
-            Schedule.constant(SimplexVector.pure(0, 2), 5.0, "continuous"),
+            Schedule.constant([1.0, 0.0], 5.0, "continuous"),
             None, 5.0, matching_pennies(), 0.2,
         )
         assert abs(total - want) <= 1e-9
@@ -324,6 +324,26 @@ def test_malformed_file_exit_2(command, content, message, capsys, graph_file, mp
     }[command]
     code, _, err = run(capsys, *argv)
     assert code == 2 and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["reduce", "brute", "verify"])
+@pytest.mark.parametrize("vertices", [10**15, 10**8], ids=["1e15-vertices", "1e8-vertices"])
+def test_huge_graph_exit_4(command, vertices, capsys, tmp_path):
+    # one edge on that many vertices: the cap fires before anything is allocated
+    graph = tmp_path / "huge.txt"
+    graph.write_text(f"{vertices}\n1 2\n")
+    witness = tmp_path / "witness.json"
+    witness.write_text(json.dumps({"cycle": [1, 2]}))
+    argv = {
+        "reduce": ["reduce", str(graph), "--out", str(tmp_path / "huge")],
+        "brute": ["brute", str(graph)],
+        "verify": ["verify", str(graph), str(witness)],
+    }[command]
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert code == 4 and f"{2 * vertices} payoff cells" in err and "Traceback" not in err
+    assert time.perf_counter() - start < 10
+    assert not list(tmp_path.glob("huge.instance*"))
 
 
 def test_brute_long_horizon_exit_4(capsys, tmp_path):

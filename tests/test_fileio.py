@@ -165,17 +165,17 @@ class TestTrajectoryExport:
         assert len(lines) == 3
 
     def test_empty_trajectory_header_only(self, mp_game):
-        from strategizer import MWU, SimplexVector, simulate
+        from strategizer import MWU, simulate
 
-        traj = simulate(mp_game, Schedule.constant(SimplexVector.uniform(2), 0), MWU, eta=0.1)
+        traj = simulate(mp_game, Schedule.constant([0.5, 0.5], 0), MWU, eta=0.1)
         text = fileio.trajectory_csv(traj)
         assert text.startswith("t,opt_reward,learner_reward,opt_total")
         assert len(text.strip().splitlines()) == 1
 
     def test_json_embeds_h_traces(self, mp_game):
-        from strategizer import MWU, SimplexVector, simulate
+        from strategizer import MWU, simulate
 
-        sched = Schedule.constant(SimplexVector.pure(0, 2), 3)
+        sched = Schedule.constant([1.0, 0.0], 3)
         traj = simulate(mp_game, sched, MWU, eta=0.1)
         obj = fileio.trajectory_json(traj)
         assert obj["h_after"][2] == [-3.0, 3.0]

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +12,8 @@ from strategizer import (
     CapExceededError,
     DimensionMismatchError,
     InputError,
-    SimplexVector,
+    Schedule,
+    as_simplex,
     best_response_set,
     check_assumption_no_pure,
     game_value,
@@ -40,27 +42,72 @@ def value_2x2(a):
     return value, x
 
 
-class TestSimplexVector:
+def first_error(build, values):
+    """The exception class build(values) raises (None when it returns)."""
+    try:
+        build(values)
+    except Exception as exc:  # the exception class is the outcome compared
+        return type(exc)
+    return None
+
+
+class TestAsSimplex:
+    """One validator for one strategy and for every row of a Schedule."""
+
+    MALFORMED = {
+        "negative": [0.5, -1e-6, 0.5],
+        "nan": [0.5, math.nan, 0.5],
+        "inf": [0.5, math.inf, 0.5],
+        "all_zero": [0.0, 0.0, 0.0],
+        "empty": [],
+        "ragged": [0.5, [0.25, 0.25]],
+    }
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_same_error_as_schedule_row(self, name, mode):
+        bad = self.MALFORMED[name]
+        as_vector = first_error(as_simplex, bad)
+        rows = [[0.2, 0.3, 0.5], bad, [1.0, 0.0, 0.0]]
+        as_row = first_error(lambda r: Schedule(mode, [1, 2, 3], r), rows)
+        assert as_vector is not None and as_row is as_vector
+
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_schedule_rows_are_as_simplex(self, mode, rng):
+        for n in (1, 2, 3, 6, 11, 40):
+            x = rng.dirichlet(np.ones(n), size=3) * rng.uniform(0.1, 10.0, size=(3, 1))
+            x[rng.random(x.shape) < 0.2] = 0.0
+            x[x.sum(axis=1) == 0.0, 0] = 1.0
+            strategies = Schedule(mode, [1, 2, 3], x).strategies
+            assert not strategies.flags.writeable
+            for s in range(3):
+                want = as_simplex(x[s])
+                assert not want.flags.writeable
+                assert strategies[s].tobytes() == want.tobytes()
+
     def test_renormalizes(self):
-        v = SimplexVector([2.0, 2.0])
-        assert np.allclose(v.weights, [0.5, 0.5])
-        assert abs(v.weights.sum() - 1.0) <= 1e-12
+        v = as_simplex([2.0, 2.0])
+        assert np.allclose(v, [0.5, 0.5])
+        assert abs(v.sum() - 1.0) <= 1e-12
 
     def test_rejects_negative(self):
         with pytest.raises(InputError):
-            SimplexVector([0.5, -0.5])
+            as_simplex([0.5, -0.5])
 
     def test_clips_noise(self):
-        v = SimplexVector([1.0, -1e-12])
-        assert v.weights[1] == 0.0
+        v = as_simplex([1.0, -1e-12])
+        assert v[1] == 0.0
 
     def test_immutable(self):
-        v = SimplexVector.uniform(3)
-        with pytest.raises((AttributeError, ValueError)):
-            v.weights[0] = 2.0
+        values = np.full(3, 1 / 3)
+        v = as_simplex(values)
+        with pytest.raises(ValueError):
+            v[0] = 2.0
+        values[0] = 2.0  # a copy: the input stays the caller's
+        assert v[0] == 1 / 3
 
     def test_pure(self):
-        assert np.array_equal(SimplexVector.pure(1, 3).weights, [0.0, 1.0, 0.0])
+        assert np.array_equal(as_simplex(np.arange(3) == 1), [0.0, 1.0, 0.0])
 
 
 class TestBimatrixGame:
@@ -80,12 +127,21 @@ class TestBimatrixGame:
         with pytest.raises(InputError):
             BimatrixGame.from_zero_sum([[np.inf, 0.0]])
 
+    def test_immutable(self):
+        g = BimatrixGame([[1.0, 0.0]], [[0.0, 2.0]])
+        with pytest.raises(AttributeError):
+            g.a = np.zeros((1, 2))
+        with pytest.raises(ValueError):
+            g.b[0, 0] = 5.0
+        assert repr(g) == "BimatrixGame(1x2, general-sum)"
+        assert repr(BimatrixGame.from_zero_sum([[1.0]])) == "BimatrixGame(1x1, zero-sum)"
+
 
 class TestGameValue:
     def test_matching_pennies(self, mp_matrix):
         res = game_value(mp_matrix)
         assert abs(res.value) <= 1e-9
-        assert np.allclose(res.optimizer_strategy.weights, [0.5, 0.5], atol=1e-9)
+        assert np.allclose(res.optimizer_strategy, [0.5, 0.5], atol=1e-9)
         assert res.certificate_gap <= 1e-8
 
     def test_all_zeros(self):
@@ -98,7 +154,7 @@ class TestGameValue:
         want_v, want_x = value_2x2(a)
         res = game_value(a)
         assert abs(res.value - want_v) <= 1e-9
-        assert np.allclose(res.optimizer_strategy.weights, want_x, atol=1e-8)
+        assert np.allclose(res.optimizer_strategy, want_x, atol=1e-8)
 
     def test_random_2x2_against_oracle(self, rng):
         for _ in range(25):
@@ -110,8 +166,8 @@ class TestGameValue:
         for _ in range(20):
             a = rng.uniform(-1, 1, size=(rng.integers(2, 7), rng.integers(2, 7)))
             res = game_value(a)
-            lo = np.min(res.optimizer_strategy.weights @ a)
-            hi = np.max(a @ res.learner_strategy.weights)
+            lo = np.min(res.optimizer_strategy @ a)
+            hi = np.max(a @ res.learner_strategy)
             assert lo >= res.value - 1e-8
             assert hi <= res.value + 1e-8
 
@@ -125,7 +181,7 @@ class TestGameValue:
             res = game_value(a)
             assert abs(res.value - column_player_value(a)) <= 1e-9
             assert res.certificate_gap <= 1e-8
-            assert np.max(a @ res.learner_strategy.weights) <= res.value + 1e-8
+            assert np.max(a @ res.learner_strategy) <= res.value + 1e-8
 
 
 def column_player_value(a):
@@ -142,11 +198,11 @@ def column_player_value(a):
 
 class TestBestResponseSet:
     def test_matching_pennies_uniform(self, mp_game):
-        assert best_response_set(SimplexVector.uniform(2), mp_game) == {0, 1}
+        assert best_response_set([0.5, 0.5], mp_game) == {0, 1}
 
     def test_strict_argmax(self):
         game = BimatrixGame([[1.0, 0.0], [0.0, 0.0]], [[0.0, 3.0], [1.0, 0.0]])
-        assert best_response_set(SimplexVector.pure(0, 2), game) == {1}
+        assert best_response_set([1.0, 0.0], game) == {1}
 
     def test_unique_br_example(self):
         a = unique_br_game(3)
@@ -162,7 +218,7 @@ class TestBestResponseSet:
         for _ in range(20):
             a = rng.uniform(-1, 1, size=(3, 4))
             game = BimatrixGame.from_zero_sum(a)
-            x = SimplexVector(rng.dirichlet(np.ones(3)))
+            x = rng.dirichlet(np.ones(3))
             small = best_response_set(x, game, tol=1e-9)
             big = best_response_set(x, game, tol=0.5)
             assert small and small <= big
@@ -172,7 +228,7 @@ class TestBestResponseSet:
         for _ in range(20):
             b = rng.integers(-3, 4, size=(3, 4)).astype(float)
             a = rng.uniform(-1, 1, size=(3, 4))
-            x = SimplexVector(rng.dirichlet(np.ones(3)))
+            x = rng.dirichlet(np.ones(3))
             base = best_response_set(x, BimatrixGame(a, b))
             scaled = best_response_set(x, BimatrixGame(a, 2.0 * b + 5.0))
             assert base == scaled
@@ -182,7 +238,7 @@ class TestMinBrMinmax:
     def test_matching_pennies(self, mp_matrix):
         x, k = min_br_minmax(mp_matrix, game_value(mp_matrix))
         assert k == 2
-        assert np.allclose(x.weights, [0.5, 0.5], atol=1e-8)
+        assert np.allclose(x, [0.5, 0.5], atol=1e-8)
 
     def test_unique_br_example(self):
         a = unique_br_game(3)
@@ -190,7 +246,7 @@ class TestMinBrMinmax:
         assert k == 1
         game = BimatrixGame.from_zero_sum(a)
         assert best_response_set(x, game) == {5}
-        assert np.min(x.weights @ a) >= game_value(a).value - 1e-8
+        assert np.min(x @ a) >= game_value(a).value - 1e-8
 
     def test_all_zeros_k_equals_m(self):
         zeros = np.zeros((2, 4))
@@ -207,7 +263,7 @@ class TestMinBrMinmax:
         assert len(minmax_lp_calls) == 7
         monkeypatch.setattr(games, "MAX_MIN_BR_LPS", 7)
         x_again, k_again = min_br_minmax(a, gv)
-        assert k_again == k and np.array_equal(x_again.weights, x.weights)
+        assert k_again == k and np.array_equal(x_again, x)
         monkeypatch.setattr(games, "MAX_MIN_BR_LPS", 6)
         with pytest.raises(CapExceededError, match="budget of 6 LPs"):
             min_br_minmax(a, gv)
@@ -220,7 +276,7 @@ class TestMinBrMinmax:
         minmax_lp_calls.clear()
         x, k = min_br_minmax(a, gv)
         assert len(minmax_lp_calls) == 1
-        assert np.min(x.weights @ a) >= gv.value - 1e-8
+        assert np.min(x @ a) >= gv.value - 1e-8
         assert len(best_response_set(x, BimatrixGame.from_zero_sum(a))) == k
 
     def test_analysis_dimension_checked(self, mp_matrix):
@@ -232,7 +288,7 @@ class TestMinBrMinmax:
             a = rng.uniform(-1, 1, size=(3, 4))
             x, k = min_br_minmax(a, game_value(a))
             game = BimatrixGame.from_zero_sum(a)
-            assert np.min(x.weights @ a) >= game_value(a).value - 1e-8
+            assert np.min(x @ a) >= game_value(a).value - 1e-8
             assert len(best_response_set(x, game)) == k
 
 
@@ -244,7 +300,7 @@ def exhaustive_min_br(a, tol=games.DEFAULT_TOL):
         for tight in combinations(range(m), size):
             res = games._minmax_lp(a, value, tight)
             if res.success and (size == m or res.x[-1] > tol):
-                return SimplexVector(res.x[:n]).weights, size
+                return as_simplex(res.x[:n]), size
     raise AssertionError("no exact-BR set")
 
 
@@ -269,7 +325,7 @@ class TestMinBrPruning:
         for a in min_br_battery(kind):
             x, k = min_br_minmax(a, game_value(a))
             x_ref, k_ref = exhaustive_min_br(a)
-            assert k == k_ref and np.array_equal(x.weights, x_ref), a
+            assert k == k_ref and np.array_equal(x, x_ref), a
 
     def test_generic_games_need_two_lps(self, minmax_lp_calls):
         # One value LP, then one pinned LP at the dual support, whenever every
@@ -279,7 +335,7 @@ class TestMinBrPruning:
         checked = 0
         for _ in range(20):
             a = rng.uniform(-1, 1, size=(6, 6))
-            y = game_value(a).learner_strategy.weights
+            y = game_value(a).learner_strategy
             if y[y > 0].min() <= 0.05:
                 continue
             minmax_lp_calls.clear()
@@ -293,7 +349,7 @@ class TestAssumptionNoPure:
     def test_matching_pennies_witness(self, mp_matrix):
         w = check_assumption_no_pure(mp_matrix, game_value(mp_matrix))
         assert w is not None
-        assert np.allclose(w.x.weights, [0.5, 0.5], atol=1e-8)
+        assert np.allclose(w.x, [0.5, 0.5], atol=1e-8)
         assert {w.i1, w.i2} == {0, 1}
         assert abs(mp_matrix[w.k_action, w.i1] - mp_matrix[w.k_action, w.i2]) == 2.0
 
@@ -331,7 +387,7 @@ def test_br_set_exact_scale_invariance(data, x0):
     # dyadic strategies and integer payoffs make the affine map exact in floats
     b = np.asarray(data, dtype=float)
     a = np.zeros_like(b)
-    x = SimplexVector([x0 / 8.0, 1.0 - x0 / 8.0])
+    x = [x0 / 8.0, 1.0 - x0 / 8.0]
     base = best_response_set(x, BimatrixGame(a, b), tol=0.0)
     mapped = best_response_set(x, BimatrixGame(a, 2.0 * b + 3.0), tol=0.0)
     assert base == mapped

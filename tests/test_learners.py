@@ -18,7 +18,7 @@ from strategizer import (
     InputError,
     PreconditionError,
     Schedule,
-    SimplexVector,
+    as_simplex,
     replicator_strategy,
     respond,
     simulate,
@@ -81,13 +81,13 @@ class TestLearnerUpdate:
     """One simulated round accumulates h' = h + B'x for every learner kind."""
 
     def test_pure_action_adds_row(self, mp_game):
-        traj = one_round(mp_game, SimplexVector.pure(0, 2))
+        traj = one_round(mp_game, [1.0, 0.0])
         assert np.array_equal(traj.h_after[0], [-1.0, 1.0])
         assert traj.rounds == 1
 
     def test_uniform_over_identical_rows(self):
         game = BimatrixGame(np.zeros((2, 3)), np.array([[1.0, -2.0, 0.5]] * 2))
-        traj = one_round(game, SimplexVector.uniform(2), h0=[1.0, 1.0, 1.0])
+        traj = one_round(game, [0.5, 0.5], h0=[1.0, 1.0, 1.0])
         assert np.array_equal(traj.h_after[0], [2.0, -1.0, 1.5])
 
     def test_ocdp_first_round(self):
@@ -96,7 +96,7 @@ class TestLearnerUpdate:
         b = np.zeros((3, 10))
         b[0] = OCDP_B_ROW_E1
         game = BimatrixGame(np.zeros((3, 10)), b)
-        traj = one_round(game, SimplexVector.pure(0, 3), kind=BEST_RESPONSE)
+        traj = one_round(game, [1.0, 0.0, 0.0], kind=BEST_RESPONSE)
         assert np.array_equal(traj.h_after[0], OCDP_B_ROW_E1)
 
     def test_dimension_mismatch(self, mp_game):
@@ -106,9 +106,9 @@ class TestLearnerUpdate:
 
 class TestReplicatorStrategy:
     def test_time_zero_uniform(self, mp_game):
-        sched = Schedule.constant(SimplexVector.uniform(2), 5.0, "continuous")
+        sched = Schedule.constant([0.5, 0.5], 5.0, "continuous")
         y = replicator_strategy(None, sched, 0.0, 0.5, mp_game)
-        assert np.array_equal(y.weights, [0.5, 0.5])
+        assert np.array_equal(y, [0.5, 0.5])
 
     def test_constant_segment_exponent(self, mp_game):
         x = np.array([0.8, 0.2])
@@ -119,7 +119,7 @@ class TestReplicatorStrategy:
         z = eta * (h0 + t * (mp_game.b.T @ x))
         want = np.exp(z - z.max())
         want /= want.sum()
-        assert np.max(np.abs(y.weights - want)) <= 1e-15
+        assert np.max(np.abs(y - want)) <= 1e-15
 
     def test_two_segments_equal_average(self, mp_game):
         x1, x2 = np.array([0.9, 0.1]), np.array([0.3, 0.7])
@@ -128,10 +128,10 @@ class TestReplicatorStrategy:
         for t in (2.0,):
             ya = replicator_strategy(None, split, t, 0.7, mp_game)
             yb = replicator_strategy(None, merged, t, 0.7, mp_game)
-            assert np.max(np.abs(ya.weights - yb.weights)) <= 1e-12
+            assert np.max(np.abs(ya - yb)) <= 1e-12
 
     def test_time_out_of_range(self, mp_game):
-        sched = Schedule.constant(SimplexVector.uniform(2), 2.0, "continuous")
+        sched = Schedule.constant([0.5, 0.5], 2.0, "continuous")
         with pytest.raises(InputError):
             replicator_strategy(None, sched, 3.0, 0.5, mp_game)
 
@@ -163,7 +163,7 @@ class TestBrAction:
 
 def alternating_pennies_schedule(total_rounds):
     """The pure schedule: action 2 on odd rounds, action 1 on even rounds."""
-    a2, a1 = SimplexVector.pure(1, 2).weights, SimplexVector.pure(0, 2).weights
+    a2, a1 = [0.0, 1.0], [1.0, 0.0]
     return Schedule.from_rounds([a2 if t % 2 == 1 else a1 for t in range(1, total_rounds + 1)])
 
 
@@ -189,7 +189,7 @@ class TestSimulate:
                      REPLICATOR, eta=1e10)
 
     def test_empty_horizon(self, mp_game):
-        traj = simulate(mp_game, Schedule.constant(SimplexVector.uniform(2), 0), MWU, eta=0.1)
+        traj = simulate(mp_game, Schedule.constant([0.5, 0.5], 0), MWU, eta=0.1)
         assert traj.rounds == 0 and traj.totals == (0.0, 0.0)
 
     def test_totals_match_rows(self, mp_game, rng):
@@ -220,7 +220,7 @@ class TestSimulate:
             simulate(mp_game, alternating_pennies_schedule(4), REPLICATOR, eta=0.1)
 
     def test_mwu_needs_discrete(self, mp_game):
-        sched = Schedule.constant(SimplexVector.uniform(2), 4.0, "continuous")
+        sched = Schedule.constant([0.5, 0.5], 4.0, "continuous")
         with pytest.raises(PreconditionError):
             simulate(mp_game, sched, MWU, eta=0.1)
 
@@ -255,7 +255,7 @@ class TestSimulate:
         traj = simulate(mp_game, disc, MWU, eta=0.45)
         for t in range(1, len(plays) + 1):
             y_rep = replicator_strategy(None, cont, float(t - 1), 0.45, mp_game)
-            assert np.max(np.abs(traj.learner_strategy[t - 1] - y_rep.weights)) <= 1e-12
+            assert np.max(np.abs(traj.learner_strategy[t - 1] - y_rep)) <= 1e-12
 
 
 class TestSchedule:
@@ -291,12 +291,12 @@ class TestSchedule:
 
 
 def reference_rows(rows):
-    """The per-segment validation the arrays replaced: one SimplexVector per
-    row, and every row of the same dimension."""
-    xs = [SimplexVector(row) for row in rows]
-    if len({x.dim for x in xs}) > 1:
+    """Row-by-row validation: as_simplex on each row on its own, and every
+    row of the same dimension."""
+    xs = [as_simplex(row) for row in rows]
+    if len({x.size for x in xs}) > 1:
         raise DimensionMismatchError("segment strategies differ in dimension")
-    return np.array([x.weights for x in xs])
+    return np.array(xs)
 
 
 def outcome(build, rows):
@@ -306,7 +306,7 @@ def outcome(build, rows):
         return type(exc)
 
 
-class TestFromRoundsMatchesSimplexVector:
+class TestFromRoundsMatchesRowByRow:
     MALFORMED = {
         "nan": [0.5, math.nan, 0.5],
         "negative": [0.5, -1e-6, 0.5],
@@ -327,8 +327,8 @@ class TestFromRoundsMatchesSimplexVector:
             assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_empty_round(self):
-        assert outcome(reference_rows, [[]]) is InputError
-        with pytest.raises(InputError):
+        assert outcome(reference_rows, [[]]) is DimensionMismatchError
+        with pytest.raises(DimensionMismatchError):
             Schedule.from_rounds(np.zeros((1, 0)))
 
     def test_valid_rows(self, rng):

@@ -16,6 +16,7 @@ from strategizer import (
     reduce_hamiltonian,
     verify_cycle,
 )
+from strategizer import ocdp
 from strategizer.acceptance import (
     EXAMPLE_A,
     EXAMPLE_B,
@@ -68,6 +69,14 @@ class TestReduceHamiltonian:
     def test_empty_graph_rejected(self):
         with pytest.raises(InputError, match="empty"):
             reduce_hamiltonian(DirectedGraph(3, ()))
+
+    def test_cell_cap(self, example_graph_5, monkeypatch):
+        # 7 edges on 5 vertices make a 7 x 10 instance
+        monkeypatch.setattr(ocdp, "MAX_REDUCTION_CELLS", 70)
+        assert reduce_hamiltonian(example_graph_5).a.shape == (7, 10)
+        monkeypatch.setattr(ocdp, "MAX_REDUCTION_CELLS", 69)
+        with pytest.raises(CapExceededError, match="70 payoff cells"):
+            reduce_hamiltonian(example_graph_5)
 
     def test_runtime_order(self):
         # O(|E| n): a 30-vertex path graph reduces instantly

@@ -7,6 +7,7 @@ from scipy.special import logsumexp
 from strategizer import (
     BimatrixGame,
     CapExceededError,
+    DimensionMismatchError,
     InputError,
     MWU,
     PreconditionError,
@@ -77,7 +78,7 @@ class TestRewardCont:
 class TestOptimizeContinuous:
     def test_matching_pennies(self, mp_matrix):
         res = optimize_continuous(mp_matrix, None, 100.0, 0.5, 1e-6)
-        assert np.allclose(res.x_star.weights, [0.5, 0.5], atol=1e-5)
+        assert np.allclose(res.x_star, [0.5, 0.5], atol=1e-5)
         assert abs(res.r_star) <= 1e-6
         assert res.epsilon <= 1e-6
         assert res.iterations >= 1
@@ -99,6 +100,26 @@ class TestOptimizeContinuous:
         for eta, big_t in ((math.inf, 10.0), (1.0, math.inf), (1e308, 1e308), (3.0, 1e308)):
             with pytest.raises(InputError, match="overflow eta"):
                 optimize_continuous(mp_matrix, None, big_t, eta, 1e-6)
+
+    @pytest.mark.parametrize("h0", [[0.0, 0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]], [[0.0], [0.0]],
+                                    [0.0, [0.0]]], ids=["long", "square", "column", "ragged"])
+    def test_h0_dimension_checked(self, mp_matrix, h0):
+        with pytest.raises(DimensionMismatchError, match="h0"):
+            optimize_continuous(mp_matrix, h0, 10.0, 1.0, 1e-6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_h0_must_be_finite(self, mp_matrix, bad):
+        with pytest.raises(InputError, match="h0 has non-finite entries") as info:
+            optimize_continuous(mp_matrix, [0.0, bad], 10.0, 1.0, 1e-6)
+        assert info.type is InputError
+
+    def test_h0_moves_the_plan(self, mp_matrix):
+        # without h0 the plan is the uniform minmax mix
+        h0 = [1.0, 0.0]
+        res = optimize_continuous(mp_matrix, h0, 10.0, 1.0, 1e-9)
+        uniform = Schedule.constant([0.5, 0.5], 10.0, "continuous")
+        assert res.r_star >= reward_cont(uniform, h0, 10.0, mp_matrix, 1.0)
+        assert abs(res.x_star[0] - 0.5) > 1e-3
 
     def test_bracket_on_random_games(self, rng):
         for _ in range(10):
@@ -167,16 +188,16 @@ class TestAlternatingPlan:
     def test_matching_pennies_default_delta(self, mp_matrix):
         plan = alternating_plan(mp_matrix)
         assert plan.delta == 1.0
-        assert np.array_equal(np.sort(plan.x_odd.weights), [0.0, 1.0])
-        assert np.allclose((plan.x_odd.weights + plan.x_even.weights) / 2, plan.base.weights, atol=1e-12)
+        assert np.array_equal(np.sort(plan.x_odd), [0.0, 1.0])
+        assert np.allclose((plan.x_odd + plan.x_even) / 2, plan.base, atol=1e-12)
         # sign conditions
         a = mp_matrix
-        assert plan.x_odd.weights @ a[:, plan.i1] > plan.x_odd.weights @ a[:, plan.i2]
-        assert plan.x_even.weights @ a[:, plan.i1] < plan.x_even.weights @ a[:, plan.i2]
+        assert plan.x_odd @ a[:, plan.i1] > plan.x_odd @ a[:, plan.i2]
+        assert plan.x_even @ a[:, plan.i1] < plan.x_even @ a[:, plan.i2]
 
     def test_full_delta_is_pure_alternation(self, mp_matrix):
         plan = alternating_plan(mp_matrix)
-        assert set(map(tuple, [plan.x_odd.weights, plan.x_even.weights])) == {
+        assert set(map(tuple, [plan.x_odd, plan.x_even])) == {
             (1.0, 0.0), (0.0, 1.0),
         }
         game = BimatrixGame.from_zero_sum(mp_matrix)
@@ -193,7 +214,7 @@ class TestAlternatingPlan:
         plan = alternating_plan(mp_matrix)
         sched = plan.to_schedule(5)
         rows = sched.round_strategies()
-        assert np.array_equal(rows[-1], plan.base.weights)
+        assert np.array_equal(rows[-1], plan.base)
 
     def test_assumption_failure_raises(self):
         with pytest.raises(PreconditionError, match="no-pure"):
@@ -221,6 +242,10 @@ class TestHjbResidual:
     def test_small_t_rejected(self, mp_matrix):
         with pytest.raises(InputError):
             hjb_residual(np.zeros(2), 1e-5, mp_matrix, 0.5, 1e-4)
+
+    def test_h_dimension_checked(self, mp_matrix):
+        with pytest.raises(DimensionMismatchError, match="h has dimension 3"):
+            hjb_residual(np.zeros(3), 2.0, mp_matrix, 0.5, 1e-4)
 
 
 class TestFrankWolfe:
