@@ -22,6 +22,14 @@ DEFAULT_TOL = 1e-7
 # pinned LPs one min_br_minmax search may solve before it gives up (exit 4)
 MAX_MIN_BR_LPS = 10_000
 
+# unique-equilibrium certificate (_unique_support): the first-order margin
+# per unit of 1 + max|A|, and the constant C of its product test
+_CERT_MARGIN = 1e-6
+_CERT_FACTOR = 100.0
+# allowance for the rounding residual HiGHS leaves on an equality row, per
+# unit of 1 + max|A|
+_ROUNDING = 1e-12
+
 _LP_OPTS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
@@ -134,7 +142,7 @@ class BimatrixGame:
         return f"BimatrixGame({self.n}x{self.m}, {kind})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameValueResult:
     """Minmax value with bracketing strategy certificates.
 
@@ -148,7 +156,7 @@ class GameValueResult:
     certificate_gap: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssumptionWitness:
     """Witness that two best responses differ on the support of a minmax x."""
 
@@ -193,6 +201,17 @@ def _minmax_lp(a: np.ndarray, value: float | None = None, tight: tuple[int, ...]
     )
 
 
+def _lp_strategy(w) -> np.ndarray:
+    """An LP's strategy weights mapped onto the simplex.
+
+    HiGHS may return a basic variable below its bound 0 by more than its
+    feasibility tolerance (-1.5e-9 was seen on a pinned LP at 1e-9), which
+    as_simplex would reject as bad input. Negatives are clipped to 0 and the
+    rest renormalized; on weights as_simplex accepts this is as_simplex.
+    """
+    return as_simplex(np.maximum(w, 0.0))
+
+
 def game_value(a) -> GameValueResult:
     """Solve Val(A) = max_x min_y x'Ay = min_y max_x x'Ay by linear programming.
 
@@ -204,8 +223,8 @@ def game_value(a) -> GameValueResult:
     res = _minmax_lp(a)
     if not res.success:  # feasible and bounded, so only payoffs HiGHS cannot take
         raise InputError(f"minmax LP rejected the payoffs: {res.message}")
-    x = as_simplex(res.x[:n])
-    y = as_simplex(-res.ineqlin.marginals)
+    x = _lp_strategy(res.x[:n])
+    y = _lp_strategy(-res.ineqlin.marginals)
     lo = float(np.min(x @ a))
     hi = float(np.max(a @ y))
     return GameValueResult(
@@ -229,6 +248,68 @@ def best_response_set(x, game: BimatrixGame, tol: float = DEFAULT_TOL) -> set[in
     return set(np.flatnonzero(scores >= scores.max() - tol).tolist())
 
 
+def _unique_support(a: np.ndarray, gv: GameValueResult) -> list[int] | None:
+    """Support S of gv's learner strategy when gv's strategies are the game's
+    only equilibrium, else None.
+
+    With R and S the supports of gv's strategies x and y, the Shapley-Snow
+    kernel argument makes x the only minmax strategy, with best responses
+    exactly S, when |R| = |S|, the bordered kernel
+    K = [[A[R,S]', -1], [1', 0]] is nonsingular, every column off S pays
+    more than the value at x (slack sigma_j) and every row off R pays less
+    against y (slack r_i). A minmax x' has x''Ay = value, so it puts no mass
+    off R and holds every column of S at the value, and K (x'_R, value) =
+    (0, 1) has the one solution (x_R, value).
+
+    The searches solve pinned LPs at tolerance delta, so the certificate
+    also needs margins, each derived from the identity
+    sum_j y_j (x'Ae_j - value) = x'Ay - value at the LP's point x:
+    - Columns off S. The identity bounds the mass on a row off R by
+      noise/r_i and the excess of a column of S by noise/y_j, noise about
+      (delta + gap)*(1 + max|A|). Through K^-1 that moves a column's payoff
+      by at most about cond(K)*(1 + max|A|)*noise/rho, rho = min(r_i, y_j),
+      so no column off S can be pinned at the value when
+          min sigma * rho > C * cond(K) * (1 + max|A|)**2 * (delta + gap),
+      with cond(K) in the 1-norm and C = _CERT_FACTOR covering the norm and
+      dimension factors. HiGHS uses that room: at delta = 1e-9 it put
+      1.8e-5 of mass on a row of slack 1.17e-5. The first-order test
+      sigma_j, r_i > _CERT_MARGIN*(1 + max|A|) keeps every column off S
+      well above min_br_minmax's margin tol when S is pinned.
+    - Columns of S. With a column j of S left unpinned, its margin t obeys
+      y_j*t <= gap/2 + 2*delta*sum(r_i) + rounding: HiGHS holds equality
+      rows to rounding (_ROUNDING per unit of 1 + max|A|) but may leave a
+      basic x_i below 0 by about delta (-1.5e-9 was seen at 1e-9), which on
+      a row off R adds up to 2*delta*r_i. A column with y_j*tol above that
+      bound never carries a margin above tol, so no proper subset of S is
+      accepted before S. Without this test, games with a dual weight near
+      1e-8 and no column off S had the full search stop at a smaller set.
+    """
+    n, m = a.shape
+    x = as_weights(gv.optimizer_strategy, n, "optimizer strategy")
+    y = as_weights(gv.learner_strategy, m, "learner strategy")
+    rows, cols = np.flatnonzero(x > 0.0), np.flatnonzero(y > 0.0)
+    k = cols.size
+    if rows.size != k:
+        return None
+    kernel = np.zeros((k + 1, k + 1))
+    kernel[:k, :k] = a[np.ix_(rows, cols)].T
+    kernel[:k, k] = -1.0
+    kernel[k, :k] = 1.0
+    cond = np.linalg.cond(kernel, 1)  # inf when K is singular
+    scale = 1.0 + np.max(np.abs(a))
+    delta = _LP_OPTS_PINNED["primal_feasibility_tolerance"]
+    gap = gv.certificate_gap
+    row_slacks = np.delete(gv.value - a @ y, rows)
+    col_slack = np.delete(x @ a - gv.value, cols).min(initial=np.inf)
+    row_slack = row_slacks.min(initial=np.inf)
+    weight = y[cols].min()
+    if (np.isfinite(cond) and min(col_slack, row_slack) > _CERT_MARGIN * scale
+            and weight * DEFAULT_TOL > 0.5 * gap + 2.0 * delta * row_slacks.sum() + _ROUNDING * scale
+            and col_slack * min(row_slack, weight) > _CERT_FACTOR * cond * scale**2 * (delta + gap)):
+        return cols.tolist()
+    return None
+
+
 def min_br_minmax(a, gv: GameValueResult) -> tuple[np.ndarray, int]:
     """Minmax strategy with the fewest best responses, and that count k.
 
@@ -244,18 +325,22 @@ def min_br_minmax(a, gv: GameValueResult) -> tuple[np.ndarray, int]:
     x'Ay <= max_i (Ay)_i = value + gap/2 (gap the certificate gap). Widened
     by the pinned LP's feasibility tolerance delta, a column with
     y_j*tol > gap/2 + delta*(1 + max|A|) can never carry a margin above tol,
-    so it lies in every accepted S. Only supersets of these forced columns
-    are enumerated; adding the same forced set to two sets of equal size
-    keeps their lexicographic order, so (x, k) is unchanged. The search
-    raises CapExceededError after MAX_MIN_BR_LPS pinned LPs.
+    so it lies in every accepted S. When _unique_support certifies that gv's
+    strategies are the only equilibrium, every column of supp(y) is a best
+    response of the only minmax x and none other is, so all of supp(y) is
+    forced and the first candidate is the answer. Only supersets of the
+    forced columns are enumerated; adding the same forced set to two sets of
+    equal size keeps their lexicographic order, so (x, k) is unchanged. The
+    search raises CapExceededError after MAX_MIN_BR_LPS pinned LPs.
     """
     a = as_matrix(a)
     n, m = a.shape
+    support = _unique_support(a, gv)
     slack = 0.5 * gv.certificate_gap + _LP_OPTS_PINNED["primal_feasibility_tolerance"] * (
         1.0 + np.max(np.abs(a))
     )
-    y = as_weights(gv.learner_strategy, m, "learner strategy")
-    forced = set(np.flatnonzero(y * DEFAULT_TOL > slack).tolist())
+    forced = set(np.flatnonzero(gv.learner_strategy * DEFAULT_TOL > slack).tolist())
+    forced.update(support or ())
     unforced = [j for j in range(m) if j not in forced]
     candidates = (tuple(sorted(forced.union(extra))) for size in range(max(len(forced), 1), m + 1)
                   for extra in combinations(unforced, size - len(forced)))
@@ -264,7 +349,7 @@ def min_br_minmax(a, gv: GameValueResult) -> tuple[np.ndarray, int]:
             raise CapExceededError(f"min-BR search on {m} columns exceeded its budget of {lps} LPs")
         res = _minmax_lp(a, gv.value, tight)
         if res.success and (len(tight) == m or res.x[-1] > DEFAULT_TOL):
-            return as_simplex(res.x[:n]), len(tight)
+            return _lp_strategy(res.x[:n]), len(tight)
     raise PreconditionError(f"no exact best-response set: a column stays within {DEFAULT_TOL:g} "
                             "of the value at every minmax strategy without being tight")
 
@@ -275,12 +360,17 @@ def check_assumption_no_pure(a, gv: GameValueResult) -> AssumptionWitness | None
     Takes the game's analysis gv from game_value. For every column pair
     (i1, i2) and the rows where their payoffs differ by more than
     DEFAULT_TOL, the minmax LP pins both columns at the value and puts as
-    much mass as possible on those rows. Any positive mass yields a witness;
-    exhausting all pairs proves none exists.
+    much mass as possible on those rows. Positive mass yields a witness once
+    the LP's x, mapped onto the simplex, is minmax with i1 and i2 at the
+    value, all within DEFAULT_TOL; exhausting all pairs proves none exists.
+    When _unique_support certifies that gv's strategies are the only
+    equilibrium, a pair with a column off supp(y) has no minmax x to pin, so
+    only the pairs inside supp(y) are solved, in the same order.
     """
     a = as_matrix(a)
     n, m = a.shape
-    for i1, i2 in combinations(range(m), 2):
+    support = _unique_support(a, gv)
+    for i1, i2 in combinations(range(m) if support is None else support, 2):
         rows = np.flatnonzero(np.abs(a[:, i1] - a[:, i2]) > DEFAULT_TOL)
         if rows.size == 0:
             continue
@@ -289,8 +379,10 @@ def check_assumption_no_pure(a, gv: GameValueResult) -> AssumptionWitness | None
             continue
         mass = res.x[rows]
         if mass.sum() > DEFAULT_TOL:
-            k = int(rows[np.argmax(mass)])
-            return AssumptionWitness(x=as_simplex(res.x[:n]), i1=i1, i2=i2, k_action=k)
+            x = _lp_strategy(res.x[:n])
+            pays = x @ a - gv.value
+            if pays.min() >= -DEFAULT_TOL and max(pays[i1], pays[i2]) <= DEFAULT_TOL:
+                return AssumptionWitness(x=x, i1=i1, i2=i2, k_action=int(rows[np.argmax(mass)]))
     return None
 
 

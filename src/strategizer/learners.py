@@ -149,8 +149,15 @@ class Schedule:
 
     @classmethod
     def constant(cls, strategy, total, mode: str = "discrete") -> "Schedule":
-        """One segment playing strategy for total; no segment when total is 0."""
-        return cls(mode, [total], [strategy]) if total else cls(mode, [], [])
+        """One segment playing strategy for total; no segment when total is 0.
+
+        The strategy is checked either way; with total 0 that takes a second
+        construction, kept off the nonzero path.
+        """
+        if total:
+            return cls(mode, [total], [strategy])
+        cls(mode, [1], [strategy])
+        return cls(mode, [], [])
 
     @classmethod
     def from_rounds(cls, strategies) -> "Schedule":
@@ -191,7 +198,7 @@ class Schedule:
         return np.clip(t - starts, 0.0, self.lengths) @ self.strategies
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Per-round record of a simulated play-out plus reward totals."""
 

@@ -35,7 +35,7 @@ from .learners import MAX_ROUNDS, MWU, Schedule, simulate, softmax
 MAX_FW_ITERATIONS = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlannerResult:
     """Near-optimal constant strategy with its certified suboptimality."""
 
@@ -45,7 +45,7 @@ class PlannerResult:
     iterations: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlternatingPlan:
     """Odd/even perturbation pair of a minmax strategy: (x_odd + x_even)/2 = base."""
 

@@ -6,12 +6,23 @@ import time
 import numpy as np
 import pytest
 
-from strategizer import DirectedGraph, StrategizerError, cli, fileio, reduce_hamiltonian
+from strategizer import (
+    DirectedGraph, StrategizerError, check_assumption_no_pure, cli, fileio, game_value,
+    reduce_hamiltonian,
+)
 from strategizer.acceptance import example_graph
 from strategizer.cli import main
 
 MP_TEXT = "1 -1\n-1 1\n"
 GRAPH_TEXT = "5\n1 5\n5 2\n1 2\n2 4\n4 1\n4 3\n3 1\n"
+NOISY_WITNESS_GAME = [
+    [0.0032168758264398967, -0.780619722543161, 0.8695923544207247, 0.943342340986915],
+    [-0.0023061314619399476, 0.25705006045196765, 0.2934397446286463, -0.9983085287741544],
+    [0.2550164832852766, 0.644279322734981, 0.2614468717430338, -0.2118614080260437],
+    [0.2720779658060777, -0.7359126706483701, -0.8537891307648375, -0.8448254718575827],
+    [-0.3903266428515866, 0.6341338613492888, -0.17003873169640316, -0.8826135057350775],
+    [1.2478296499280233, 0.3536578666640221, 0.9084878600830025, 0.023753126587631734],
+]
 
 
 @pytest.fixture
@@ -115,6 +126,22 @@ class TestSimulate:
         total = float(out.splitlines()[0].split()[-1])
         assert abs(total - 500 * math.tanh(0.1)) <= 1e-9
         assert os.path.exists(prefix + ".csv") and os.path.exists(prefix + ".json")
+
+    def test_alternating_witness_from_noisy_lp(self, capsys, tmp_path):
+        # the pinned witness LP returns x with weight -1.5e-9 on this valid
+        # game; the witness is mapped onto the simplex, not rejected as input
+        game = tmp_path / "g.json"
+        game.write_text(json.dumps({"rows": 6, "cols": 4, "data": NOISY_WITNESS_GAME}))
+        code, _, err = run(
+            capsys, "simulate", str(game), "--learner", "mwu", "--schedule", "alternating",
+            "--T", "10", "--eta", "0.1", "--out", str(tmp_path / "o"),
+        )
+        assert code == 0, err
+        a = np.array(NOISY_WITNESS_GAME)
+        gv = game_value(a)
+        w = check_assumption_no_pure(a, gv)
+        pays = w.x @ a - gv.value
+        assert pays.min() >= -1e-7 and max(pays[w.i1], pays[w.i2]) <= 1e-7
 
     def test_zero_rounds_header_only(self, capsys, mp_file, tmp_path):
         prefix = str(tmp_path / "empty")

@@ -12,6 +12,7 @@ from strategizer import (
     CapExceededError,
     DimensionMismatchError,
     InputError,
+    PreconditionError,
     Schedule,
     as_simplex,
     best_response_set,
@@ -254,18 +255,20 @@ class TestMinBrMinmax:
         assert k == 4
 
     def test_cap(self, monkeypatch, minmax_lp_calls):
-        # small dual weights force few columns here, so the search solves
-        # seven pinned LPs; one fewer in the budget stops it with exit 4
-        a = np.random.default_rng(2468).uniform(-1, 1, (6, 6))
+        # a degenerate ternary game the unique-equilibrium certificate does not
+        # cover: the search solves six pinned LPs, and one fewer in the budget
+        # stops it with exit 4
+        a = np.random.default_rng(3).integers(-1, 2, (5, 5)).astype(float)
         gv = game_value(a)
+        assert games._unique_support(a, gv) is None
         minmax_lp_calls.clear()
         x, k = min_br_minmax(a, gv)
-        assert len(minmax_lp_calls) == 7
-        monkeypatch.setattr(games, "MAX_MIN_BR_LPS", 7)
+        assert len(minmax_lp_calls) == 6
+        monkeypatch.setattr(games, "MAX_MIN_BR_LPS", 6)
         x_again, k_again = min_br_minmax(a, gv)
         assert k_again == k and np.array_equal(x_again, x)
-        monkeypatch.setattr(games, "MAX_MIN_BR_LPS", 6)
-        with pytest.raises(CapExceededError, match="budget of 6 LPs"):
+        monkeypatch.setattr(games, "MAX_MIN_BR_LPS", 5)
+        with pytest.raises(CapExceededError, match="budget of 5 LPs"):
             min_br_minmax(a, gv)
 
     def test_many_columns_need_few_lps(self, minmax_lp_calls):
@@ -300,8 +303,47 @@ def exhaustive_min_br(a, tol=games.DEFAULT_TOL):
         for tight in combinations(range(m), size):
             res = games._minmax_lp(a, value, tight)
             if res.success and (size == m or res.x[-1] > tol):
-                return as_simplex(res.x[:n]), size
+                return as_simplex(np.maximum(res.x[:n], 0.0)), size
     raise AssertionError("no exact-BR set")
+
+
+def exhaustive_assumption(a, tol=games.DEFAULT_TOL):
+    """Reference search: every column pair in order, one LP each, no pruning.
+    Returns (x, i1, i2, k_action) or None."""
+    n, m = a.shape
+    value = game_value(a).value
+    for i1, i2 in combinations(range(m), 2):
+        rows = np.flatnonzero(np.abs(a[:, i1] - a[:, i2]) > tol)
+        if rows.size == 0:
+            continue
+        res = games._minmax_lp(a, value, (i1, i2), rows)
+        if res.success and res.x[rows].sum() > tol:
+            x = as_simplex(np.maximum(res.x[:n], 0.0))
+            pays = x @ a - value
+            if pays.min() >= -tol and max(pays[i1], pays[i2]) <= tol:
+                return x, i1, i2, int(rows[np.argmax(res.x[rows])])
+    return None
+
+
+def search_outcomes(a):
+    """(min-BR result, witness) of the pruned searches and of the references,
+    as bytes and ints, or the name of the exception raised."""
+    def attempt(search):
+        try:
+            out = search()
+        except (AssertionError, PreconditionError):  # no exact best-response set
+            return "no exact best-response set"
+        if out is None:
+            return None
+        if isinstance(out, games.AssumptionWitness):
+            out = (out.x, out.i1, out.i2, out.k_action)
+        return (out[0].tobytes(),) + tuple(out[1:])
+
+    gv = game_value(a)
+    pruned = (attempt(lambda: min_br_minmax(a, gv)),
+              attempt(lambda: check_assumption_no_pure(a, gv)))
+    reference = (attempt(lambda: exhaustive_min_br(a)), attempt(lambda: exhaustive_assumption(a)))
+    return pruned, reference
 
 
 def min_br_battery(kind, count=200):
@@ -343,6 +385,102 @@ class TestMinBrPruning:
             assert len(minmax_lp_calls) <= 2
             checked += 1
         assert checked >= 10
+
+
+def near_degenerate_games(count, seed):
+    """Random games with one column of slack eps at the minmax x and, on odd
+    games, one row of slack eps against the learner's y, eps log-uniform in
+    [1e-10, 1e-4], columns permuted. The equilibrium stays the base game's."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        a = rng.uniform(-1, 1, size=tuple(rng.integers(2, 6, size=2)))
+        gv = game_value(a)
+        eps = 10.0 ** rng.uniform(-10, -4)
+        col = rng.uniform(-1, 1, size=a.shape[0])
+        a = np.column_stack([a, col + gv.value + eps - gv.optimizer_strategy @ col])
+        if i % 2:
+            y = np.r_[gv.learner_strategy, 0.0]
+            row = rng.uniform(-1, 1, size=a.shape[1])
+            a = np.vstack([a, row + gv.value - eps - row @ y])
+        out.append(a[:, rng.permutation(a.shape[1])])
+    return out
+
+
+def small_weight_games(count, seed):
+    """Games around a k x k kernel (k in 2..5) whose unique equilibrium gives
+    one column a dual weight eps, log-uniform in [1e-10, 1e-1], with 1-3 rows
+    and 0-2 columns off the supports at slacks log-uniform in [1e-6, 1e-1],
+    rows and columns permuted."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        k = int(rng.integers(2, 6))
+        x, y = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
+        y[rng.integers(k)] = 10.0 ** rng.uniform(-10, -1)
+        y /= y.sum()
+        value = rng.uniform(-0.5, 0.5)
+        # value + P B Q with x'P = 0 and Q y = 0 pays the value on both supports
+        kernel = value + (np.eye(k) - np.outer(np.ones(k), x)) @ rng.uniform(-1, 1, (k, k)) @ (
+            np.eye(k) - np.outer(y, np.ones(k)))
+        cols = rng.uniform(-1, 1, size=(k, int(rng.integers(0, 3))))
+        cols += value + 10.0 ** rng.uniform(-6, -1, size=cols.shape[1]) - x @ cols
+        a = np.column_stack([kernel, cols])
+        rows = rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), a.shape[1]))
+        rows += (value - 10.0 ** rng.uniform(-6, -1, size=rows.shape[0]) - rows[:, :k] @ y)[:, None]
+        a = np.vstack([a, rows])
+        out.append(a[rng.permutation(a.shape[0])][:, rng.permutation(a.shape[1])])
+    return out
+
+
+class TestUniqueSupportPruning:
+    """The unique-equilibrium certificate only drops LPs: both searches agree
+    byte for byte with their unpruned references."""
+
+    @pytest.mark.parametrize("kind", range(4), ids=["uniform", "ternary", "one-decimal", "special"])
+    def test_witness_matches_unpruned_search(self, kind):
+        for a in min_br_battery(kind, count=100):
+            w = check_assumption_no_pure(a, game_value(a))
+            ref = exhaustive_assumption(a)
+            assert (w is None) == (ref is None), a
+            if w is not None:
+                assert np.array_equal(w.x, ref[0]) and (w.i1, w.i2, w.k_action) == ref[1:], a
+
+    @pytest.mark.parametrize("family", [near_degenerate_games, small_weight_games])
+    def test_near_degenerate_games_match(self, family):
+        certified = 0
+        for a in family(60, 8642):
+            pruned, reference = search_outcomes(a)
+            assert pruned == reference, a
+            certified += games._unique_support(a, game_value(a)) is not None
+        assert certified >= 5  # the certificate is exercised, not only refused
+
+    def test_lp_counts(self, minmax_lp_calls):
+        # certified generic games: the first pair inside the support yields
+        # the witness
+        rng = np.random.default_rng(531)
+        for _ in range(10):
+            a = rng.uniform(-1, 1, size=(5, 6))
+            gv = game_value(a)
+            assert games._unique_support(a, gv) is not None
+            minmax_lp_calls.clear()
+            check_assumption_no_pure(a, gv)
+            assert len(minmax_lp_calls) <= 1
+        # a pure saddle point: no pair lies inside a one-column support
+        a = rng.uniform(0.5, 1.0, size=(4, 5))
+        a[1:, 2] = -rng.uniform(0.5, 1.0, size=3)
+        a[0, 2] = 0.0
+        gv = game_value(a)
+        minmax_lp_calls.clear()
+        assert check_assumption_no_pure(a, gv) is None
+        assert minmax_lp_calls == []
+        # small dual weights (0.0123, 0.0126) force only three of the five
+        # support columns; the certificate forces all five
+        a = np.random.default_rng(2468).uniform(-1, 1, (6, 6))
+        gv = game_value(a)
+        minmax_lp_calls.clear()
+        _, k = min_br_minmax(a, gv)
+        assert k == 5 and len(minmax_lp_calls) == 1
 
 
 class TestAssumptionNoPure:

@@ -18,6 +18,7 @@ from strategizer import (
     InputError,
     PreconditionError,
     Schedule,
+    StrategizerError,
     as_simplex,
     replicator_strategy,
     respond,
@@ -282,6 +283,15 @@ class TestSchedule:
         rows = sched.round_strategies()
         assert rows.shape == (3, 2)
         assert np.array_equal(rows[0], rows[1])
+
+    @pytest.mark.parametrize("strategy", [[0.5, -3.0], [0.0, 0.0], [[1.0, 0.0]], [math.nan, 1.0]])
+    def test_constant_checks_strategy_at_zero_total(self, strategy):
+        # a zero total plays nothing but still rejects what a total of 1 rejects
+        expected = outcome(lambda s: Schedule.constant(s, 1), strategy)
+        assert isinstance(expected, type) and issubclass(expected, StrategizerError)
+        with pytest.raises(expected):
+            Schedule.constant(strategy, 0)
+        assert Schedule.constant([0.5, 0.5], 0).lengths.size == 0
 
     @pytest.mark.parametrize("mode", ["discrete", "continuous"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

@@ -14,6 +14,7 @@ from strategizer import (
     Schedule,
     alternating_gain,
     alternating_plan,
+    check_assumption_no_pure,
     fixed_step_objectives,
     frank_wolfe,
     fw_rate_constant,
@@ -407,3 +408,21 @@ class TestDiscreteVsContinuous:
                 plays = rng.dirichlet(np.ones(3), size=rounds)
                 traj = simulate(game, Schedule.from_rounds(plays), MWU, eta=eta)
                 assert traj.totals[0] <= res.r_star + 2 * eps + eta * rounds / 2
+
+
+def test_array_results_compare_by_identity(mp_matrix, mp_game):
+    # results with array fields compare by identity, as Schedule and
+    # BimatrixGame do, instead of raising numpy's ambiguous-truth error
+    def results():
+        gv = game_value(mp_matrix)
+        return [
+            gv,
+            check_assumption_no_pure(mp_matrix, gv),
+            optimize_continuous(mp_matrix, None, 10.0, 0.5, 1e-6),
+            alternating_plan(mp_matrix),
+            simulate(mp_game, Schedule.constant([0.5, 0.5], 3), MWU, eta=0.1),
+        ]
+
+    for result, twin in zip(results(), results()):
+        assert result == result and not result != result
+        assert result != twin
