@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 from dataclasses import dataclass, field
+from operator import add, index
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class DirectedGraph:
         return {e: i for i, e in enumerate(self.edges)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OcdpInstance:
     """A (A, B, n, m, k, T) control instance plus its graph provenance.
 
@@ -118,7 +119,7 @@ class OcdpInstance:
         return self.a.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OcdpPlayout:
     """Deterministic play-out of a pure action sequence.
 
@@ -193,31 +194,29 @@ def play_ocdp(inst: OcdpInstance, sequence) -> OcdpPlayout:
     """Play a pure action sequence against the best-response learner.
 
     The learner starts from zero history and plays the lexicographically
-    first argmax each round; history arithmetic is exact (integers scaled by
-    160), so ties behave identically on raw and normalized instances.
+    first argmax of the history before each round, the rule `respond` uses
+    for best response; history arithmetic is exact (integers scaled by 160),
+    so ties behave identically on raw and normalized instances. Every action
+    index must be an integer (Python or numpy).
     """
-    seq = [int(r) for r in sequence]
+    try:
+        seq = tuple(map(index, sequence))
+    except TypeError as exc:
+        raise InputError(f"action indices must be integers: {exc}") from None
     if len(seq) != inst.T:
         raise InputError(f"sequence has {len(seq)} actions, horizon T is {inst.T}")
-    mm = inst.n_actions_learner
     for r in seq:
         if not 0 <= r < inst.n_actions_opt:
             raise InputError(f"action index {r} outside 0..{inst.n_actions_opt - 1}")
-    h = np.zeros(mm, dtype=np.int64)
-    trace = np.zeros((inst.T + 1, mm), dtype=np.int64)
-    actions = []
-    total = 0
-    for t, r in enumerate(seq, start=1):
-        j = int(np.argmax(h))
-        actions.append(j)
-        total += int(inst.a_int[r, j])
-        h = h + inst.b_int[r]
-        trace[t] = h
+    rows = np.array(seq, dtype=np.intp)
+    trace = np.zeros((inst.T + 1, inst.n_actions_learner), dtype=np.int64)
+    np.cumsum(inst.b_int[rows], axis=0, out=trace[1:])
+    actions = np.argmax(trace[:-1], axis=1)
     return OcdpPlayout(
-        sequence=tuple(seq),
-        learner_actions=tuple(actions),
-        history_trace=trace.astype(float) / PAYOFF_DENOMINATOR,
-        total_reward=total,
+        sequence=seq,
+        learner_actions=tuple(actions.tolist()),
+        history_trace=trace / PAYOFF_DENOMINATOR,
+        total_reward=int(inst.a_int[rows, actions].sum()),
     )
 
 
@@ -302,7 +301,8 @@ def brute_force_ocdp(inst: OcdpInstance, cap: int = 10_000_000):
     """Exhaustive maximum reward over all pure action sequences.
 
     Depth-first search with the admissible bound "each remaining round adds
-    at most 1", plus a global stop once the ceiling T is reached. Returns
+    at most 1", plus a global stop once the ceiling T is reached; each
+    branch carries its history as a tuple of exact integers. Returns
     (max_reward, first maximizing sequence in lexicographic order). The
     search recurses once per round, so T may use at most half of Python's
     recursion limit.
@@ -319,35 +319,25 @@ def brute_force_ocdp(inst: OcdpInstance, cap: int = 10_000_000):
         raise CapExceededError(
             f"brute force needs {total_sequences} sequences, cap is {cap}"
         )
-    mm = inst.n_actions_learner
     big_t = inst.T
     b_rows = [tuple(row) for row in inst.b_int.tolist()]
-    a01 = [tuple(row) for row in inst.a_int.tolist()]
+    a01 = inst.a_int.tolist()
     best = -1
     best_seq: tuple = ()
-    h = [0] * mm
-    prefix: list[int] = []
 
-    def descend(depth: int, reward: int):
+    def descend(h: tuple, prefix: tuple, reward: int):
         nonlocal best, best_seq
+        depth = len(prefix)
         if reward + (big_t - depth) <= best:
             return
         if depth == big_t:
-            best = reward
-            best_seq = tuple(prefix)
+            best, best_seq = reward, prefix
             return
         j = h.index(max(h))
         for r in range(n_act):
-            gain = a01[r][j]
-            row = b_rows[r]
-            for c in range(mm):
-                h[c] += row[c]
-            prefix.append(r)
-            descend(depth + 1, reward + gain)
-            prefix.pop()
-            for c in range(mm):
-                h[c] -= row[c]
+            descend(tuple(map(add, h, b_rows[r])), prefix + (r,), reward + a01[r][j])
             if best == big_t:
                 return
-    descend(0, 0)
+
+    descend((0,) * inst.n_actions_learner, (), 0)
     return best, best_seq

@@ -4,7 +4,9 @@ Every command, fed any file (well formed, slightly malformed, garbage or
 with extreme numbers), ends with an exit code in {0, 1, 2, 3, 4} and lets
 no exception escape `cli.main`. Most generated files are well formed, so
 that the library code behind the parsers runs too. Files stay small: at
-most three rows and columns, three schedule segments, five graph vertices.
+most three rows and columns, three schedule segments, five graph vertices
+with edges (a plain-text graph may declare 10^8 or 10^15 vertices, which
+drives the reduction into its cell cap).
 """
 
 import json
@@ -105,7 +107,9 @@ def schedule_text(draw, n):
 
 @st.composite
 def graph_text(draw):
-    """A plain-text or DOT graph on up to five vertices, sometimes broken."""
+    """A plain-text or DOT graph with edges among up to five vertices,
+    sometimes broken; a plain-text header sometimes declares a vertex count
+    of 10^8 or 10^15 instead."""
     n = draw(st.integers(2, 5))
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
     edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=7, unique=True))
@@ -113,6 +117,8 @@ def graph_text(draw):
         edges.append(draw(st.sampled_from([(1, 1), pairs[0], (0, 1), (1, n + 1), ("x", 1)])))
     if draw(st.booleans()):
         head = maybe(draw, str(n), st.sampled_from(["0", "-1", "x", "2.5"]))
+        if rarely(draw):
+            head = draw(st.sampled_from(["100000000", "1000000000000000"]))
         return "\n".join([head] + [f"{u} {v}" for u, v in edges])
     return "digraph {\n" + "\n".join(f"{u} -> {v};" for u, v in edges) + "\n}"
 

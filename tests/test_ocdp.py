@@ -1,19 +1,24 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from strategizer import (
+    BEST_RESPONSE,
+    BimatrixGame,
     CapExceededError,
     DirectedGraph,
     InputError,
     PreconditionError,
+    Schedule,
     brute_force_ocdp,
     extract_cycle,
     normalize_payoffs,
     play_ocdp,
     playout_labels,
     reduce_hamiltonian,
+    simulate,
     verify_cycle,
 )
 from strategizer import ocdp
@@ -27,6 +32,45 @@ from strategizer.acceptance import (
 )
 
 CYCLE = [1, 5, 2, 4, 3]
+
+
+def random_graph(rng, n, n_edges):
+    """n_edges distinct non-loop edges on n vertices, in random order."""
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    take = rng.choice(len(pairs), size=min(n_edges, len(pairs)), replace=False)
+    return DirectedGraph(n, tuple(pairs[i] for i in take))
+
+
+def loop_playout(inst, seq):
+    """Round-by-round reference play-out: (learner actions, history trace,
+    total reward)."""
+    h = np.zeros(inst.n_actions_learner, dtype=np.int64)
+    trace = np.zeros((inst.T + 1, inst.n_actions_learner), dtype=np.int64)
+    actions = []
+    total = 0
+    for t, r in enumerate(seq, start=1):
+        j = int(np.argmax(h))
+        actions.append(j)
+        total += int(inst.a_int[r, j])
+        h = h + inst.b_int[r]
+        trace[t] = h
+    return tuple(actions), trace.astype(float) / ocdp.PAYOFF_DENOMINATOR, total
+
+
+def exhaustive_best(inst):
+    """Score every sequence with a pure-integer play-out and keep the
+    lexicographically first maximum: (max reward, sequence)."""
+    b_rows, a01 = inst.b_int.tolist(), inst.a_int.tolist()
+    best, best_seq = -1, None
+    for seq in itertools.product(range(inst.n_actions_opt), repeat=inst.T):
+        h = [0] * inst.n_actions_learner
+        reward = 0
+        for r in seq:
+            reward += a01[r][h.index(max(h))]
+            h = [x + y for x, y in zip(h, b_rows[r])]
+        if reward > best:
+            best, best_seq = reward, seq
+    return best, best_seq
 
 
 class TestDirectedGraph:
@@ -179,6 +223,54 @@ class TestPlayOcdp:
         with pytest.raises(InputError, match="outside"):
             play_ocdp(inst, [0, 1, 2, 3, 4, 9])
 
+    @pytest.mark.parametrize("sequence", [
+        [0.9, 1.2, 3.99, 5.5, 6.1, 0.3],
+        ["1", "0", "2", "3", "4", "5"],
+    ], ids=["floats", "strings"])
+    def test_non_integer_indices_rejected(self, example_graph_5, sequence):
+        inst = reduce_hamiltonian(example_graph_5)
+        with pytest.raises(InputError, match="integers"):
+            play_ocdp(inst, sequence)
+
+    def test_numpy_integer_indices_accepted(self, example_graph_5):
+        inst = reduce_hamiltonian(example_graph_5)
+        playout = play_ocdp(inst, np.array(EXAMPLE_SEQUENCE, dtype=np.int32))
+        assert playout.sequence == EXAMPLE_SEQUENCE
+        assert all(type(r) is int for r in playout.sequence)
+        assert playout.total_reward == 6
+
+    def test_matches_loop_and_simulator(self, rng):
+        # the loop-free play-out against the round-by-round reference and the
+        # simulator's best-response learner on the one-hot schedule
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            inst = reduce_hamiltonian(random_graph(rng, n, int(rng.integers(1, 11))))
+            for case in (inst, normalize_payoffs(inst)):
+                game = BimatrixGame(case.a_int, case.b_int)
+                for _ in range(5):
+                    seq = rng.integers(0, case.n_actions_opt, size=case.T)
+                    playout = play_ocdp(case, seq)
+                    actions, trace, total = loop_playout(case, seq)
+                    assert playout.learner_actions == actions
+                    assert playout.history_trace.tobytes() == trace.tobytes()
+                    assert playout.total_reward == total
+                    one_hot = np.eye(case.n_actions_opt)[seq]
+                    traj = simulate(game, Schedule.from_rounds(one_hot), BEST_RESPONSE)
+                    assert tuple(traj.learner_strategy.argmax(axis=1)) == actions
+                    assert np.array_equal(traj.h_after, trace[1:] * ocdp.PAYOFF_DENOMINATOR)
+                    assert traj.totals[0] == total
+
+    def test_results_compare_by_identity(self, example_graph_5):
+        # results with array fields compare by identity instead of raising
+        # numpy's ambiguous-truth error
+        def results():
+            inst = reduce_hamiltonian(example_graph_5)
+            return [inst, play_ocdp(inst, EXAMPLE_SEQUENCE)]
+
+        for result, twin in zip(results(), results()):
+            assert result == result and not result != result
+            assert result != twin
+
 
 class TestVerifyCycle:
     def test_example_cycle(self, example_graph_5):
@@ -250,6 +342,23 @@ class TestBruteForce:
         assert brute_force_ocdp(dataclasses.replace(inst, T=200))[0] == 1
         with pytest.raises(CapExceededError, match="T = 5000"):
             brute_force_ocdp(dataclasses.replace(inst, T=5000))
+
+    def test_matches_exhaustive_oracle(self, rng):
+        # maximum and lexicographically first maximizer, with T and k redrawn
+        # so that every instance has at most 50,000 sequences
+        cases = [dataclasses.replace(reduce_hamiltonian(DirectedGraph(2, ((1, 2),))), T=3, k=3)]
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            big_t = int(rng.integers(1, n + 2))
+            most_edges = min(n * (n - 1), int(50_000 ** (1 / big_t) + 1e-9))
+            n_edges = int(rng.integers((most_edges + 1) // 2, most_edges + 1))
+            inst = reduce_hamiltonian(random_graph(rng, n, n_edges))
+            if rng.integers(2):
+                inst = normalize_payoffs(inst)
+            cases.append(dataclasses.replace(inst, T=big_t, k=int(rng.integers(1, n + 2))))
+        for inst in cases:
+            assert inst.n_actions_opt**inst.T <= 50_000
+            assert brute_force_ocdp(inst) == exhaustive_best(inst)
 
     def test_agreement_with_hamiltonian_oracle(self, rng):
         for _ in range(25):
