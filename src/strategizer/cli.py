@@ -314,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("brute", help="exact maximum reward by exhaustive search")
     p.add_argument("input", help="graph file or instance JSON")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=None,
+                   help="most learner histories the search may build before it "
+                        "exits 4 (default 10000000)")
     p.add_argument("--out", default=None, help="write the best play-out as witness JSON")
     p.set_defaults(func=cmd_brute)
 

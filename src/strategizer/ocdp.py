@@ -15,7 +15,6 @@ arithmetic: tie-breaking is bit-reproducible by construction.
 from __future__ import annotations
 
 import dataclasses
-import sys
 from dataclasses import dataclass, field
 from operator import add, index
 
@@ -247,8 +246,6 @@ def verify_cycle(g: DirectedGraph, cycle_vertices) -> CycleCheck:
         not 1 <= v <= n for v in cycle
     ):
         return CycleCheck(ok=False, reason="not spanning")
-    if 1 not in cycle:
-        return CycleCheck(ok=False, reason="not spanning")
     start = cycle.index(1)
     cycle = cycle[start:] + cycle[:start]
     index = g.edge_index()
@@ -300,44 +297,43 @@ def extract_cycle(inst: OcdpInstance, playout: OcdpPlayout, g: DirectedGraph) ->
 def brute_force_ocdp(inst: OcdpInstance, cap: int = 10_000_000):
     """Exhaustive maximum reward over all pure action sequences.
 
-    Depth-first search with the admissible bound "each remaining round adds
-    at most 1", plus a global stop once the ceiling T is reached; each
-    branch carries its history as a tuple of exact integers. Returns
-    (max_reward, first maximizing sequence in lexicographic order). The
-    search recurses once per round, so T may use at most half of Python's
-    recursion limit.
+    Depth-first search over an explicit stack, in lexicographic order, with
+    the admissible cut "each remaining round adds at most 1" checked as an
+    entry is popped and a global stop once the ceiling T is reached. A
+    pending child holds its parent's history (a tuple of exact integers),
+    its prefix, its action and its reward; its own history is built only
+    when it is popped, survives the cut and is not a leaf. `cap` bounds the
+    histories built (at most one per node at depths 1..T-1), and
+    CapExceededError is raised once the count passes it. Returns
+    (max_reward, first maximizing sequence in lexicographic order).
     """
-    depth_cap = sys.getrecursionlimit() // 2
-    if inst.T > depth_cap:
-        raise CapExceededError(
-            f"brute force recurses once per round: T = {inst.T} exceeds the "
-            f"recursion headroom of {depth_cap} rounds"
-        )
-    n_act = inst.n_actions_opt
-    total_sequences = n_act**inst.T
-    if total_sequences > cap:
-        raise CapExceededError(
-            f"brute force needs {total_sequences} sequences, cap is {cap}"
-        )
     big_t = inst.T
     b_rows = [tuple(row) for row in inst.b_int.tolist()]
     a01 = inst.a_int.tolist()
+    # children are pushed in reverse so that they pop in lexicographic order
+    actions = range(inst.n_actions_opt - 1, -1, -1)
     best = -1
     best_seq: tuple = ()
-
-    def descend(h: tuple, prefix: tuple, reward: int):
-        nonlocal best, best_seq
-        depth = len(prefix)
+    built = 0
+    # the learner opens with column 0, the first argmax of the zero history
+    stack = [((0,) * inst.n_actions_learner, (), r, a01[r][0]) for r in actions]
+    while stack:
+        h, prefix, r, reward = stack.pop()
+        depth = len(prefix) + 1
         if reward + (big_t - depth) <= best:
-            return
+            continue
+        prefix += (r,)
         if depth == big_t:
             best, best_seq = reward, prefix
-            return
-        j = h.index(max(h))
-        for r in range(n_act):
-            descend(tuple(map(add, h, b_rows[r])), prefix + (r,), reward + a01[r][j])
             if best == big_t:
-                return
-
-    descend((0,) * inst.n_actions_learner, (), 0)
+                break
+            continue
+        built += 1
+        if built > cap:
+            raise CapExceededError(
+                f"brute force built more than the cap of {cap} histories"
+            )
+        h = tuple(map(add, h, b_rows[r]))
+        j = h.index(max(h))
+        stack.extend((h, prefix, s, reward + a01[s][j]) for s in actions)
     return best, best_seq

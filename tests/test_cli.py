@@ -373,11 +373,22 @@ def test_huge_graph_exit_4(command, vertices, capsys, tmp_path):
     assert not list(tmp_path.glob("huge.instance*"))
 
 
-def test_brute_long_horizon_exit_4(capsys, tmp_path):
+def test_brute_long_horizon(capsys, tmp_path):
     path = tmp_path / "one-edge.json"
     path.write_text(json.dumps(instance_json(DirectedGraph(2, ((1, 2),)), T=5000)))
-    code, _, err = run(capsys, "brute", str(path))
-    assert code == 4 and "T = 5000" in err and "Traceback" not in err
+    code, out, err = run(capsys, "brute", str(path))
+    assert code == 0 and "max reward 1 over 1^5000 sequences" in out and err == ""
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_brute_complete_digraph_yes(n, capsys, tmp_path):
+    # far more than 10^7 sequences, but the search builds only a few thousand
+    # histories before it reaches T
+    path = tmp_path / "complete.txt"
+    path.write_text(f"{n}\n" + "".join(f"{u} {v}\n" for u in range(1, n + 1)
+                                       for v in range(1, n + 1) if u != v))
+    code, out, err = run(capsys, "brute", str(path))
+    assert code == 0 and f"YES: reward {n + 1} is achievable" in out and err == ""
 
 
 def test_brute_out_reversed_edges_exit_2(capsys, tmp_path):

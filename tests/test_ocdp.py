@@ -332,16 +332,28 @@ class TestBruteForce:
         assert best == 1  # the learner opens with v_1 and edge e_1 leaves it
 
     def test_cap(self, example_graph_5):
-        inst = reduce_hamiltonian(example_graph_5)
-        with pytest.raises(CapExceededError, match="cap"):
-            brute_force_ocdp(inst, cap=100)
+        # the NO graph builds 257 histories: a cap counts them, not |E|^T
+        edges = tuple(e for e in example_graph_5.edges if e != (5, 2))
+        inst = reduce_hamiltonian(DirectedGraph(5, edges))
+        assert brute_force_ocdp(inst, cap=257)[0] == 5
+        with pytest.raises(CapExceededError, match="more than the cap of 256 histories"):
+            brute_force_ocdp(inst, cap=256)
 
-    def test_recursion_headroom(self):
-        # one edge: a single sequence of any length, which the |E|^T cap passes
+    def test_long_horizon(self):
+        # one edge: the search runs T rounds deep without recursing
         inst = reduce_hamiltonian(DirectedGraph(2, ((1, 2),)))
-        assert brute_force_ocdp(dataclasses.replace(inst, T=200))[0] == 1
-        with pytest.raises(CapExceededError, match="T = 5000"):
-            brute_force_ocdp(dataclasses.replace(inst, T=5000))
+        for big_t in (200, 5000):
+            assert brute_force_ocdp(dataclasses.replace(inst, T=big_t)) == (1, (0,) * big_t)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_complete_digraph(self, n):
+        # 20^6 and 30^7 sequences; the search stops at T after 899 and 2,894
+        # histories
+        g = DirectedGraph(n, tuple(itertools.permutations(range(1, n + 1), 2)))
+        inst = reduce_hamiltonian(g)
+        best, seq = brute_force_ocdp(inst)
+        assert best == n + 1
+        assert extract_cycle(inst, play_ocdp(inst, seq), g) == list(range(1, n + 1))
 
     def test_matches_exhaustive_oracle(self, rng):
         # maximum and lexicographically first maximizer, with T and k redrawn
@@ -371,3 +383,15 @@ class TestBruteForce:
             assert (best == n + 1) == (cycle is not None)
             if cycle is not None:
                 assert verify_cycle(g, cycle).ok
+
+    def test_every_small_graph(self):
+        # the reduction theorem on every labelled digraph with 2, 3 and 4
+        # vertices (3 + 63 + 4,095 graphs), raw and normalized
+        for n in (2, 3, 4):
+            pairs = list(itertools.permutations(range(1, n + 1), 2))
+            for mask in range(1, 1 << len(pairs)):
+                g = DirectedGraph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
+                inst = reduce_hamiltonian(g)
+                result = brute_force_ocdp(inst)
+                assert (result[0] == n + 1) == (find_hamiltonian_cycle(g) is not None)
+                assert brute_force_ocdp(normalize_payoffs(inst)) == result
