@@ -10,6 +10,7 @@ library error also exits 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -265,7 +266,9 @@ def cmd_battery(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; `main` reuses it."""
     parser = argparse.ArgumentParser(
         prog="strategizer",
         description="Optimal and near-optimal play against online learners in matrix games.",
@@ -275,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("value", help="minmax value of a payoff matrix")
     p.add_argument("game")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_value)
 
     p = sub.add_parser("plan", help="zero-sum planning report (value, x*, bounds, k)")
     p.add_argument("game")
@@ -283,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("simulate", help="play a schedule against a learner")
     p.add_argument("game")
@@ -298,19 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None, help="planner tolerance for constant-xstar")
     p.add_argument("--h0", default=None, help="file with the learner's initial historical rewards")
     p.add_argument("--out", default="trajectory", help="output prefix for .csv/.json")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reduce", help="Hamiltonian-cycle graph -> control instance")
     p.add_argument("graph")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--out", default=None, help="output basename")
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify", help="check a cycle or action-sequence witness")
     p.add_argument("graph")
     p.add_argument("witness")
     p.add_argument("--out", default=None, help="write the play-out as witness JSON")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("brute", help="exact maximum reward by exhaustive search")
     p.add_argument("input", help="graph file or instance JSON")
@@ -318,13 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="most learner histories the search may build before it "
                         "exits 4 (default 10000000)")
     p.add_argument("--out", default=None, help="write the best play-out as witness JSON")
-    p.set_defaults(func=cmd_brute)
 
     p = sub.add_parser("battery", help="run the acceptance criteria")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count", type=int, default=None)
     p.add_argument("--only", default=None, help="comma-separated criterion numbers")
-    p.set_defaults(func=cmd_battery)
 
     return parser
 
@@ -332,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at each call, so a replaced cmd_* function takes effect
+        return globals()["cmd_" + args.command](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain
 
 import numpy as np
 
@@ -36,8 +37,34 @@ def canonical_json(obj) -> str:
     return "".join(out) + "\n"
 
 
+def _float_row(width: int) -> str:
+    return "[" + ", ".join(["%.17g"] * width) + "]"
+
+
+def _float_array(obj) -> str | None:
+    """The JSON text of a list of floats, or of equally long lists of floats,
+    formatted by one "%.17g" template in one call (the bytes format_float
+    gives each value); None for any other list."""
+    kinds = set(map(type, obj))
+    if kinds == {float}:
+        template, values = _float_row(len(obj)), obj
+    elif kinds == {list} and len(set(map(len, obj))) == 1:
+        values = list(chain.from_iterable(obj))
+        if not values or set(map(type, values)) != {float}:
+            return None
+        template = "[" + ", ".join([_float_row(len(obj[0]))] * len(obj)) + "]"
+    else:
+        return None
+    text = template % tuple(values)
+    if "n" in text:  # "%.17g" spells only inf and nan with an n
+        raise InputError("cannot serialize non-finite float")
+    return text
+
+
 def _emit(obj, out):
-    if obj is None or obj is True or obj is False:
+    if type(obj) in (list, tuple) and (text := _float_array(obj)) is not None:
+        out.append(text)
+    elif obj is None or obj is True or obj is False:
         out.append(json.dumps(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
@@ -361,23 +388,29 @@ def read_witness(path: str) -> dict:
 
 # --- trajectories ---------------------------------------------------------------
 
+_CSV_CHUNK_ROWS = 4096
+
+
 def trajectory_csv(traj: Trajectory) -> str:
+    """One row per round: t, both rewards, the optimizer's running total, y."""
     m = traj.learner_strategy.shape[1] if traj.rounds else 0
     header = "t,opt_reward,learner_reward,opt_total," + ",".join(
         f"y_{j + 1}" for j in range(m)
     )
     lines = [header.rstrip(",")]
-    running = 0.0
-    for i in range(traj.rounds):
-        running += float(traj.optimizer_reward[i])
-        cells = [
-            format_float(float(traj.t[i])),
-            format_float(float(traj.optimizer_reward[i])),
-            format_float(float(traj.learner_reward[i])),
-            format_float(running),
-        ]
-        cells.extend(format_float(float(v)) for v in traj.learner_strategy[i])
-        lines.append(",".join(cells))
+    if traj.rounds:
+        with np.errstate(over="ignore"):  # an overflowing total is refused below
+            # accumulated in round order; + 0.0 prints a leading -0.0 total as 0
+            running = np.cumsum(traj.optimizer_reward, dtype=float) + 0.0
+        table = np.column_stack([
+            traj.t, traj.optimizer_reward, traj.learner_reward, running, traj.learner_strategy,
+        ])
+        if not np.isfinite(table).all():
+            raise InputError("cannot serialize non-finite float")
+        row = ",".join(["%.17g"] * table.shape[1])
+        for start in range(0, traj.rounds, _CSV_CHUNK_ROWS):
+            chunk = table[start:start + _CSV_CHUNK_ROWS]
+            lines.append("\n".join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 

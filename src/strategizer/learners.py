@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CapExceededError, DimensionMismatchError, InputError, PreconditionError
 from .games import BimatrixGame, as_simplex, as_weights
@@ -81,6 +80,27 @@ def softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     p = np.exp(z - z.max(axis=-1, keepdims=True))
     return p / p.sum(axis=-1, keepdims=True)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def lse(z: np.ndarray) -> np.ndarray:
+    """log(sum(exp(z))) over the last axis, with scipy.special.logsumexp's
+    arithmetic in its order, so both give the same bits.
+
+    Every maximal term is taken out of the sum, the rest is shifted by the
+    maximum, summed and divided by the number of maximal terms, and the
+    result is log1p(s) + log(count) + max. Where that is not finite (an
+    infinite or NaN z), log(sum(exp(z))) is returned instead, as scipy does.
+    """
+    z = np.asarray(z, dtype=float)
+    top = z.max(axis=-1, keepdims=True)
+    is_top = z == top
+    count = is_top.sum(axis=-1, keepdims=True, dtype=float)
+    s = np.exp(np.where(is_top, -np.inf, z) - top).sum(axis=-1, keepdims=True) / count
+    out = (np.log1p(s) + np.log(count) + top)[..., 0]
+    if not np.isfinite(out).all():
+        out = np.where(np.isfinite(out), out, np.log(np.exp(z).sum(axis=-1)))
+    return out
 
 
 def respond(kind: str, h, eta: float = 1.0) -> np.ndarray:
@@ -404,7 +424,7 @@ def _simulate_replicator(game, schedule, eta, h0) -> Trajectory:
     scaled = eta * h
     if not np.isfinite(scaled).all():  # before the integration, which would bisect NaN
         raise InputError("eta times the learner's history overflows")
-    r_lrn = (logsumexp(scaled[1:], axis=1) - logsumexp(scaled[:-1], axis=1)) / eta
+    r_lrn = (lse(scaled[1:]) - lse(scaled[:-1])) / eta
     if game.zero_sum:
         r_opt = -r_lrn
     else:

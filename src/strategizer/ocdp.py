@@ -307,6 +307,8 @@ def brute_force_ocdp(inst: OcdpInstance, cap: int = 10_000_000):
     CapExceededError is raised once the count passes it. Returns
     (max_reward, first maximizing sequence in lexicographic order).
     """
+    if not cap >= 1:
+        raise InputError(f"the brute-force cap must be at least 1, got {cap}")
     big_t = inst.T
     b_rows = [tuple(row) for row in inst.b_int.tolist()]
     a01 = inst.a_int.tolist()

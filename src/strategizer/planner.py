@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CapExceededError, InputError, PreconditionError
 from .games import (
@@ -30,7 +29,7 @@ from .games import (
     game_value,
     min_br_minmax,
 )
-from .learners import MAX_ROUNDS, MWU, Schedule, simulate, softmax
+from .learners import MAX_ROUNDS, MWU, Schedule, lse, simulate, softmax
 
 MAX_FW_ITERATIONS = 10_000_000
 
@@ -101,7 +100,7 @@ def reward_cont(schedule: Schedule, h0, T: float, a, eta: float) -> float:
     if xbar.size != n:
         raise InputError(f"schedule strategies have dimension {xbar.size}, game has {n} rows")
     with np.errstate(over="ignore", invalid="ignore"):
-        reward = float(logsumexp(eta * h0) - logsumexp(eta * (h0 - T * (a.T @ xbar)))) / eta
+        reward = float(lse(eta * h0) - lse(eta * (h0 - T * (a.T @ xbar)))) / eta
     if not math.isfinite(reward):
         raise InputError(f"the reward overflows floating point at eta = {eta:g}, T = {T:g}")
     return reward
@@ -328,7 +327,7 @@ def _value_to_go(a, h, t, eta, epsilon, x0=None):
     """(argmin x, reward) of the closed form at history h with t remaining."""
     z0, mat = _objective_terms(a, h, t, eta)
     x, _, _ = frank_wolfe(z0, mat, gap_target=epsilon * eta, x0=x0)
-    value = float(logsumexp(z0) - logsumexp(z0 + mat @ x)) / eta
+    value = float(lse(z0) - lse(z0 + mat @ x)) / eta
     return x, value
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from strategizer import (
-    DirectedGraph, StrategizerError, check_assumption_no_pure, cli, fileio, game_value,
-    reduce_hamiltonian,
+    MWU, BimatrixGame, DirectedGraph, Schedule, StrategizerError, check_assumption_no_pure, cli,
+    fileio, game_value, planner_report, reduce_hamiltonian, simulate,
 )
 from strategizer.acceptance import example_graph
 from strategizer.cli import main
@@ -421,6 +421,32 @@ def test_unhandled_library_error_exit_1(capsys, monkeypatch, mp_file):
     assert code == 1 and err == "error: something new went wrong\n"
 
 
+def test_parser_reused_without_carry_over(capsys, monkeypatch, mp_file, tmp_path):
+    # one parser serves every call; each call sees only its own flags and
+    # environment, and the defaults
+    assert cli.build_parser() is cli.build_parser()
+    a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+    def report(eta, big_t):
+        return fileio.canonical_json(planner_report(a, eta, big_t, 1e-6))
+
+    monkeypatch.delenv("STRATEGIZER_ETA", raising=False)
+    monkeypatch.delenv("STRATEGIZER_T", raising=False)
+    assert run(capsys, "plan", mp_file, "--eta", "0.5", "--T", "40") == (0, report(0.5, 40.0), "")
+    monkeypatch.setenv("STRATEGIZER_ETA", "0.25")
+    assert run(capsys, "plan", mp_file) == (0, report(0.25, 100.0), "")
+    monkeypatch.delenv("STRATEGIZER_ETA")
+    prefix = str(tmp_path / "traj")
+    code, _, _ = run(capsys, "simulate", mp_file, "--learner", "mwu", "--schedule", "uniform",
+                     "--T", "3", "--out", prefix)
+    traj = simulate(BimatrixGame.from_zero_sum(a), Schedule.constant([0.5, 0.5], 3), MWU, 0.1)
+    assert code == 0 and open(prefix + ".csv").read() == fileio.trajectory_csv(traj)
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--eta", "0.5"])
+    assert exc.value.code == 2 and "required" in capsys.readouterr().err
+    assert run(capsys, "plan", mp_file) == (0, report(1.0, 100.0), "")
+
+
 def general_sum_files(tmp_path, a, b, segments):
     game = tmp_path / "gs-game.json"
     game.write_text(json.dumps({"a": fileio.matrix_to_json(a), "b": fileio.matrix_to_json(b)}))
@@ -510,6 +536,14 @@ class TestReduceVerifyBrute:
     def test_brute_cap_exit_4(self, capsys, graph_file):
         code, _, err = run(capsys, "brute", graph_file, "--cap", "10")
         assert code == 4 and "cap" in err
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_brute_cap_below_one_exit_2(self, cap, capsys, graph_file, monkeypatch):
+        code, _, err = run(capsys, "brute", graph_file, "--cap", cap)
+        assert code == 2 and f"cap must be at least 1, got {cap}" in err
+        monkeypatch.setenv("STRATEGIZER_CAP", cap)
+        code, _, err = run(capsys, "brute", graph_file)
+        assert code == 2 and f"cap must be at least 1, got {cap}" in err
 
     def test_brute_reads_instance_json(self, capsys, graph_file, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

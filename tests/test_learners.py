@@ -73,6 +73,24 @@ def test_mwu_shift_invariance(h, shift, eta):
     assert np.max(np.abs(base - moved)) <= 1e-12
 
 
+def test_lse_matches_scipy_bit_for_bit():
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(2025)
+    for _ in range(2000):
+        rows, m = rng.integers(1, 5), rng.integers(1, 8)
+        scale = 10.0 ** rng.uniform(-3, math.log10(700))
+        z = rng.standard_normal((rows, m)) * scale
+        if rng.random() < 0.3:  # ties, including ties at the maximum
+            z = np.round(z / scale * 2) * scale / 2
+        if rng.random() < 0.2:
+            z[:, rng.integers(m)] = z.max(axis=1)
+        assert learners.lse(z).tobytes() == logsumexp(z, axis=1).tobytes()
+        assert learners.lse(z[0]).tobytes() == np.float64(logsumexp(z[0])).tobytes()
+    for z in ([math.inf, 1.0], [-math.inf, -math.inf], [-math.inf, 0.0], [math.nan, 1.0]):
+        assert learners.lse(z).tobytes() == np.float64(logsumexp(z)).tobytes()
+
+
 def one_round(game, x, kind=MWU, h0=None):
     """Simulate a single round of x; the trajectory records h0 + B'x."""
     return simulate(game, Schedule.constant(x, 1), kind, eta=0.1, h0=h0)

@@ -339,6 +339,11 @@ class TestBruteForce:
         with pytest.raises(CapExceededError, match="more than the cap of 256 histories"):
             brute_force_ocdp(inst, cap=256)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap, example_graph_5):
+        with pytest.raises(InputError, match=f"cap must be at least 1, got {cap}"):
+            brute_force_ocdp(reduce_hamiltonian(example_graph_5), cap=cap)
+
     def test_long_horizon(self):
         # one edge: the search runs T rounds deep without recursing
         inst = reduce_hamiltonian(DirectedGraph(2, ((1, 2),)))
