@@ -252,6 +252,10 @@ def cmd_brute(args) -> int:
 def cmd_battery(args) -> int:
     seed = _resolve(args.seed, "seed", int, acceptance.DEFAULT_SEED)
     count = _resolve(args.count, "count", int, acceptance.DEFAULT_COUNT)
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    if count < 1:
+        raise InputError(f"count must be at least 1, got {count}")
     numbers = None
     if args.only:
         numbers = [_parse_int(tok, "criterion number") for tok in args.only.split(",")]

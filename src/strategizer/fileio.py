@@ -95,16 +95,22 @@ def _emit(obj, out):
 
 
 def atomic_write(path: str, text: str):
-    """Write-temp-then-rename so files never appear half-written."""
+    """Write-temp-then-rename so files never appear half-written. A path that
+    cannot be written (a missing directory, a directory) raises InputError;
+    no temp file is left behind."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # strerror leaves out the temp file's name, which the user never chose
+            raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -26,9 +26,6 @@ MAX_MIN_BR_LPS = 10_000
 # per unit of 1 + max|A|, and the constant C of its product test
 _CERT_MARGIN = 1e-6
 _CERT_FACTOR = 100.0
-# allowance for the rounding residual HiGHS leaves on an equality row, per
-# unit of 1 + max|A|
-_ROUNDING = 1e-12
 
 _LP_OPTS = {
     "primal_feasibility_tolerance": 1e-10,
@@ -261,28 +258,20 @@ def _unique_support(a: np.ndarray, gv: GameValueResult) -> list[int] | None:
     off R and holds every column of S at the value, and K (x'_R, value) =
     (0, 1) has the one solution (x_R, value).
 
-    The searches solve pinned LPs at tolerance delta, so the certificate
-    also needs margins, each derived from the identity
-    sum_j y_j (x'Ae_j - value) = x'Ay - value at the LP's point x:
-    - Columns off S. The identity bounds the mass on a row off R by
-      noise/r_i and the excess of a column of S by noise/y_j, noise about
-      (delta + gap)*(1 + max|A|). Through K^-1 that moves a column's payoff
-      by at most about cond(K)*(1 + max|A|)*noise/rho, rho = min(r_i, y_j),
-      so no column off S can be pinned at the value when
-          min sigma * rho > C * cond(K) * (1 + max|A|)**2 * (delta + gap),
-      with cond(K) in the 1-norm and C = _CERT_FACTOR covering the norm and
-      dimension factors. HiGHS uses that room: at delta = 1e-9 it put
-      1.8e-5 of mass on a row of slack 1.17e-5. The first-order test
-      sigma_j, r_i > _CERT_MARGIN*(1 + max|A|) keeps every column off S
-      well above min_br_minmax's margin tol when S is pinned.
-    - Columns of S. With a column j of S left unpinned, its margin t obeys
-      y_j*t <= gap/2 + 2*delta*sum(r_i) + rounding: HiGHS holds equality
-      rows to rounding (_ROUNDING per unit of 1 + max|A|) but may leave a
-      basic x_i below 0 by about delta (-1.5e-9 was seen at 1e-9), which on
-      a row off R adds up to 2*delta*r_i. A column with y_j*tol above that
-      bound never carries a margin above tol, so no proper subset of S is
-      accepted before S. Without this test, games with a dual weight near
-      1e-8 and no column off S had the full search stop at a smaller set.
+    check_assumption_no_pure solves its pair LPs at tolerance delta, so the
+    certificate also needs two margins. The identity
+    sum_j y_j (x'Ae_j - value) = x'Ay - value at the LP's point x bounds the
+    mass on a row off R by noise/r_i and the excess of a column of S by
+    noise/y_j, noise about (delta + gap)*(1 + max|A|). Through K^-1 that
+    moves a column's payoff by at most about cond(K)*(1 + max|A|)*noise/rho,
+    rho = min(r_i, y_j), so no column off S can be pinned at the value when
+        min sigma * rho > C * cond(K) * (1 + max|A|)**2 * (delta + gap),
+    with cond(K) in the 1-norm and C = _CERT_FACTOR covering the norm and
+    dimension factors. HiGHS uses that room: at delta = 1e-9 it put 1.8e-5
+    of mass on a row of slack 1.17e-5. The first-order test
+    sigma_j, r_i > _CERT_MARGIN*(1 + max|A|) holds every column off S and
+    every row off R well clear of the value at the pair LPs' tolerance, and
+    keeps the product test off a zero slack.
     """
     n, m = a.shape
     x = as_weights(gv.optimizer_strategy, n, "optimizer strategy")
@@ -299,13 +288,10 @@ def _unique_support(a: np.ndarray, gv: GameValueResult) -> list[int] | None:
     scale = 1.0 + np.max(np.abs(a))
     delta = _LP_OPTS_PINNED["primal_feasibility_tolerance"]
     gap = gv.certificate_gap
-    row_slacks = np.delete(gv.value - a @ y, rows)
     col_slack = np.delete(x @ a - gv.value, cols).min(initial=np.inf)
-    row_slack = row_slacks.min(initial=np.inf)
-    weight = y[cols].min()
+    row_slack = np.delete(gv.value - a @ y, rows).min(initial=np.inf)
     if (np.isfinite(cond) and min(col_slack, row_slack) > _CERT_MARGIN * scale
-            and weight * DEFAULT_TOL > 0.5 * gap + 2.0 * delta * row_slacks.sum() + _ROUNDING * scale
-            and col_slack * min(row_slack, weight) > _CERT_FACTOR * cond * scale**2 * (delta + gap)):
+            and col_slack * min(row_slack, y[cols].min()) > _CERT_FACTOR * cond * scale**2 * (delta + gap)):
         return cols.tolist()
     return None
 
@@ -325,22 +311,18 @@ def min_br_minmax(a, gv: GameValueResult) -> tuple[np.ndarray, int]:
     x'Ay <= max_i (Ay)_i = value + gap/2 (gap the certificate gap). Widened
     by the pinned LP's feasibility tolerance delta, a column with
     y_j*tol > gap/2 + delta*(1 + max|A|) can never carry a margin above tol,
-    so it lies in every accepted S. When _unique_support certifies that gv's
-    strategies are the only equilibrium, every column of supp(y) is a best
-    response of the only minmax x and none other is, so all of supp(y) is
-    forced and the first candidate is the answer. Only supersets of the
-    forced columns are enumerated; adding the same forced set to two sets of
-    equal size keeps their lexicographic order, so (x, k) is unchanged. The
-    search raises CapExceededError after MAX_MIN_BR_LPS pinned LPs.
+    so it lies in every accepted S. Only supersets of these forced columns
+    are enumerated; adding the same forced set to two sets of equal size
+    keeps their lexicographic order, so (x, k) is unchanged. The search
+    raises CapExceededError after MAX_MIN_BR_LPS pinned LPs.
     """
     a = as_matrix(a)
     n, m = a.shape
-    support = _unique_support(a, gv)
+    y = as_weights(gv.learner_strategy, m, "learner strategy")
     slack = 0.5 * gv.certificate_gap + _LP_OPTS_PINNED["primal_feasibility_tolerance"] * (
         1.0 + np.max(np.abs(a))
     )
-    forced = set(np.flatnonzero(gv.learner_strategy * DEFAULT_TOL > slack).tolist())
-    forced.update(support or ())
+    forced = set(np.flatnonzero(y * DEFAULT_TOL > slack).tolist())
     unforced = [j for j in range(m) if j not in forced]
     candidates = (tuple(sorted(forced.union(extra))) for size in range(max(len(forced), 1), m + 1)
                   for extra in combinations(unforced, size - len(forced)))

@@ -41,23 +41,25 @@ class DirectedGraph:
     edges: tuple
 
     def __post_init__(self):
-        if self.n_vertices < 1:
+        try:
+            n_vertices = index(self.n_vertices)
+            pairs = [(index(u), index(v)) for u, v in self.edges]
+        except (TypeError, ValueError) as exc:  # floats, strings, edges that are not pairs
+            raise InputError(f"a graph needs an integer vertex count and (from, to) pairs of "
+                             f"integer ids: {exc}") from None
+        if n_vertices < 1:
             raise InputError("graph needs at least one vertex")
         seen = set()
-        edges = []
-        for u, v in self.edges:
-            u, v = int(u), int(v)
-            if not (1 <= u <= self.n_vertices and 1 <= v <= self.n_vertices):
-                raise InputError(
-                    f"edge ({u},{v}) outside vertex range 1..{self.n_vertices}"
-                )
+        for u, v in pairs:
+            if not (1 <= u <= n_vertices and 1 <= v <= n_vertices):
+                raise InputError(f"edge ({u},{v}) outside vertex range 1..{n_vertices}")
             if u == v:
                 raise InputError(f"self-loop ({u},{v}) not allowed")
             if (u, v) in seen:
                 raise InputError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
-            edges.append((u, v))
-        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "edges", tuple(pairs))
 
     @property
     def n_edges(self) -> int:

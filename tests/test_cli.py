@@ -495,6 +495,35 @@ def test_simulate_replicator_cap_exit_4(capsys, tmp_path):
     assert code == 4 and "200 bisections" in err and "Traceback" not in err
 
 
+WRITERS = {
+    "value": lambda mp, graph, wit, out: ["value", mp, "--out", out],
+    "plan": lambda mp, graph, wit, out: ["plan", mp, "--out", out],
+    "simulate": lambda mp, graph, wit, out: [
+        "simulate", mp, "--learner", "mwu", "--schedule", "uniform", "--T", "3", "--out", out],
+    "reduce": lambda mp, graph, wit, out: ["reduce", graph, "--out", out],
+    "verify": lambda mp, graph, wit, out: ["verify", graph, wit, "--out", out],
+    "brute": lambda mp, graph, wit, out: ["brute", graph, "--out", out],
+}
+# what each command appends to --out for the first file it writes
+WRITTEN_SUFFIX = {"simulate": ".csv", "reduce": ".instance.json"}
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_unwritable_out_exit_2(command, target, capsys, mp_file, graph_file, tmp_path):
+    wit = tmp_path / "w.json"
+    wit.write_text(json.dumps({"cycle": [1, 5, 2, 4, 3]}))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    if target == "directory":
+        (out_dir / ("r" + WRITTEN_SUFFIX.get(command, ""))).mkdir()
+    before = sorted(out_dir.iterdir())
+    out = out_dir / "missing" / "r" if target == "missing-dir" else out_dir / "r"
+    code, _, err = run(capsys, *WRITERS[command](mp_file, graph_file, str(wit), str(out)))
+    assert code == 2 and "cannot write" in err and "Traceback" not in err
+    assert sorted(out_dir.iterdir()) == before  # no .tmp-* file left behind
+
+
 class TestReduceVerifyBrute:
     def test_reduce_writes_instance(self, capsys, graph_file, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -575,3 +604,15 @@ class TestBattery:
     def test_unknown_criterion_exit_2(self, capsys):
         code, _, err = run(capsys, "battery", "--only", "99")
         assert code == 2 and "unknown criteria" in err
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("seed", "-1", "seed must be non-negative, got -1"),
+        ("count", "0", "count must be at least 1, got 0"),
+        ("count", "-3", "count must be at least 1, got -3"),
+    ], ids=["seed-negative", "count-zero", "count-negative"])
+    def test_unusable_seed_or_count_exit_2(self, name, value, message, capsys, monkeypatch):
+        code, out, err = run(capsys, "battery", "--only", "1", f"--{name}", value)
+        assert code == 2 and message in err and out == ""
+        monkeypatch.setenv("STRATEGIZER_" + name.upper(), value)
+        code, out, err = run(capsys, "battery", "--only", "1")
+        assert code == 2 and message in err and out == ""

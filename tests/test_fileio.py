@@ -188,3 +188,10 @@ class TestAtomicWrite:
         fileio.atomic_write(str(path), "two\n")
         assert path.read_text() == "two\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("target", ["missing/out.json", "out.json"], ids=["missing-dir", "directory"])
+    def test_unwritable_path_is_input_error(self, tmp_path, target):
+        (tmp_path / "out.json").mkdir()
+        with pytest.raises(InputError, match="cannot write"):
+            fileio.atomic_write(str(tmp_path / target), "one\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "out.json"]

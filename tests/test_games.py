@@ -19,6 +19,7 @@ from strategizer import (
     check_assumption_no_pure,
     game_value,
     min_br_minmax,
+    planner_report,
     unique_br_game,
 )
 from strategizer import games
@@ -475,12 +476,33 @@ class TestUniqueSupportPruning:
         assert check_assumption_no_pure(a, gv) is None
         assert minmax_lp_calls == []
         # small dual weights (0.0123, 0.0126) force only three of the five
-        # support columns; the certificate forces all five
+        # support columns, so the min-BR search enumerates supersets of those
+        # three until it reaches the support
         a = np.random.default_rng(2468).uniform(-1, 1, (6, 6))
         gv = game_value(a)
         minmax_lp_calls.clear()
         _, k = min_br_minmax(a, gv)
-        assert k == 5 and len(minmax_lp_calls) == 1
+        assert k == 5 and len(minmax_lp_calls) == 7
+
+    def test_one_certificate_per_report(self, monkeypatch):
+        # the pair search is the certificate's only caller: a plan report
+        # runs it once, and the min-BR search never does
+        calls = []
+        real = games._unique_support
+
+        def counted(a, gv):
+            calls.append(a.shape)
+            return real(a, gv)
+
+        monkeypatch.setattr(games, "_unique_support", counted)
+        rng = np.random.default_rng(531)
+        for shape in [(2, 2), (5, 6), (4, 3)]:
+            a = rng.uniform(-1, 1, size=shape)
+            calls.clear()
+            min_br_minmax(a, game_value(a))
+            assert calls == []
+            planner_report(a, 1.0, 10.0, 1e-6)
+            assert calls == [shape]
 
 
 class TestAssumptionNoPure:

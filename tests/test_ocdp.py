@@ -86,6 +86,24 @@ class TestDirectedGraph:
         with pytest.raises(InputError, match="outside"):
             DirectedGraph(2, ((1, 3),))
 
+    @pytest.mark.parametrize("n, edges", [
+        (3, ((1.7, 2), (2, 3.2), (3, 1))),
+        (2.5, ((1, 2),)),
+        ("3", ((1, 2),)),
+        (3, ((1, "2"),)),
+        (3, ((1, 2, 3),)),
+    ], ids=["float-ids", "float-count", "string-count", "string-id", "triple"])
+    def test_non_integer_input_rejected(self, n, edges):
+        with pytest.raises(InputError, match="integer vertex count and .from, to. pairs"):
+            DirectedGraph(n, edges)
+
+    def test_numpy_integers_accepted(self):
+        g = DirectedGraph(np.int64(3), np.array([[1, 2], [2, 3], [3, 1]], dtype=np.int32))
+        assert g.n_vertices == 3 and type(g.n_vertices) is int
+        assert g.edges == ((1, 2), (2, 3), (3, 1))
+        assert all(type(v) is int for e in g.edges for v in e)
+        assert reduce_hamiltonian(g).k == 4
+
 
 class TestReduceHamiltonian:
     def test_golden_matrices(self, example_graph_5):
