@@ -64,9 +64,9 @@ def _parse_int(text: str, what: str) -> int:
 
 def _print_json(obj, out_path=None):
     text = fileio.canonical_json(obj)
-    sys.stdout.write(text)
-    if out_path:
+    if out_path:  # first, so a failed write leaves stdout empty
         fileio.atomic_write(out_path, text)
+    sys.stdout.write(text)
 
 
 def cmd_value(args) -> int:
@@ -199,27 +199,29 @@ def cmd_verify(args) -> int:
     graph = fileio.read_graph(args.graph)
     witness = fileio.read_witness(args.witness)
     inst = reduce_hamiltonian(graph)
+    res = None
     if witness.get("cycle") is not None:
         res = verify_cycle(graph, witness["cycle"])
         if not res.ok:
             print(f"FAIL: {res.reason}")
             return 1
-        print(f"OK: cycle verified, reward {res.reward}")
-        print("sequence: " + " ".join(inst.row_labels[i] for i in res.sequence))
         sequence = list(res.sequence)
     else:
         sequence = [i - 1 for i in witness["sequence"]]
     playout = play_ocdp(inst, sequence)
-    print(f"reward {playout.total_reward} (k = {inst.k})")
-    print("learner: " + " ".join(playout_labels(inst, playout)))
-    cycle = None
-    if playout.total_reward >= inst.k:
-        cycle = extract_cycle(inst, playout, graph)
-        print("OK: extracted cycle " + " -> ".join(str(v) for v in cycle + [cycle[0]]))
-    if args.out:
+    cycle = extract_cycle(inst, playout, graph) if playout.total_reward >= inst.k else None
+    if args.out:  # before the verdict lines, so a failed write prints none
         fileio.atomic_write(
             args.out, fileio.canonical_json(_witness_json(inst, playout, cycle))
         )
+    if res is not None:
+        print(f"OK: cycle verified, reward {res.reward}")
+        print("sequence: " + " ".join(inst.row_labels[i] for i in res.sequence))
+    print(f"reward {playout.total_reward} (k = {inst.k})")
+    print("learner: " + " ".join(playout_labels(inst, playout)))
+    if cycle is not None:
+        print("OK: extracted cycle " + " -> ".join(str(v) for v in cycle + [cycle[0]]))
+    if args.out:
         print(f"wrote {args.out}")
     if cycle is not None:
         return 0
@@ -231,11 +233,7 @@ def cmd_brute(args) -> int:
     inst = fileio.read_instance_or_graph(args.input)
     cap = _resolve(args.cap, "cap", int, 10_000_000)
     best, seq = brute_force_ocdp(inst, cap=cap)
-    verdict = "YES" if best >= inst.k else "NO"
-    print(f"max reward {best} over {inst.n_actions_opt}^{inst.T} sequences")
-    print("best sequence: " + " ".join(inst.row_labels[i] for i in seq))
-    print(f"{verdict}: reward {inst.k} {'is' if verdict == 'YES' else 'is not'} achievable")
-    if args.out:
+    if args.out:  # before the verdict lines, so a failed write prints none
         playout = play_ocdp(inst, seq)
         cycle = None
         # only a play-out earning n+1 in the reduction's n+1 rounds traces a cycle
@@ -245,6 +243,11 @@ def cmd_brute(args) -> int:
         fileio.atomic_write(
             args.out, fileio.canonical_json(_witness_json(inst, playout, cycle))
         )
+    verdict = "YES" if best >= inst.k else "NO"
+    print(f"max reward {best} over {inst.n_actions_opt}^{inst.T} sequences")
+    print("best sequence: " + " ".join(inst.row_labels[i] for i in seq))
+    print(f"{verdict}: reward {inst.k} {'is' if verdict == 'YES' else 'is not'} achievable")
+    if args.out:
         print(f"wrote {args.out}")
     return 0
 

@@ -68,11 +68,13 @@ def as_simplex(values) -> np.ndarray:
         raise DimensionMismatchError(f"strategy is not an array of numbers: {exc}") from None
     if w.shape[-1] == 0 and 0 not in w.shape[:-1]:
         raise DimensionMismatchError("a strategy needs at least one weight")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise InputError("strategy contains non-finite weights")
-    if w.size and w.min() < -1e-9:
-        raise InputError(f"strategy has negative weight {w.min():g}")
-    np.maximum(w, 0.0, out=w)
+    low = w.min(initial=np.inf)
+    if low < -1e-9:
+        raise InputError(f"strategy has negative weight {low:g}")
+    if low <= 0.0:  # also turns -0.0 into +0.0
+        np.maximum(w, 0.0, out=w)
     sums = w.sum(axis=-1, keepdims=True)
     if np.any(sums <= 0.0):
         raise InputError("strategy weights sum to zero")

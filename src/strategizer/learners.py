@@ -112,9 +112,7 @@ def respond(kind: str, h, eta: float = 1.0) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if kind != BEST_RESPONSE:
         return softmax(eta * h)
-    y = np.zeros_like(h)
-    np.put_along_axis(y, np.argmax(h, axis=-1)[..., None], 1.0, axis=-1)
-    return y
+    return (np.arange(h.shape[-1]) == np.argmax(h, axis=-1)[..., None]).astype(float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +189,8 @@ class Schedule:
     def round_strategies(self) -> np.ndarray:
         """Expand a discrete schedule to a (T, n) array of per-round strategies.
 
-        Raises CapExceededError when T exceeds MAX_ROUNDS.
+        Raises CapExceededError when T exceeds MAX_ROUNDS. A schedule of
+        one-round segments returns its own read-only strategies.
         """
         if self.mode != "discrete":
             raise PreconditionError("round_strategies requires a discrete schedule")
@@ -199,6 +198,8 @@ class Schedule:
             raise CapExceededError(
                 f"schedule has {self.total} rounds, more than the {MAX_ROUNDS} a play-out expands"
             )
+        if self.total == self.lengths.size:
+            return self.strategies
         return np.repeat(self.strategies, self.lengths, axis=0)
 
     def time_average(self) -> np.ndarray:
@@ -268,11 +269,13 @@ def _simulate_discrete(game, schedule, learner_kind, eta, h0) -> Trajectory:
             h_after=empty, totals=(0.0, 0.0),
         )
     increments = x_rounds @ game.b  # row t is B' x(t)
-    h_after = h0 + np.cumsum(increments, axis=0)
-    h_before = np.vstack([h0, h_after[:-1]])
+    h = np.zeros((big_t + 1, game.m))  # row t is the history after round t
+    np.cumsum(increments, axis=0, out=h[1:])
+    h += h0
+    h_before, h_after = h[:-1], h[1:]
     y_rounds = respond(learner_kind, h_before, eta)
-    r_opt = np.einsum("ti,ij,tj->t", x_rounds, game.a, y_rounds)
-    r_lrn = np.einsum("ti,ij,tj->t", x_rounds, game.b, y_rounds)
+    r_lrn = np.einsum("tj,tj->t", increments, y_rounds)
+    r_opt = -r_lrn if game.zero_sum else np.einsum("tj,tj->t", x_rounds @ game.a, y_rounds)
     return Trajectory(
         mode="discrete", t=np.arange(1, big_t + 1),
         optimizer_strategy=x_rounds, learner_strategy=y_rounds,

@@ -519,8 +519,9 @@ def test_unwritable_out_exit_2(command, target, capsys, mp_file, graph_file, tmp
         (out_dir / ("r" + WRITTEN_SUFFIX.get(command, ""))).mkdir()
     before = sorted(out_dir.iterdir())
     out = out_dir / "missing" / "r" if target == "missing-dir" else out_dir / "r"
-    code, _, err = run(capsys, *WRITERS[command](mp_file, graph_file, str(wit), str(out)))
+    code, printed, err = run(capsys, *WRITERS[command](mp_file, graph_file, str(wit), str(out)))
     assert code == 2 and "cannot write" in err and "Traceback" not in err
+    assert printed == ""  # the write comes before any result or verdict line
     assert sorted(out_dir.iterdir()) == before  # no .tmp-* file left behind
 
 

@@ -22,7 +22,7 @@ from strategizer import (
     planner_report,
     unique_br_game,
 )
-from strategizer import games
+from strategizer import fileio, games
 
 
 def value_2x2(a):
@@ -110,6 +110,34 @@ class TestAsSimplex:
 
     def test_pure(self):
         assert np.array_equal(as_simplex(np.arange(3) == 1), [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("values", [[-0.0, 1.0], [[1.0, -0.0, 2.0], [-0.0, -0.0, 1.0]]])
+    def test_negative_zero_becomes_positive_zero(self, values):
+        v = as_simplex(values)
+        zeros = v[v == 0.0]
+        assert zeros.size and not np.signbit(zeros).any()
+        assert "-0" not in fileio.canonical_json({"strategy": v.tolist()})
+
+    @pytest.mark.parametrize("values", [[0.25, 0.75], [0.0, 1.0], [[0.5, 0.5], [1.0, 3.0]]])
+    def test_new_array_never_aliases_input(self, values):
+        # strictly positive input skips the clipping pass and must still be copied
+        given_array = np.array(values)
+        v = as_simplex(given_array)
+        assert not np.shares_memory(v, given_array)
+        assert given_array.flags.writeable and np.array_equal(given_array, values)
+
+    @pytest.mark.parametrize("values, message", [
+        ([0.5, math.nan], "non-finite"),
+        ([0.5, math.inf], "non-finite"),
+        ([-math.inf, 1.0], "non-finite"),
+        ([-1.0, math.nan], "non-finite"),
+        ([[0.5, 0.5], [1.0, -1e-6]], "negative weight -1e-06"),
+        ([[0.5, 0.5], [0.0, -0.0]], "sum to zero"),
+        ([-1e-10, 0.0], "sum to zero"),
+    ])
+    def test_error_messages(self, values, message):
+        with pytest.raises(InputError, match=message):
+            as_simplex(values)
 
 
 class TestBimatrixGame:

@@ -179,6 +179,24 @@ class TestBrAction:
             h = rng.integers(-5, 6, size=6).astype(float)
             assert br_index(h) == br_index(2.5 * h + 3.0)
 
+    @staticmethod
+    def put_along_axis_one_hot(h):
+        """The one-hot first argmax built by writing 1.0 into zeros."""
+        y = np.zeros_like(h)
+        np.put_along_axis(y, np.argmax(h, axis=-1)[..., None], 1.0, axis=-1)
+        return y
+
+    def test_matches_put_along_axis(self, rng):
+        # stacked (K, T, m) integer histories tie often; -inf entries never win
+        for m in (1, 2, 5):
+            h = rng.integers(-2, 3, size=(4, 30, m)).astype(float)
+            h[rng.random(h.shape) < 0.2] = -np.inf
+            for hist in (h, h[0, 0], np.full(m, -np.inf)):
+                y = respond(BEST_RESPONSE, hist)
+                want = self.put_along_axis_one_hot(hist)
+                assert y.shape == want.shape and y.dtype == want.dtype
+                assert y.tobytes() == want.tobytes()
+
 
 def alternating_pennies_schedule(total_rounds):
     """The pure schedule: action 2 on odd rounds, action 1 on even rounds."""
@@ -192,6 +210,18 @@ class TestSimulate:
             traj = simulate(mp_game, alternating_pennies_schedule(1000), MWU, eta=eta)
             assert abs(traj.totals[0] - 500 * math.tanh(eta)) <= 1e-9
             assert abs(traj.totals[0] + traj.totals[1]) <= 1e-9  # zero-sum
+
+    @pytest.mark.parametrize("kind", [MWU, BEST_RESPONSE])
+    def test_zero_sum_rewards_exact_negation(self, kind, rng):
+        for n, m in ((2, 2), (3, 5), (6, 4)):
+            game = BimatrixGame.from_zero_sum(rng.uniform(-1, 1, (n, m)))
+            for sched in (
+                Schedule.from_rounds(rng.dirichlet(np.ones(n), size=70)),
+                Schedule("discrete", [3, 1, 7], rng.dirichlet(np.ones(n), size=3)),
+            ):
+                traj = simulate(game, sched, kind, eta=0.4)
+                assert traj.optimizer_reward.tobytes() == (-traj.learner_reward).tobytes()
+                assert traj.totals[0] == -traj.totals[1]
 
     def test_eta_must_be_finite(self, mp_game):
         sched = alternating_pennies_schedule(4)
@@ -301,6 +331,23 @@ class TestSchedule:
         rows = sched.round_strategies()
         assert rows.shape == (3, 2)
         assert np.array_equal(rows[0], rows[1])
+        mixed = Schedule("discrete", [1, 3, 1, 2], np.eye(4)[:, :3] + 0.5)
+        assert np.array_equal(mixed.round_strategies(),
+                              np.repeat(mixed.strategies, [1, 3, 1, 2], axis=0))
+
+    def test_round_strategies_of_one_round_segments(self, rng):
+        sched = Schedule.from_rounds(rng.dirichlet(np.ones(3), size=20))
+        rows = sched.round_strategies()
+        assert np.array_equal(rows, np.repeat(sched.strategies, sched.lengths, axis=0))
+        assert not rows.flags.writeable
+
+    def test_trajectory_cannot_write_into_schedule(self, mp_game):
+        sched = alternating_pennies_schedule(4)
+        before = sched.strategies.copy()
+        traj = simulate(mp_game, sched, MWU, eta=0.1)
+        with pytest.raises(ValueError):
+            traj.optimizer_strategy[0, 0] = 0.5
+        assert np.array_equal(sched.strategies, before)
 
     @pytest.mark.parametrize("strategy", [[0.5, -3.0], [0.0, 0.0], [[1.0, 0.0]], [math.nan, 1.0]])
     def test_constant_checks_strategy_at_zero_total(self, strategy):
