@@ -65,7 +65,7 @@ def _parse_int(text: str, what: str) -> int:
 def _print_json(obj, out_path=None):
     text = fileio.canonical_json(obj)
     if out_path:  # first, so a failed write leaves stdout empty
-        fileio.atomic_write(out_path, text)
+        fileio.atomic_write((out_path, text))
     sys.stdout.write(text)
 
 
@@ -147,8 +147,8 @@ def cmd_simulate(args) -> int:
     traj = simulate(game, schedule, learner, eta=eta, h0=h0)
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
-    fileio.atomic_write(csv_path, fileio.trajectory_csv(traj))
-    fileio.atomic_write(json_path, fileio.canonical_json(fileio.trajectory_json(traj)))
+    fileio.atomic_write((csv_path, fileio.trajectory_csv(traj)),
+                        (json_path, fileio.canonical_json(fileio.trajectory_json(traj))))
     print(f"optimizer total {fileio.format_float(traj.totals[0])}")
     print(f"learner total   {fileio.format_float(traj.totals[1])}")
     if game.zero_sum and traj.rounds:
@@ -168,20 +168,16 @@ def cmd_reduce(args) -> int:
     graph = fileio.read_graph(args.graph)
     inst = reduce_hamiltonian(graph)
     base = args.out or os.path.splitext(os.path.basename(args.graph))[0]
-    path = base + ".instance.json"
-    fileio.atomic_write(path, fileio.canonical_json(fileio.instance_to_json(inst)))
-    written = [path]
+    files = [(base + ".instance.json", inst)]
     if args.normalize:
-        npath = base + ".instance.normalized.json"
-        fileio.atomic_write(
-            npath, fileio.canonical_json(fileio.instance_to_json(normalize_payoffs(inst)))
-        )
-        written.append(npath)
+        files.append((base + ".instance.normalized.json", normalize_payoffs(inst)))
+    fileio.atomic_write(*((p, fileio.canonical_json(fileio.instance_to_json(i)))
+                          for p, i in files))
     print(
         f"reduced {graph.n_vertices} vertices / {graph.n_edges} edges to a "
         f"{inst.n_actions_opt}x{inst.n_actions_learner} instance with k = T = {inst.k}"
     )
-    for p in written:
+    for p, _ in files:
         print(f"wrote {p}")
     return 0
 
@@ -212,7 +208,7 @@ def cmd_verify(args) -> int:
     cycle = extract_cycle(inst, playout, graph) if playout.total_reward >= inst.k else None
     if args.out:  # before the verdict lines, so a failed write prints none
         fileio.atomic_write(
-            args.out, fileio.canonical_json(_witness_json(inst, playout, cycle))
+            (args.out, fileio.canonical_json(_witness_json(inst, playout, cycle)))
         )
     if res is not None:
         print(f"OK: cycle verified, reward {res.reward}")
@@ -241,7 +237,7 @@ def cmd_brute(args) -> int:
             graph = DirectedGraph(inst.n_graph_vertices, inst.edges)
             cycle = extract_cycle(inst, playout, graph)
         fileio.atomic_write(
-            args.out, fileio.canonical_json(_witness_json(inst, playout, cycle))
+            (args.out, fileio.canonical_json(_witness_json(inst, playout, cycle)))
         )
     verdict = "YES" if best >= inst.k else "NO"
     print(f"max reward {best} over {inst.n_actions_opt}^{inst.T} sequences")

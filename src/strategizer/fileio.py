@@ -94,20 +94,30 @@ def _emit(obj, out):
         raise InputError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def atomic_write(path: str, text: str):
-    """Write-temp-then-rename so files never appear half-written. A path that
-    cannot be written (a missing directory, a directory) raises InputError;
-    no temp file is left behind."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+def atomic_write(*files):
+    """Write each (path, text) pair to a temp file beside it, then rename all
+    into place, so files never appear half-written. A path that cannot be
+    written (a missing directory, a directory) raises InputError and leaves
+    no temp file and no file of this call behind. Files get the mode that
+    `open(path, "w")` gives: 0o666 less the umask."""
+    umask = os.umask(0)  # setting the umask is the only way to read it
+    os.umask(umask)
+    temps, renamed = [], []
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        for path, text in files:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".tmp-", text=True)
+            temps.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+            renamed.append(path)
     except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        for p in temps + renamed:
+            if os.path.lexists(p):
+                os.unlink(p)
         if isinstance(exc, OSError):
             # strerror leaves out the temp file's name, which the user never chose
             raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -300,44 +300,54 @@ def brute_force_ocdp(inst: OcdpInstance, cap: int = 10_000_000):
     """Exhaustive maximum reward over all pure action sequences.
 
     Depth-first search over an explicit stack, in lexicographic order, with
-    the admissible cut "each remaining round adds at most 1" checked as an
-    entry is popped and a global stop once the ceiling T is reached. A
+    the admissible cut "each remaining round adds at most 1" and a global
+    stop once the ceiling T is reached. A node that cannot beat the
+    incumbent with a round to spare pushes only the children that pay
+    against its learner column j, the first argmax of its history. A
     pending child holds its parent's history (a tuple of exact integers),
-    its prefix, its action and its reward; its own history is built only
-    when it is popped, survives the cut and is not a leaf. `cap` bounds the
-    histories built (at most one per node at depths 1..T-1), and
-    CapExceededError is raised once the count passes it. Returns
-    (max_reward, first maximizing sequence in lexicographic order).
+    prefix, action and reward; it is cut again when popped and builds its
+    own history only if it survives. Leaves are not pushed: the last round
+    is scored at its parent, by the first row paying at j, else action 0.
+    `cap` bounds the histories built (one per surviving node at depths
+    1..T-1), and CapExceededError is raised once the count passes it.
+    Returns (max_reward, first maximizing sequence in lexicographic order).
     """
     if not cap >= 1:
         raise InputError(f"the brute-force cap must be at least 1, got {cap}")
     big_t = inst.T
     b_rows = [tuple(row) for row in inst.b_int.tolist()]
-    a01 = inst.a_int.tolist()
+    a_cols = inst.a_int.T.tolist()
     # children are pushed in reverse so that they pop in lexicographic order
     actions = range(inst.n_actions_opt - 1, -1, -1)
-    best = -1
-    best_seq: tuple = ()
-    built = 0
-    # the learner opens with column 0, the first argmax of the zero history
-    stack = [((0,) * inst.n_actions_learner, (), r, a01[r][0]) for r in actions]
-    while stack:
-        h, prefix, r, reward = stack.pop()
-        depth = len(prefix) + 1
-        if reward + (big_t - depth) <= best:
-            continue
-        prefix += (r,)
-        if depth == big_t:
-            best, best_seq = reward, prefix
-            if best == big_t:
+    pays = [[s for s in actions if col[s]] for col in a_cols]
+    best, best_seq, built, stack = -1, (), 0, []
+    # the root: the learner opens with column 0, the first argmax of the zero history
+    h, prefix, reward = (0,) * inst.n_actions_learner, (), 0
+    while True:
+        depth = len(prefix)
+        j = h.index(max(h))
+        if depth == big_t - 1:
+            last = pays[j][-1] if pays[j] else 0
+            if reward + a_cols[j][last] > best:
+                best, best_seq = reward + a_cols[j][last], prefix + (last,)
+                if best == big_t:
+                    break
+        elif reward + (big_t - depth - 1) <= best:
+            stack.extend((h, prefix, s, reward + 1) for s in pays[j])
+        else:
+            col = a_cols[j]
+            stack.extend((h, prefix, s, reward + col[s]) for s in actions)
+        while stack:
+            h, prefix, r, reward = stack.pop()
+            if reward + (big_t - len(prefix) - 1) > best:
                 break
-            continue
+        else:
+            break
         built += 1
         if built > cap:
             raise CapExceededError(
                 f"brute force built more than the cap of {cap} histories"
             )
         h = tuple(map(add, h, b_rows[r]))
-        j = h.index(max(h))
-        stack.extend((h, prefix, s, reward + a01[s][j]) for s in actions)
+        prefix += (r,)
     return best, best_seq

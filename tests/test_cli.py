@@ -525,6 +525,23 @@ def test_unwritable_out_exit_2(command, target, capsys, mp_file, graph_file, tmp
     assert sorted(out_dir.iterdir()) == before  # no .tmp-* file left behind
 
 
+@pytest.mark.parametrize("command", ["simulate", "reduce"])
+def test_failed_second_write_leaves_no_file(command, capsys, mp_file, graph_file, tmp_path):
+    # the second file's path is a directory: the first file is not left behind
+    out = tmp_path / "out" / "r"
+    out.parent.mkdir()
+    if command == "simulate":
+        argv = WRITERS["simulate"](mp_file, graph_file, None, str(out))
+        (out.parent / "r.json").mkdir()
+    else:
+        argv = ["reduce", graph_file, "--normalize", "--out", str(out)]
+        (out.parent / "r.instance.normalized.json").mkdir()
+    before = sorted(out.parent.iterdir())
+    code, printed, err = run(capsys, *argv)
+    assert code == 2 and "cannot write" in err and printed == ""
+    assert sorted(out.parent.iterdir()) == before
+
+
 class TestReduceVerifyBrute:
     def test_reduce_writes_instance(self, capsys, graph_file, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

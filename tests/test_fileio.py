@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -184,14 +186,30 @@ class TestTrajectoryExport:
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         path = tmp_path / "out.json"
-        fileio.atomic_write(str(path), "one\n")
-        fileio.atomic_write(str(path), "two\n")
+        fileio.atomic_write((str(path), "one\n"))
+        fileio.atomic_write((str(path), "two\n"))
         assert path.read_text() == "two\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        # the mode open(path, "w") gives, not mkstemp's 0600
+        saved = os.umask(umask)
+        try:
+            fileio.atomic_write((str(tmp_path / "out.json"), "one\n"))
+        finally:
+            os.umask(saved)
+        assert stat.S_IMODE((tmp_path / "out.json").stat().st_mode) == mode
+
+    def test_failed_rename_removes_earlier_files(self, tmp_path):
+        (tmp_path / "r.json").mkdir()
+        with pytest.raises(InputError, match="cannot write .*r.json"):
+            fileio.atomic_write((str(tmp_path / "r.csv"), "one\n"), (str(tmp_path / "r.json"), "two\n"))
+        assert list(tmp_path.iterdir()) == [tmp_path / "r.json"]
 
     @pytest.mark.parametrize("target", ["missing/out.json", "out.json"], ids=["missing-dir", "directory"])
     def test_unwritable_path_is_input_error(self, tmp_path, target):
         (tmp_path / "out.json").mkdir()
         with pytest.raises(InputError, match="cannot write"):
-            fileio.atomic_write(str(tmp_path / target), "one\n")
+            fileio.atomic_write((str(tmp_path / target), "one\n"))
         assert list(tmp_path.iterdir()) == [tmp_path / "out.json"]

@@ -73,6 +73,32 @@ def exhaustive_best(inst):
     return best, best_seq
 
 
+def pop_cut_search(inst):
+    """The brute-force search with its cut checked only as an entry is popped
+    and every child pushed: (max reward, first maximizing sequence, number
+    of histories built)."""
+    big_t, b_rows, a01 = inst.T, inst.b_int.tolist(), inst.a_int.tolist()
+    actions = range(inst.n_actions_opt - 1, -1, -1)
+    best, best_seq, built = -1, (), 0
+    stack = [((0,) * inst.n_actions_learner, (), r, a01[r][0]) for r in actions]
+    while stack:
+        h, prefix, r, reward = stack.pop()
+        depth = len(prefix) + 1
+        if reward + (big_t - depth) <= best:
+            continue
+        prefix += (r,)
+        if depth == big_t:
+            best, best_seq = reward, prefix
+            if best == big_t:
+                break
+            continue
+        built += 1
+        h = tuple(x + y for x, y in zip(h, b_rows[r]))
+        j = h.index(max(h))
+        stack.extend((h, prefix, s, reward + a01[s][j]) for s in actions)
+    return best, best_seq, built
+
+
 class TestDirectedGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(InputError, match="self-loop"):
@@ -372,11 +398,14 @@ class TestBruteForce:
     def test_complete_digraph(self, n):
         # 20^6 and 30^7 sequences; the search stops at T after 899 and 2,894
         # histories
+        built = {5: 899, 6: 2894}[n]
         g = DirectedGraph(n, tuple(itertools.permutations(range(1, n + 1), 2)))
         inst = reduce_hamiltonian(g)
-        best, seq = brute_force_ocdp(inst)
+        best, seq = brute_force_ocdp(inst, cap=built)
         assert best == n + 1
         assert extract_cycle(inst, play_ocdp(inst, seq), g) == list(range(1, n + 1))
+        with pytest.raises(CapExceededError, match=f"cap of {built - 1} histories"):
+            brute_force_ocdp(inst, cap=built - 1)
 
     def test_matches_exhaustive_oracle(self, rng):
         # maximum and lexicographically first maximizer, with T and k redrawn
@@ -394,6 +423,35 @@ class TestBruteForce:
         for inst in cases:
             assert inst.n_actions_opt**inst.T <= 50_000
             assert brute_force_ocdp(inst) == exhaustive_best(inst)
+
+    def test_matches_pop_cut_search(self, rng):
+        # the push-time cut and last-round scoring change neither the answer
+        # nor the histories built, on reductions (T and k redrawn, raw and
+        # normalized) and on random 0/1 A with B in multiples of 1/160
+        cases = []
+        for _ in range(120):
+            n = int(rng.integers(2, 7))
+            inst = reduce_hamiltonian(random_graph(rng, n, int(rng.integers(1, n * (n - 1) + 1))))
+            if rng.integers(2):
+                inst = normalize_payoffs(inst)
+            cases.append(dataclasses.replace(
+                inst, T=int(rng.integers(1, n + 3)), k=int(rng.integers(1, n + 3))))
+        for _ in range(300):
+            rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            spread = int(rng.choice([2, 160]))  # few distinct payoffs make ties common
+            cases.append(ocdp.OcdpInstance(
+                a=rng.integers(0, 2, (rows, cols)).astype(float),
+                b=rng.integers(-spread, spread + 1, (rows, cols)) / 160,
+                k=1, T=int(rng.integers(1, 7)),
+                row_labels=tuple(f"r{i}" for i in range(rows)),
+                col_labels=tuple(f"c{j}" for j in range(cols)),
+                edges=(), n_graph_vertices=0, normalized=False))
+        for inst in cases:
+            best, seq, built = pop_cut_search(inst)
+            assert brute_force_ocdp(inst, cap=max(built, 1)) == (best, seq)
+            if built >= 2:
+                with pytest.raises(CapExceededError):
+                    brute_force_ocdp(inst, cap=built - 1)
 
     def test_agreement_with_hamiltonian_oracle(self, rng):
         for _ in range(25):
