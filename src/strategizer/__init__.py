@@ -32,7 +32,6 @@ from .learners import (
     REPLICATOR,
     Schedule,
     Trajectory,
-    replicator_strategy,
     respond,
     simulate,
     softmax,
@@ -78,7 +77,7 @@ __all__ = [
     "frank_wolfe", "fw_rate_constant",
     "game_value", "hjb_residual", "matching_pennies", "min_br_minmax",
     "normalize_payoffs", "optimize_continuous", "planner_report", "play_ocdp",
-    "playout_labels", "reduce_hamiltonian", "replicator_strategy", "respond",
+    "playout_labels", "reduce_hamiltonian", "respond",
     "reward_bounds", "reward_cont", "simulate", "softmax", "unique_br_game",
     "verify_cycle",
 ]

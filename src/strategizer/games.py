@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs  # private: scipy >= 1.15
 
 from .errors import CapExceededError, DimensionMismatchError, InputError, PreconditionError
 
@@ -27,18 +28,79 @@ MAX_MIN_BR_LPS = 10_000
 _CERT_MARGIN = 1e-6
 _CERT_FACTOR = 100.0
 
-_LP_OPTS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+# feasibility tolerance of the follow-up LPs, which pin columns at the float
+# value from game_value; slightly looser than the value LP's 1e-10, it
+# absorbs that value's own LP noise without hurting the margin test (tol is
+# 1e-7)
+_LP_TOL_PINNED = 1e-9
 
-# follow-up LPs pin columns at the float value from game_value; a slightly
-# looser tolerance absorbs that value's own LP noise without hurting the
-# margin test (tol is 1e-7)
-_LP_OPTS_PINNED = {
-    "primal_feasibility_tolerance": 1e-9,
-    "dual_feasibility_tolerance": 1e-9,
-}
+
+def _highs_options(tol: float):
+    """The options scipy.optimize.linprog(method="highs") passes HiGHS."""
+    opts = _highs.HighsOptions()
+    opts.presolve = "on"
+    opts.highs_debug_level = 0
+    opts.output_flag = opts.log_to_console = False
+    opts.simplex_strategy = 1  # dual simplex
+    opts.primal_feasibility_tolerance = opts.dual_feasibility_tolerance = tol
+    return opts
+
+
+_LP_OPTS = _highs_options(1e-10)
+_LP_OPTS_PINNED = _highs_options(_LP_TOL_PINNED)
+_LP_CHECK_TOL = 10 * np.sqrt(1e-9)  # scipy's check of an optimal answer
+# HiGHS model statuses scipy.optimize.linprog reports as status 2
+_INFEASIBLE = (_highs.HighsModelStatus.kInfeasible, _highs.HighsModelStatus.kModelError)
+
+
+class _LPResult(NamedTuple):
+    success: bool
+    status: int  # 0 success, 2 infeasible or rejected by HiGHS, 4 otherwise
+    message: str
+    x: np.ndarray | None  # None, like duals, when HiGHS found no optimum
+    duals: np.ndarray | None  # row duals of the a_ub rows
+
+
+def linprog(c, a_ub, b_ub, a_eq, b_eq, lower, upper, options) -> _LPResult:
+    """min c'x subject to a_ub x <= b_ub, a_eq x = b_eq, lower <= x <= upper.
+
+    The dense LP goes to HiGHS as scipy.optimize.linprog(method="highs")
+    gives it: one column-wise matrix of the stacked [a_ub; a_eq] rows with
+    exact zeros dropped, row bounds [-inf, b_ub] and [b_eq, b_eq], and
+    `options` from _highs_options. Each call solves on a fresh HiGHS object,
+    so x and the duals are scipy's bit for bit (tests/test_games.py). As in
+    scipy, an optimal answer succeeds only if x is within its bounds, the
+    a_ub slack is at least -_LP_CHECK_TOL and the a_eq residual at most
+    _LP_CHECK_TOL; otherwise the status is 4.
+    """
+    a = np.vstack([a_ub, a_eq]).T  # row j is column j of the LP
+    nonzero = a != 0.0
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = a.shape[0]
+    lp.num_row_ = lp.a_matrix_.num_row_ = a.shape[1]
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1]
+    lp.a_matrix_.value_ = a[nonzero]
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lower, upper
+    lp.row_lower_ = np.concatenate((np.full(len(b_ub), -_highs.kHighsInf), b_eq))
+    lp.row_upper_ = np.concatenate((b_ub, b_eq))
+    highs = _highs._Highs()
+    highs.passOptions(options)
+    rejected = highs.passModel(lp) == _highs.HighsStatus.kError
+    failed = rejected or highs.run() == _highs.HighsStatus.kError
+    status = _highs.HighsModelStatus.kModelError if rejected else highs.getModelStatus()
+    message = f"HiGHS status {int(status)}: {highs.modelStatusToString(status)}"
+    if failed or status != _highs.HighsModelStatus.kOptimal:
+        return _LPResult(False, 2 if status in _INFEASIBLE else 4, message, None, None)
+    solution = highs.getSolution()
+    x, rows, k = np.array(solution.col_value), np.array(solution.row_value), len(b_ub)
+    ok = bool((x >= lower - _LP_CHECK_TOL).all() and (x <= upper + _LP_CHECK_TOL).all()
+              and (b_ub - rows[:k] >= -_LP_CHECK_TOL).all()
+              and (np.abs(b_eq - rows[k:]) <= _LP_CHECK_TOL).all())
+    if not ok:
+        message += f", but x misses the constraints by more than {_LP_CHECK_TOL:.2E}"
+    return _LPResult(ok, 0 if ok else 4, message, x, np.array(solution.row_dual)[:k])
 
 
 def as_matrix(a) -> np.ndarray:
@@ -174,7 +236,7 @@ def _minmax_lp(a: np.ndarray, value: float | None = None, tight: tuple[int, ...]
     with value None (read as 0) t is free, so the optimum is Val(A) itself;
     given a value, t >= 0, and t = 0 when no column is left unpinned. Given
     `rows`, t is fixed at 0 and the mass of x on those rows is maximized.
-    Returns the raw linprog result.
+    Returns the result of the lean HiGHS solve `linprog`.
     """
     n, m = a.shape
     rest = [j for j in range(m) if j not in tight]
@@ -183,28 +245,26 @@ def _minmax_lp(a: np.ndarray, value: float | None = None, tight: tuple[int, ...]
         c[-1] = -1.0
     else:
         c[rows] = -1.0
+    lower, upper = np.zeros(n + 1), np.full(n + 1, np.inf)
     if value is None:
-        value, t_bound, opts = 0.0, (None, None), _LP_OPTS
+        value, lower[-1], opts = 0.0, -np.inf, _LP_OPTS
     else:
-        t_bound = (0, None) if rest and rows is None else (0, 0)
+        upper[-1] = np.inf if rest and rows is None else 0.0
         opts = _LP_OPTS_PINNED
     a_eq = np.zeros((1 + len(tight), n + 1))
     a_eq[0, :n] = 1.0
     a_eq[1:, :n] = a[:, list(tight)].T
-    b_eq = np.r_[1.0, np.full(len(tight), value)]
-    a_ub = np.hstack([-a[:, rest].T, np.ones((len(rest), 1))]) if rest else None
-    b_ub = np.full(len(rest), -value) if rest else None
-    return linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=[(0, None)] * n + [t_bound], method="highs", options=opts,
-    )
+    b_eq = np.array([1.0] + [value] * len(tight))
+    a_ub = np.hstack([-a[:, rest].T, np.ones((len(rest), 1))])
+    return linprog(c, a_ub, np.full(len(rest), -value), a_eq, b_eq, lower, upper, opts)
 
 
 def _lp_strategy(w) -> np.ndarray:
     """An LP's strategy weights mapped onto the simplex.
 
-    HiGHS may return a basic variable below its bound 0 by more than its
-    feasibility tolerance (-1.5e-9 was seen on a pinned LP at 1e-9), which
+    HiGHS, through `linprog`, may return a basic variable below its bound 0
+    by more than its feasibility tolerance (-1.5e-9 was seen on a pinned LP
+    at 1e-9; the post-check allows 10*sqrt(1e-9)), which
     as_simplex would reject as bad input. Negatives are clipped to 0 and the
     rest renormalized; on weights as_simplex accepts this is as_simplex.
     """
@@ -223,7 +283,7 @@ def game_value(a) -> GameValueResult:
     if not res.success:  # feasible and bounded, so only payoffs HiGHS cannot take
         raise InputError(f"minmax LP rejected the payoffs: {res.message}")
     x = _lp_strategy(res.x[:n])
-    y = _lp_strategy(-res.ineqlin.marginals)
+    y = _lp_strategy(-res.duals)
     lo = float(np.min(x @ a))
     hi = float(np.max(a @ y))
     return GameValueResult(
@@ -288,7 +348,7 @@ def _unique_support(a: np.ndarray, gv: GameValueResult) -> list[int] | None:
     kernel[k, :k] = 1.0
     cond = np.linalg.cond(kernel, 1)  # inf when K is singular
     scale = 1.0 + np.max(np.abs(a))
-    delta = _LP_OPTS_PINNED["primal_feasibility_tolerance"]
+    delta = _LP_TOL_PINNED
     gap = gv.certificate_gap
     col_slack = np.delete(x @ a - gv.value, cols).min(initial=np.inf)
     row_slack = np.delete(gv.value - a @ y, rows).min(initial=np.inf)
@@ -321,7 +381,7 @@ def min_br_minmax(a, gv: GameValueResult) -> tuple[np.ndarray, int]:
     a = as_matrix(a)
     n, m = a.shape
     y = as_weights(gv.learner_strategy, m, "learner strategy")
-    slack = 0.5 * gv.certificate_gap + _LP_OPTS_PINNED["primal_feasibility_tolerance"] * (
+    slack = 0.5 * gv.certificate_gap + _LP_TOL_PINNED * (
         1.0 + np.max(np.abs(a))
     )
     forced = set(np.flatnonzero(y * DEFAULT_TOL > slack).tolist())

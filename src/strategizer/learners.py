@@ -208,16 +208,6 @@ class Schedule:
             raise PreconditionError("cannot average an empty schedule")
         return self.lengths @ self.strategies / self.total
 
-    def integral_to(self, t: float) -> np.ndarray:
-        """Exact integral of x(s) ds over [0, t] for a continuous schedule."""
-        if self.mode != "continuous":
-            raise PreconditionError("integral_to requires a continuous schedule")
-        if t < -1e-12 or t > self.total + 1e-9:
-            raise InputError(f"time {t:g} outside the schedule horizon [0, {self.total:g}]")
-        # whole segments that end by t, plus the part of the one that straddles it
-        starts = np.cumsum(self.lengths) - self.lengths
-        return np.clip(t - starts, 0.0, self.lengths) @ self.strategies
-
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -235,26 +225,6 @@ class Trajectory:
     @property
     def rounds(self) -> int:
         return self.t.size
-
-
-def replicator_strategy(
-    h0, schedule: Schedule, t: float, eta: float, game: BimatrixGame
-) -> np.ndarray:
-    """Replicator-dynamics play at time t under a piecewise-constant schedule.
-
-    y_i(t) is proportional to exp(eta * (h0_i + integral_0^t x(s)' B e_i ds));
-    the integral is a finite sum over whole and partial segments, so no
-    quadrature is involved.
-    """
-    if schedule.mode != "continuous":
-        raise PreconditionError("replicator_strategy requires a continuous schedule")
-    h0 = np.zeros(game.m) if h0 is None else as_weights(h0, game.m, "h0")
-    xint = schedule.integral_to(t)
-    if xint.size != game.n:
-        raise DimensionMismatchError(
-            f"schedule strategies have dimension {xint.size}, game has {game.n} rows"
-        )
-    return as_simplex(respond(REPLICATOR, h0 + game.b.T @ xint, eta))
 
 
 def _simulate_discrete(game, schedule, learner_kind, eta, h0) -> Trajectory:

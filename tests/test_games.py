@@ -533,6 +533,91 @@ class TestUniqueSupportPruning:
             assert calls == [shape]
 
 
+def scipy_linprog(c, a_ub, b_ub, a_eq, b_eq, lower, upper, options):
+    """games.linprog's LP through scipy.optimize.linprog(method="highs"), with
+    the feasibility tolerances of `options`."""
+    return linprog(
+        c, A_ub=a_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
+        A_eq=a_eq, b_eq=b_eq, bounds=np.column_stack([lower, upper]), method="highs",
+        options={"primal_feasibility_tolerance": options.primal_feasibility_tolerance,
+                 "dual_feasibility_tolerance": options.dual_feasibility_tolerance},
+    )
+
+
+# games CHANGES.md records as refused by min_br_minmax (a near tie, and a
+# 4x3 game whose pinned support LP HiGHS calls infeasible), and payoffs HiGHS
+# rejects as a model error
+REFUSED_GAMES = [
+    np.array([[0.0, 1.49e-8]]),
+    np.array([[0.2626956206108866, 0.33207018973519586, -0.4189703966730227],
+              [0.9731631487163525, 0.33155578608063363, 0.9595093681008914],
+              [1.2160058979172441, 0.3313797196878173, 1.126191006862087],
+              [-0.1080089793191158, 0.33234527541928754, -0.02824809608414092]]),
+    np.array([[1.0, -1e16], [-1e16, 2.0]]),
+]
+
+LP_FAMILIES = ["integer", "uniform", "huge", "near-degenerate", "small-weight", "refused"]
+
+
+def lp_family(name):
+    """25 seeded games, n and m in 2..6, with entries in {-1, 0, 1}, U[-1, 1],
+    or U[-1, 1] with about half of them scaled by one 10**U(6, 14.9) (below
+    the 1e15 HiGHS rejects; HiGHS stops some of these LPs as unbounded or
+    unknown); 20 of each tier-1 degenerate family; or REFUSED_GAMES."""
+    if name == "near-degenerate":
+        return near_degenerate_games(20, 8642)
+    if name == "small-weight":
+        return small_weight_games(20, 8642)
+    if name == "refused":
+        return REFUSED_GAMES
+    rng = np.random.default_rng(2718 + LP_FAMILIES.index(name))
+
+    def huge(shape):
+        a = rng.uniform(-1, 1, size=shape)
+        a[rng.random(shape) < 0.5] *= 10.0 ** rng.uniform(6, 14.9)
+        return a
+
+    draw = {"integer": lambda shape: rng.integers(-1, 2, size=shape).astype(float),
+            "uniform": lambda shape: rng.uniform(-1, 1, size=shape), "huge": huge}[name]
+    return [draw(tuple(rng.integers(2, 7, size=2))) for _ in range(25)]
+
+
+class TestLeanLinprog:
+    @pytest.mark.parametrize("family", LP_FAMILIES)
+    def test_matches_scipy_bit_for_bit(self, family, monkeypatch):
+        """Every LP shape _minmax_lp builds: the value LP (t free), up to three
+        pinned sets per size (t >= 0, or t = 0 with every column pinned), some
+        infeasible, and up to three pair LPs maximising the mass on rows."""
+        lean, statuses = games.linprog, []
+
+        def both(*lp):
+            ours, ref = lean(*lp), scipy_linprog(*lp)
+            assert ours.success == ref.success and (ours.status == 2) == (ref.status == 2)
+            if ref.x is None:
+                assert ours.x is None and ours.duals is None
+            else:
+                assert ours.x.tobytes() == ref.x.tobytes()
+                assert ours.duals.tobytes() == ref.ineqlin.marginals.tobytes()
+            statuses.append(ref.status)
+            return ours
+
+        monkeypatch.setattr(games, "linprog", both)
+        for a in lp_family(family):
+            try:
+                value = game_value(a).value
+            except InputError:  # the value LP failed on both sides
+                continue
+            m = a.shape[1]
+            for size in range(1, m + 1):
+                for tight in list(combinations(range(m), size))[:3]:
+                    games._minmax_lp(a, value, tight)
+            for pair in list(combinations(range(m), 2))[:3]:
+                rows = np.flatnonzero(np.abs(a[:, pair[0]] - a[:, pair[1]]) > games.DEFAULT_TOL)
+                if rows.size:
+                    games._minmax_lp(a, value, pair, rows)
+        assert 0 in statuses and 2 in statuses
+
+
 class TestAssumptionNoPure:
     def test_matching_pennies_witness(self, mp_matrix):
         w = check_assumption_no_pure(mp_matrix, game_value(mp_matrix))

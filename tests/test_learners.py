@@ -20,7 +20,6 @@ from strategizer import (
     Schedule,
     StrategizerError,
     as_simplex,
-    replicator_strategy,
     respond,
     simulate,
 )
@@ -121,38 +120,6 @@ class TestLearnerUpdate:
     def test_dimension_mismatch(self, mp_game):
         with pytest.raises(Exception, match="dimension"):
             one_round(mp_game, [1.0, 0.0, 0.0])
-
-
-class TestReplicatorStrategy:
-    def test_time_zero_uniform(self, mp_game):
-        sched = Schedule.constant([0.5, 0.5], 5.0, "continuous")
-        y = replicator_strategy(None, sched, 0.0, 0.5, mp_game)
-        assert np.array_equal(y, [0.5, 0.5])
-
-    def test_constant_segment_exponent(self, mp_game):
-        x = np.array([0.8, 0.2])
-        sched = Schedule.constant(x, 5.0, "continuous")
-        t, eta = 3.0, 0.4
-        h0 = np.array([0.3, -0.2])
-        y = replicator_strategy(h0, sched, t, eta, mp_game)
-        z = eta * (h0 + t * (mp_game.b.T @ x))
-        want = np.exp(z - z.max())
-        want /= want.sum()
-        assert np.max(np.abs(y - want)) <= 1e-15
-
-    def test_two_segments_equal_average(self, mp_game):
-        x1, x2 = np.array([0.9, 0.1]), np.array([0.3, 0.7])
-        split = Schedule("continuous", [1.0, 1.0], [x1, x2])
-        merged = Schedule.constant((x1 + x2) / 2, 2.0, "continuous")
-        for t in (2.0,):
-            ya = replicator_strategy(None, split, t, 0.7, mp_game)
-            yb = replicator_strategy(None, merged, t, 0.7, mp_game)
-            assert np.max(np.abs(ya - yb)) <= 1e-12
-
-    def test_time_out_of_range(self, mp_game):
-        sched = Schedule.constant([0.5, 0.5], 2.0, "continuous")
-        with pytest.raises(InputError):
-            replicator_strategy(None, sched, 3.0, 0.5, mp_game)
 
 
 def br_index(h):
@@ -301,10 +268,10 @@ class TestSimulate:
         plays = [np.array([0.7, 0.3]), np.array([0.2, 0.8]), np.array([0.5, 0.5]), np.array([0.9, 0.1])]
         disc = Schedule.from_rounds(plays)
         cont = Schedule("continuous", np.ones(len(plays)), plays)
-        traj = simulate(mp_game, disc, MWU, eta=0.45)
-        for t in range(1, len(plays) + 1):
-            y_rep = replicator_strategy(None, cont, float(t - 1), 0.45, mp_game)
-            assert np.max(np.abs(traj.learner_strategy[t - 1] - y_rep)) <= 1e-12
+        mwu = simulate(mp_game, disc, MWU, eta=0.45)
+        # row s of the replicator's learner_strategy is its play at time s
+        rep = simulate(mp_game, cont, REPLICATOR, eta=0.45)
+        assert np.max(np.abs(mwu.learner_strategy - rep.learner_strategy)) <= 1e-12
 
 
 class TestSchedule:
