@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .errors import CapExceededError, InputError, PreconditionError
 from .games import (
@@ -143,48 +144,85 @@ def _line_minimize(z: np.ndarray, zeta: np.ndarray, hi: float) -> float:
     return t
 
 
+def _face_newton(ms: np.ndarray, p: np.ndarray, g_s: np.ndarray) -> np.ndarray | None:
+    """Newton direction of lse on the face of the simplex spanned by the columns ms.
+
+    Solves the KKT system [[H + rho*I, 1], [1', 0]] [d; nu] = [-g_s; 0], where
+    H = ms'(diag p - pp')ms is the Hessian on the face and g_s the gradient.
+    H is singular when the face has more vertices than the objective has
+    directions (n > m): f is linear along its null space there, and the ridge
+    rho = 1e-9*tr(H)/|S| turns that into a long step that the boundary clip
+    cuts short. Returns None if the system is singular or d is not a finite
+    descent direction with a negative coordinate to clip at.
+    """
+    k = g_s.size
+    c = ms - g_s  # g_s = ms'p: the columns centred under p
+    h = (c.T * p) @ c
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = h + 1e-9 * np.trace(h) / k * np.eye(k)
+    kkt[k, k] = 0.0
+    *_, sol, info = dgesv(kkt, np.append(-g_s, 0.0))
+    d = sol[:k]
+    return d if info == 0 and -math.inf < g_s @ d < 0.0 and d.min() < 0.0 else None
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow makes the gap non-finite, which raises
 def frank_wolfe(z0: np.ndarray, mat: np.ndarray, gap_target: float,
                 max_iter: int = MAX_FW_ITERATIONS, x0: np.ndarray | None = None):
     """Minimize f(x) = lse(z0 + mat @ x) over the probability simplex.
 
-    Away-step Frank-Wolfe with exact line search: each iteration moves
-    toward the best vertex or, when that certifies more descent, away from
-    the worst active one, which is what makes tight duality-gap targets
-    affordable. Returns (x, gap, iterations). The Frank-Wolfe gap
-    max_v grad'(x - v) upper-bounds f(x) - f*, so it certifies optimality
-    regardless of the path taken; CapExceededError is raised if max_iter
-    iterations do not bring it to gap_target.
+    The solve starts at x0 or, by default, at the vertex with the least f.
+    Each iteration finds the Frank-Wolfe vertex s, the argmin of the
+    gradient. If s is off the support S of x, a Frank-Wolfe step toward s
+    with exact line search brings it into S. If s is on S, a Newton step on
+    the face of S (_face_newton) follows, clipped where a coordinate reaches
+    0, which then leaves S. Unlike away steps, whose linear rate degrades as
+    eta*T sharpens f, this converges in a few steps once S is the optimal
+    face. Near the optimum the Newton step is taken whole: its line minimum
+    lies within rounding of it. Returns (x, gap, iterations). The
+    Frank-Wolfe gap max_v grad'(x - v) upper-bounds f(x) - f*, so it
+    certifies optimality regardless of the path taken; CapExceededError is
+    raised if max_iter iterations do not bring it to gap_target.
     """
-    m, n = mat.shape
-    x = np.full(n, 1.0 / n) if x0 is None else np.array(x0, dtype=float)
+    n = mat.shape[1]
+    best_vertex = np.eye(n)[np.argmin(lse((z0[:, None] + mat).T))]
+    x = best_vertex if x0 is None else np.array(x0, dtype=float)
     for it in range(max_iter + 1):
         z = z0 + mat @ x
         p = np.exp(z - z.max())
         p /= p.sum()
         g = mat.T @ p
         s_idx = int(np.argmin(g))
-        gx = g @ x
-        gap = gx - g[s_idx]
+        gap = g @ x - g[s_idx]
         if gap <= gap_target:
             return x, float(gap), it
         if not math.isfinite(gap):
             raise InputError(f"Frank-Wolfe gap is {gap:g}: the objective is not finite")
         if it == max_iter:
             break
-        d = -x.copy()
-        d[s_idx] += 1.0
-        hi = 1.0
-        support = np.flatnonzero(x > 1e-15)
-        a_idx = support[int(np.argmax(g[support]))]
-        gap_away = g[a_idx] - gx
-        if gap_away > gap and support.size > 1:
-            d = x.copy()
-            d[a_idx] -= 1.0
-            xa = x[a_idx]
-            hi = min(xa / (1.0 - xa), 1e12) if xa < 1.0 else 1e12
-        gamma = _line_minimize(z, mat @ d, hi)
-        x_next = x + gamma * d
+        d_s = None
+        if x[s_idx] > 0.0:
+            support = np.flatnonzero(x)
+            d_s = _face_newton(mat[:, support], p, g[support])
+        if d_s is None:
+            d = -x
+            d[s_idx] += 1.0
+            x_next = x + _line_minimize(z, mat @ d, 1.0) * d
+        else:
+            neg = support[d_s < 0.0]
+            ratios = x[neg] / -d_s[d_s < 0.0]
+            j = int(np.argmin(ratios))
+            hi = max(1.0, ratios[j])
+            d = np.zeros(n)
+            d[support] = min(1.0, ratios[j]) * d_s  # t = 1: the Newton step, clipped
+            zeta = mat @ d
+            if -(g @ d) < 1e-3 * np.max(np.abs(zeta)):
+                gamma = 1.0  # the line minimum is within rounding of t = 1
+            else:
+                gamma = _line_minimize(z, zeta, hi)
+            x_next = x + gamma * d
+            if gamma >= hi:
+                x_next[neg[j]] = 0.0  # the clipped coordinate leaves S
         np.maximum(x_next, 0.0, out=x_next)
         x_next /= x_next.sum()
         if np.array_equal(x_next, x):  # a fixed point: every later step repeats this one
@@ -207,7 +245,7 @@ def optimize_continuous(a, h0, T: float, eta: float, epsilon: float) -> PlannerR
     Runs until the Frank-Wolfe duality gap certifies a reward suboptimality
     of at most epsilon (gap <= epsilon * eta on the rescaled objective). The
     classical fixed-step analysis needs ceil(2/(epsilon*eta)) iterations;
-    away steps with exact line search typically certify much sooner.
+    the Newton steps of frank_wolfe certify within tens, also at large eta*T.
     """
     a = _zero_sum_matrix(a)
     n, m = a.shape

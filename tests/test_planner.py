@@ -30,8 +30,14 @@ from strategizer import (
     unique_br_game,
 )
 from strategizer import planner
+from strategizer.acceptance import DEFAULT_COUNT, DEFAULT_SEED, _random_games
 from strategizer.learners import softmax
 from strategizer.planner import _line_minimize, _objective_terms
+
+from away_step_fw import away_step_frank_wolfe
+
+
+FW_ITERATION_BOUND = 30
 
 
 def constant_schedule(x, total):
@@ -226,6 +232,19 @@ class TestAlternatingPlan:
         assert gain > 0
 
 
+def test_alternating_gain_positive_on_battery_games():
+    # the paper's discrete claim: against MWU the alternating plan of a game
+    # where Assumption 1 holds beats T*Val by a positive per-round slope
+    gains = []
+    for a in _random_games(np.random.default_rng(DEFAULT_SEED), DEFAULT_COUNT):
+        try:
+            plan = alternating_plan(a)
+        except PreconditionError:
+            continue
+        gains += [alternating_gain(a, eta, 1000, plan) for eta in (0.1, 1.0)]
+    assert len(gains) >= 300 and min(gains) > 0.0  # 160 games, smallest gain 2.2e-6
+
+
 class TestHjbResidual:
     def test_all_zeros_exact(self):
         assert hjb_residual(np.zeros(3), 2.0, np.zeros((3, 3)), 0.5, 1e-4) == 0.0
@@ -262,6 +281,35 @@ class TestFrankWolfe:
         z0, mat = _objective_terms(a, np.zeros(2), 10.0, 1.0)
         with pytest.raises(CapExceededError, match="stalled"):
             frank_wolfe(z0, mat, 1e-6)
+
+    @pytest.mark.parametrize("eta_t", [100.0, 1000.0])
+    def test_certifies_at_large_eta_t(self, eta_t):
+        # the plan's epsilon 1e-6 on 200 seeded U[-1, 1] games, n and m in
+        # 2..6, within FW_ITERATION_BOUND iterations each (17 at most); away
+        # steps missed a 5,000-iteration cap on 1 and 4 of them
+        rng = np.random.default_rng(int(eta_t))
+        for i in range(200):
+            n, m = rng.integers(2, 7, size=2)
+            eta = (0.1, 1.0)[i % 2]
+            z0, mat = _objective_terms(rng.uniform(-1, 1, size=(n, m)), np.zeros(m),
+                                       eta_t / eta, eta)
+            _, gap, _ = frank_wolfe(z0, mat, 1e-6 * eta, max_iter=FW_ITERATION_BOUND)
+            assert gap <= 1e-6 * eta
+
+    @pytest.mark.parametrize("x0", [None, np.full(4, 0.25)], ids=["vertex", "uniform"])
+    def test_singular_face(self, x0):
+        # n > m: the Hessian on the full simplex face is singular, and only
+        # the ridge keeps the Newton step from the uniform start useful
+        # (24 iterations without it; away steps took 458)
+        a = np.array([
+            [-0.33588389625481474, -0.01783157063845553, -0.4523775227764626],
+            [0.45315559930815774, -0.8320182913086935, -0.35371696290701604],
+            [-0.15825454532041294, -0.48389469454047185, 0.6797558332733771],
+            [-0.2917989374910288, -0.15869922645786727, -0.06238906762619467],
+        ])
+        z0, mat = _objective_terms(a, np.zeros(3), 100.0, 0.1)
+        _, gap, iterations = frank_wolfe(z0, mat, 1e-7, x0=x0)
+        assert gap <= 1e-7 and iterations <= 16
 
     def test_linesearch_objective_monotone(self, rng, monkeypatch):
         objectives = []
@@ -356,7 +404,7 @@ class TestLineSearch:
             return _line_minimize(z, zeta, hi)
 
         monkeypatch.setattr(planner, "_line_minimize", recording)
-        for z0, mat in line_search_games():
+        for z0, mat in line_search_games(240):
             frank_wolfe(z0, mat, gap_target=1e-12)
         assert len(searches) > 500
         for z, zeta, hi in searches:
@@ -372,8 +420,9 @@ class TestLineSearch:
             assert gap <= 1e-12
 
     def test_newton_certifies_where_bisection_stalls(self, monkeypatch):
-        # bisection resolves t only to 1e-15 absolute, so tiny late steps
-        # zigzag: it stalls above gap 1e-12 here after 20,000 iterations
+        # under away steps, bisection resolves t only to 1e-15 absolute, so
+        # tiny late steps zigzag: it stalls above gap 1e-12 here after 20,000
+        # iterations, where the Newton line search certifies
         a = np.array([
             [0.3954595634111311, -0.6935700569063747, 0.5426011294031954],
             [-0.6501674597301406, 0.8288561725427079, -0.04466593913685046],
@@ -381,11 +430,11 @@ class TestLineSearch:
             [0.9949697334095688, -0.8763226108747277, 0.6249759978270164],
         ])
         z0, mat = _objective_terms(a, np.zeros(3), 1000.0, 0.1)
-        _, gap, iterations = frank_wolfe(z0, mat, gap_target=1e-12)
+        _, gap, iterations = away_step_frank_wolfe(z0, mat, gap_target=1e-12)
         assert gap <= 1e-12 and iterations <= 1000
         monkeypatch.setattr(planner, "_line_minimize", bisection_line_minimize)
         with pytest.raises(CapExceededError, match="cap 1000"):
-            frank_wolfe(z0, mat, gap_target=1e-12, max_iter=1000)
+            away_step_frank_wolfe(z0, mat, gap_target=1e-12, max_iter=1000)
 
 
 class TestDiscreteVsContinuous:
