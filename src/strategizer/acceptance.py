@@ -1,9 +1,11 @@
-"""Acceptance battery: one function per criterion, runnable via the CLI
+"""Acceptance battery: one table of criteria, runnable via the CLI
 (`strategizer battery`) or the test suite.
 
-Each criterion pins its tolerances and runtime budget; a criterion passes
-only if every numeric check holds and the run fits its budget. Randomized
-batteries are seeded and fully reproducible.
+Each criterion is a check(seed, count) -> (ok, detail), registered once in
+ALL_CRITERIA with its number, name and runtime budget by @criterion. It
+pins its own tolerances; it passes only if every numeric check holds and
+the run fits its budget. Randomized batteries are seeded and fully
+reproducible.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,13 +36,12 @@ from .planner import (
     fw_rate_constant,
     hjb_residual,
     optimize_continuous,
+    reward_bounds,
     reward_cont,
 )
 
 DEFAULT_SEED = 1729
 DEFAULT_COUNT = 200
-
-RUNTIME_BUDGETS = {1: 1, 2: 120, 3: 60, 4: 180, 5: 5, 6: 5, 7: 120, 8: 1, 9: 300, 10: 60, 11: 30}
 
 
 @dataclass
@@ -100,12 +102,9 @@ def find_hamiltonian_cycle(g: DirectedGraph):
 
 
 def _random_games(rng, count):
-    games = []
-    for _ in range(count):
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(2, 7))
-        games.append(rng.uniform(-1.0, 1.0, size=(n, m)))
-    return games
+    """count games, n x m with n and m in 2..6 and entries in U[-1, 1]."""
+    return [rng.uniform(-1.0, 1.0, size=(int(rng.integers(2, 7)), int(rng.integers(2, 7))))
+            for _ in range(count)]
 
 
 def _random_graphs(rng, count, max_vertices=5, max_edges=8):
@@ -120,161 +119,148 @@ def _random_graphs(rng, count, max_vertices=5, max_edges=8):
     return graphs
 
 
-def _timed(number, name, budget, check):
-    start = time.perf_counter()
-    try:
-        ok, detail = check()
-    except Exception as exc:  # an acceptance criterion must never crash the battery
-        elapsed = time.perf_counter() - start
-        return CriterionResult(number, name, False, f"raised {type(exc).__name__}: {exc}", elapsed)
-    elapsed = time.perf_counter() - start
-    if ok and elapsed >= budget:
-        ok = False
-        detail += f"; runtime {elapsed:.2f}s exceeded budget {budget}s"
-    return CriterionResult(number, name, ok, detail, elapsed)
+ALL_CRITERIA: dict[int, Callable[..., CriterionResult]] = {}
 
 
-def criterion_1(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
+def criterion(number: int, name: str, budget: float):
+    """Register check(seed, count) -> (ok, detail) as criterion `number`.
+
+    The registered runner, ALL_CRITERIA[number](seed=..., count=...), times
+    the check and returns its CriterionResult. A check that raises fails, and
+    so does a passing one that takes `budget` seconds or more.
+    """
+
+    def register(check):
+        def run(seed=DEFAULT_SEED, count=DEFAULT_COUNT) -> CriterionResult:
+            start = time.perf_counter()
+            try:
+                ok, detail = check(seed, count)
+            except Exception as exc:  # an acceptance criterion must never crash the battery
+                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+            elapsed = time.perf_counter() - start
+            if ok and elapsed >= budget:
+                ok, detail = False, detail + f"; runtime {elapsed:.2f}s exceeded budget {budget}s"
+            return CriterionResult(number, name, ok, detail, elapsed)
+
+        ALL_CRITERIA[number] = run
+        return run
+
+    return register
+
+
+EPS = 1e-3
+ROUNDS = 100
+
+
+def _planning_pass(rng, count):
+    """The seeded planning pass of criteria 2-4: (a, eta, plan) per random game
+    and eta in (0.1, 1.0), planned over T = ROUNDS to EPS.
+
+    All games are drawn from rng before the first yield, so a caller's own
+    draws from rng come after them.
+    """
+    for a in _random_games(rng, count):
+        for eta in (0.1, 1.0):
+            yield a, eta, optimize_continuous(a, None, float(ROUNDS), eta, EPS)
+
+
+@criterion(1, "matching-pennies alternating reward", budget=1)
+def criterion_1(seed, count):
     """Alternating plan vs MWU on matching pennies hits (T/2)*tanh(eta) exactly."""
-
-    def check():
-        a = matching_pennies()
-        plan = alternating_plan(a)
-        game = BimatrixGame.from_zero_sum(a)
-        big_t = 1000
-        worst = 0.0
-        for eta in (0.05, 0.1, 0.5):
-            traj = simulate(game, plan.to_schedule(big_t), MWU, eta=eta)
-            expected = (big_t / 2) * math.tanh(eta)
-            worst = max(worst, abs(traj.totals[0] - expected))
-        return worst <= 1e-9, f"max |total - (T/2)tanh(eta)| = {worst:.2e} (tol 1e-9)"
-
-    return _timed(1, "matching-pennies alternating reward", RUNTIME_BUDGETS[1], check)
+    a = matching_pennies()
+    plan = alternating_plan(a)
+    game = BimatrixGame.from_zero_sum(a)
+    big_t = 1000
+    worst = 0.0
+    for eta in (0.05, 0.1, 0.5):
+        traj = simulate(game, plan.to_schedule(big_t), MWU, eta=eta)
+        expected = (big_t / 2) * math.tanh(eta)
+        worst = max(worst, abs(traj.totals[0] - expected))
+    return worst <= 1e-9, f"max |total - (T/2)tanh(eta)| = {worst:.2e} (tol 1e-9)"
 
 
-def criterion_2(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
+@criterion(2, "continuous reward bounds", budget=120)
+def criterion_2(seed, count):
     """Planner rewards stay inside the Val*T .. Val*T + ln(m)/eta bracket."""
-
-    def check():
-        rng = np.random.default_rng(seed)
-        games = _random_games(rng, count)
-        eps = 1e-3
-        big_t = 100.0
-        failures = 0
-        for a in games:
-            value = game_value(a).value
-            for eta in (0.1, 1.0):
-                res = optimize_continuous(a, None, big_t, eta, eps)
-                lo = value * big_t - 2 * eps
-                hi = value * big_t + math.log(a.shape[1]) / eta + 2 * eps
-                if not lo <= res.r_star <= hi:
-                    failures += 1
-        return failures == 0, f"{2 * len(games)} planner runs, {failures} outside the bracket"
-
-    return _timed(2, "continuous reward bounds", RUNTIME_BUDGETS[2], check)
+    failures = 0
+    for a, eta, res in _planning_pass(np.random.default_rng(seed), count):
+        lo, hi = reward_bounds(a, float(ROUNDS), eta)
+        if not lo - 2 * EPS <= res.r_star <= hi + 2 * EPS:
+            failures += 1
+    return failures == 0, f"{2 * count} planner runs, {failures} outside the bracket"
 
 
-def criterion_3(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
+@criterion(3, "discrete dominance", budget=60)
+def criterion_3(seed, count):
     """Replaying the continuous optimum discretely never loses reward."""
-
-    def check():
-        rng = np.random.default_rng(seed)
-        games = _random_games(rng, count)
-        eps = 1e-3
-        rounds = 100
-        failures = 0
-        for a in games:
-            game = BimatrixGame.from_zero_sum(a)
-            for eta in (0.1, 1.0):
-                res = optimize_continuous(a, None, float(rounds), eta, eps)
-                cont = reward_cont(
-                    Schedule.constant(res.x_star, float(rounds), "continuous"),
-                    None, float(rounds), a, eta,
-                )
-                disc = simulate(game, Schedule.constant(res.x_star, rounds), MWU, eta=eta)
-                if disc.totals[0] < cont - 1e-9:
-                    failures += 1
-        return failures == 0, f"{2 * len(games)} comparisons, {failures} below the continuous reward"
-
-    return _timed(3, "discrete dominance", RUNTIME_BUDGETS[3], check)
+    failures = 0
+    for a, eta, res in _planning_pass(np.random.default_rng(seed), count):
+        continuous = Schedule.constant(res.x_star, float(ROUNDS), "continuous")
+        cont = reward_cont(continuous, None, float(ROUNDS), a, eta)
+        disc = simulate(BimatrixGame.from_zero_sum(a), Schedule.constant(res.x_star, ROUNDS), MWU, eta=eta)
+        if disc.totals[0] < cont - 1e-9:
+            failures += 1
+    return failures == 0, f"{2 * count} comparisons, {failures} below the continuous reward"
 
 
-def criterion_4(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
-    """No discrete schedule beats the continuous optimum by more than eta*T/2."""
+@criterion(4, "eta*T/2 ceiling", budget=180)
+def criterion_4(seed, count):
+    """No discrete schedule beats the continuous optimum by more than eta*T/2.
 
-    def check():
-        rng = np.random.default_rng(seed)
-        games = _random_games(rng, count)
-        eps = 1e-3
-        rounds = 100
-        failures = 0
-        for a in games:
-            n = a.shape[0]
-            game = BimatrixGame.from_zero_sum(a)
-            for eta in (0.1, 1.0):
-                res = optimize_continuous(a, None, float(rounds), eta, eps)
-                ceiling = res.r_star + 2 * eps + eta * rounds / 2
-                for _ in range(50):
-                    plays = rng.dirichlet(np.ones(n), size=rounds)
-                    traj = simulate(game, Schedule.from_rounds(plays), MWU, eta=eta)
-                    if traj.totals[0] > ceiling:
-                        failures += 1
-        return failures == 0, f"{2 * len(games) * 50} schedules, {failures} above the eta*T/2 ceiling"
-
-    return _timed(4, "eta*T/2 ceiling", RUNTIME_BUDGETS[4], check)
+    The 50 random schedules per (game, eta) come from the rng after the games.
+    """
+    rng = np.random.default_rng(seed)
+    failures = 0
+    for a, eta, res in _planning_pass(rng, count):
+        game = BimatrixGame.from_zero_sum(a)
+        ceiling = res.r_star + 2 * EPS + eta * ROUNDS / 2
+        for _ in range(50):
+            plays = rng.dirichlet(np.ones(a.shape[0]), size=ROUNDS)
+            if simulate(game, Schedule.from_rounds(plays), MWU, eta=eta).totals[0] > ceiling:
+                failures += 1
+    return failures == 0, f"{2 * count * 50} schedules, {failures} above the eta*T/2 ceiling"
 
 
-def criterion_5(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
+@criterion(5, "asymptotic example", budget=5)
+def criterion_5(seed, count):
     """The 5x6 example: unique-best-response mix earns T + ln(6)/eta."""
-
-    def check():
-        a = unique_br_game(3)
-        eta = 1.0
-        x_star = np.array([0.0, 0.0, 0.5, 0.5, 0.0])
-        worst = 0.0
-        for big_t in (50.0, 200.0):
-            r = reward_cont(
-                Schedule.constant(x_star, big_t, "continuous"), None, big_t, a, eta
-            )
-            worst = max(worst, abs(r - (big_t + math.log(6.0))))
-        _, k = min_br_minmax(a, game_value(a))
-        ok = worst <= 0.01 and k == 1
-        return ok, f"max |reward - (T + ln 6)| = {worst:.2e} (tol 0.01), k = {k} (want 1)"
-
-    return _timed(5, "asymptotic example", RUNTIME_BUDGETS[5], check)
+    a = unique_br_game(3)
+    eta = 1.0
+    x_star = np.array([0.0, 0.0, 0.5, 0.5, 0.0])
+    worst = 0.0
+    for big_t in (50.0, 200.0):
+        r = reward_cont(Schedule.constant(x_star, big_t, "continuous"), None, big_t, a, eta)
+        worst = max(worst, abs(r - (big_t + math.log(6.0))))
+    _, k = min_br_minmax(a, game_value(a))
+    ok = worst <= 0.01 and k == 1
+    return ok, f"max |reward - (T + ln 6)| = {worst:.2e} (tol 0.01), k = {k} (want 1)"
 
 
-def criterion_6(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
+@criterion(6, "alternating gain slope", budget=5)
+def criterion_6(seed, count):
     """The measured alternating-gain slope is positive and nearly eta-free."""
-
-    def check():
-        a = matching_pennies()
-        plan = alternating_plan(a)
-        big_t = 2000
-        slopes = [alternating_gain(a, eta, big_t, plan=plan) for eta in (0.05, 0.1, 0.2, 0.4)]
-        spread = (max(slopes) - min(slopes)) / (sum(slopes) / len(slopes))
-        ok = all(s > 0 for s in slopes) and spread < 0.25
-        return ok, f"slopes {['%.4f' % s for s in slopes]}, spread {spread:.1%} (< 25%)"
-
-    return _timed(6, "alternating gain slope", RUNTIME_BUDGETS[6], check)
+    a = matching_pennies()
+    plan = alternating_plan(a)
+    big_t = 2000
+    slopes = [alternating_gain(a, eta, big_t, plan=plan) for eta in (0.05, 0.1, 0.2, 0.4)]
+    spread = (max(slopes) - min(slopes)) / (sum(slopes) / len(slopes))
+    ok = all(s > 0 for s in slopes) and spread < 0.25
+    return ok, f"slopes {['%.4f' % s for s in slopes]}, spread {spread:.1%} (< 25%)"
 
 
-def criterion_7(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
+@criterion(7, "HJB residual", budget=120)
+def criterion_7(seed, count):
     """The closed-form value function solves the control PDE (FD residual)."""
-
-    def check():
-        rng = np.random.default_rng(seed)
-        games = [rng.uniform(-1.0, 1.0, size=(3, 3)) for _ in range(3)]
-        eta = 0.5
-        worst = 0.0
-        for i in range(20):
-            a = games[i % 3]
-            h = rng.uniform(-1.0, 1.0, size=3)
-            t = float(rng.uniform(1.0, 4.0))
-            worst = max(worst, hjb_residual(h, t, a, eta, 1e-4))
-        return worst <= 1e-3, f"max residual {worst:.2e} over 20 points (tol 1e-3)"
-
-    return _timed(7, "HJB residual", RUNTIME_BUDGETS[7], check)
+    rng = np.random.default_rng(seed)
+    games = [rng.uniform(-1.0, 1.0, size=(3, 3)) for _ in range(3)]
+    eta = 0.5
+    worst = 0.0
+    for i in range(20):
+        a = games[i % 3]
+        h = rng.uniform(-1.0, 1.0, size=3)
+        t = float(rng.uniform(1.0, 4.0))
+        worst = max(worst, hjb_residual(h, t, a, eta, 1e-4))
+    return worst <= 1e-3, f"max residual {worst:.2e} over 20 points (tol 1e-3)"
 
 
 EXAMPLE_A = np.array([
@@ -313,118 +299,95 @@ EXAMPLE_SEQUENCE = (0, 1, 3, 5, 6, 0)  # e_1, e_2, e_4, e_6, e_7, e_1
 EXAMPLE_LEARNER_LABELS = ["v_1", "v_5", "v_2", "v_4", "v_3", "v_1"]
 
 
-def criterion_8(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
+@criterion(8, "reduction golden test", budget=1)
+def criterion_8(seed, count):
     """Golden reduction: matrices, play-out, and history trace match exactly."""
-
-    def check():
-        inst = reduce_hamiltonian(example_graph())
-        problems = []
-        if not np.array_equal(inst.a, EXAMPLE_A):
-            problems.append("A differs")
-        if not np.array_equal(inst.b, EXAMPLE_B):
-            problems.append("B differs")
-        playout = play_ocdp(inst, EXAMPLE_SEQUENCE)
-        if playout.total_reward != 6:
-            problems.append(f"reward {playout.total_reward} != 6")
-        if playout_labels(inst, playout) != EXAMPLE_LEARNER_LABELS:
-            problems.append("learner sequence differs")
-        if not np.array_equal(playout.history_trace, EXAMPLE_HISTORY):
-            problems.append("history trace differs")
-        return not problems, "; ".join(problems) if problems else "matrices, play-out, and trace all match"
-
-    return _timed(8, "reduction golden test", RUNTIME_BUDGETS[8], check)
+    inst = reduce_hamiltonian(example_graph())
+    problems = []
+    if not np.array_equal(inst.a, EXAMPLE_A):
+        problems.append("A differs")
+    if not np.array_equal(inst.b, EXAMPLE_B):
+        problems.append("B differs")
+    playout = play_ocdp(inst, EXAMPLE_SEQUENCE)
+    if playout.total_reward != 6:
+        problems.append(f"reward {playout.total_reward} != 6")
+    if playout_labels(inst, playout) != EXAMPLE_LEARNER_LABELS:
+        problems.append("learner sequence differs")
+    if not np.array_equal(playout.history_trace, EXAMPLE_HISTORY):
+        problems.append("history trace differs")
+    return not problems, "; ".join(problems) if problems else "matrices, play-out, and trace all match"
 
 
-def criterion_9(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
+@criterion(9, "reduction soundness battery", budget=300)
+def criterion_9(seed, count):
     """Brute-force max equals n+1 exactly when a Hamiltonian cycle exists."""
-
-    def check():
-        rng = np.random.default_rng(seed)
-        graphs = _random_graphs(rng, count)
-        graphs.append(example_graph())
-        base = example_graph()
-        graphs.append(DirectedGraph(base.n_vertices, tuple(e for e in base.edges if e != (5, 2))))
-        disagreements = 0
-        for g in graphs:
-            inst = reduce_hamiltonian(g)
-            best, _ = brute_force_ocdp(inst)
-            cycle = find_hamiltonian_cycle(g)
-            if (best == g.n_vertices + 1) != (cycle is not None):
-                disagreements += 1
-        return disagreements == 0, f"{len(graphs)} graphs, {disagreements} oracle disagreements"
-
-    return _timed(9, "reduction soundness battery", RUNTIME_BUDGETS[9], check)
+    rng = np.random.default_rng(seed)
+    graphs = _random_graphs(rng, count)
+    base = example_graph()
+    graphs += [base, DirectedGraph(base.n_vertices, tuple(e for e in base.edges if e != (5, 2)))]
+    disagreements = 0
+    for g in graphs:
+        inst = reduce_hamiltonian(g)
+        best, _ = brute_force_ocdp(inst)
+        cycle = find_hamiltonian_cycle(g)
+        if (best == g.n_vertices + 1) != (cycle is not None):
+            disagreements += 1
+    return disagreements == 0, f"{len(graphs)} graphs, {disagreements} oracle disagreements"
 
 
-def criterion_10(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
+@criterion(10, "Frank-Wolfe rate and gradient", budget=60)
+def criterion_10(seed, count):
     """Fixed-step rate bound 2C/(s+1) holds; analytic gradient matches FD."""
-
-    def check():
-        rng = np.random.default_rng(seed)
-        games = _random_games(rng, 20)
-        eta, big_t = 0.5, 5.0
-        rate_ok = True
-        worst_rel = 0.0
-        for a in games:
-            z0, mat = _objective_terms(a, np.zeros(a.shape[1]), big_t, eta)
-            x_ref, _, _ = frank_wolfe(z0, mat, gap_target=1e-11)
-            f_ref = float(np.logaddexp.reduce(z0 + mat @ x_ref))
-            cert = fw_rate_constant(a, big_t, eta)
-            log = fixed_step_objectives(z0, mat, 300)
-            for s in range(1, len(log)):
-                if log[s] - f_ref > 2.0 * cert / (s + 1):
-                    rate_ok = False
-            # gradient vs central differences at a random simplex point
-            x = rng.dirichlet(np.ones(a.shape[0]))
-            p = softmax(z0 + mat @ x)
-            grad = mat.T @ p
-            fd = np.zeros_like(grad)
-            step = 1e-6
-            for i in range(x.size):
-                e = np.zeros(x.size)
-                e[i] = step
-                fp = float(np.logaddexp.reduce(z0 + mat @ (x + e)))
-                fm = float(np.logaddexp.reduce(z0 + mat @ (x - e)))
-                fd[i] = (fp - fm) / (2 * step)
-            rel = np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))
-            worst_rel = max(worst_rel, rel)
-        ok = rate_ok and worst_rel <= 1e-5
-        return ok, f"rate bound {'held' if rate_ok else 'VIOLATED'}, worst grad rel err {worst_rel:.2e}"
-
-    return _timed(10, "Frank-Wolfe rate and gradient", RUNTIME_BUDGETS[10], check)
+    rng = np.random.default_rng(seed)
+    games = _random_games(rng, 20)
+    eta, big_t = 0.5, 5.0
+    rate_ok = True
+    worst_rel = 0.0
+    for a in games:
+        z0, mat = _objective_terms(a, np.zeros(a.shape[1]), big_t, eta)
+        x_ref, _, _ = frank_wolfe(z0, mat, gap_target=1e-11)
+        f_ref = float(np.logaddexp.reduce(z0 + mat @ x_ref))
+        cert = fw_rate_constant(a, big_t, eta)
+        log = fixed_step_objectives(z0, mat, 300)
+        for s in range(1, len(log)):
+            if log[s] - f_ref > 2.0 * cert / (s + 1):
+                rate_ok = False
+        # gradient vs central differences at a random simplex point
+        x = rng.dirichlet(np.ones(a.shape[0]))
+        p = softmax(z0 + mat @ x)
+        grad = mat.T @ p
+        fd = np.zeros_like(grad)
+        step = 1e-6
+        for i in range(x.size):
+            e = np.zeros(x.size)
+            e[i] = step
+            fp = float(np.logaddexp.reduce(z0 + mat @ (x + e)))
+            fm = float(np.logaddexp.reduce(z0 + mat @ (x - e)))
+            fd[i] = (fp - fm) / (2 * step)
+        rel = np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))
+        worst_rel = max(worst_rel, rel)
+    ok = rate_ok and worst_rel <= 1e-5
+    return ok, f"rate bound {'held' if rate_ok else 'VIOLATED'}, worst grad rel err {worst_rel:.2e}"
 
 
-def criterion_11(seed=DEFAULT_SEED, count=DEFAULT_COUNT):
+@criterion(11, "normalization neutrality", budget=30)
+def criterion_11(seed, count):
     """Payoff normalization never changes the learner's action sequence."""
-
-    def check():
-        rng = np.random.default_rng(seed)
-        graphs = _random_graphs(rng, 20)
-        mismatches = 0
-        checked = 0
-        for g in graphs:
-            inst = reduce_hamiltonian(g)
-            norm = normalize_payoffs(inst)
-            for _ in range(5):
-                seq = rng.integers(0, inst.n_actions_opt, size=inst.T)
-                before = play_ocdp(inst, seq)
-                after = play_ocdp(norm, seq)
-                checked += 1
-                if (
-                    before.learner_actions != after.learner_actions
-                    or before.total_reward != after.total_reward
-                ):
-                    mismatches += 1
-        return mismatches == 0, f"{checked} sequences, {mismatches} mismatches"
-
-    return _timed(11, "normalization neutrality", RUNTIME_BUDGETS[11], check)
-
-
-ALL_CRITERIA = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9, 10: criterion_10, 11: criterion_11,
-}
+    rng = np.random.default_rng(seed)
+    graphs = _random_graphs(rng, 20)
+    mismatches = 0
+    checked = 0
+    for g in graphs:
+        inst = reduce_hamiltonian(g)
+        norm = normalize_payoffs(inst)
+        for _ in range(5):
+            seq = rng.integers(0, inst.n_actions_opt, size=inst.T)
+            before = play_ocdp(inst, seq)
+            after = play_ocdp(norm, seq)
+            checked += 1
+            if (before.learner_actions, before.total_reward) != (after.learner_actions, after.total_reward):
+                mismatches += 1
+    return mismatches == 0, f"{checked} sequences, {mismatches} mismatches"
 
 
 def run_battery(seed=DEFAULT_SEED, count=DEFAULT_COUNT, numbers=None):

@@ -228,16 +228,8 @@ class Trajectory:
 
 
 def _simulate_discrete(game, schedule, learner_kind, eta, h0) -> Trajectory:
-    x_rounds = schedule.round_strategies()
+    x_rounds = schedule.round_strategies().reshape(-1, game.n)  # (0, n) when empty
     big_t = x_rounds.shape[0]
-    if big_t == 0:
-        empty = np.zeros((0, 0))
-        return Trajectory(
-            mode="discrete", t=np.zeros(0, dtype=int),
-            optimizer_strategy=empty, learner_strategy=empty,
-            optimizer_reward=np.zeros(0), learner_reward=np.zeros(0),
-            h_after=empty, totals=(0.0, 0.0),
-        )
     increments = x_rounds @ game.b  # row t is B' x(t)
     h = np.zeros((big_t + 1, game.m))  # row t is the history after round t
     np.cumsum(increments, axis=0, out=h[1:])
@@ -285,19 +277,44 @@ def _integrate_segments(c, h, d, dur, eta):
     piece whose error estimate exceeds its length share of max(_EPS_ABS,
     _EPS_REL*|I|) is bisected, again in one batch, until none is left. A
     segment needing more than _MAX_BISECTIONS bisections raises
-    CapExceededError. Segments are taken in chunks of at most _QUAD_BATCH
-    action pairs (at least one segment), and pieces in batches of at most
-    _QUAD_BATCH integrand values.
+    CapExceededError. Segments are cut in chunks of at most _QUAD_BATCH
+    action pairs (at least one segment), and pieces go to QK21 in batches of
+    at most _QUAD_BATCH integrand values.
     """
     rows, m = h.shape
+    if not rows:
+        return np.zeros(0)
     pairs = np.triu_indices(m, 1)
     chunk = max(1, _QUAD_BATCH // max(1, pairs[0].size))
-    parts = [
-        _integrate_chunk(c[s:s + chunk], h[s:s + chunk], d[s:s + chunk], dur[s:s + chunk],
-                         eta, pairs, s)
-        for s in range(0, rows, chunk)
-    ]
-    return np.concatenate(parts) if parts else np.zeros(0)
+    seg, lo, hi = [], [], []
+    for s in range(0, rows, chunk):
+        cut = _cut_pieces(c[s:s + chunk], h[s:s + chunk], d[s:s + chunk], dur[s:s + chunk], eta, pairs)
+        seg.append(cut[0] + s)
+        lo.append(cut[1])
+        hi.append(cut[2])
+    seg, lo, hi = np.concatenate(seg), np.concatenate(lo), np.concatenate(hi)
+    total = np.zeros(rows)
+    bisections = np.zeros(rows, dtype=np.int64)
+    batch = max(1, _QUAD_BATCH // (_NODES.size * m))
+    while seg.size:
+        res, err = np.empty(seg.size), np.empty(seg.size)
+        for k in range(0, seg.size, batch):
+            p, q = seg[k:k + batch], slice(k, k + batch)
+            res[q], err[q] = _qk21(c[p], h[p], d[p], eta, lo[q], hi[q])
+        estimate = np.abs(total + np.bincount(seg, res, rows))
+        share = np.maximum(_EPS_ABS, _EPS_REL * estimate) / dur
+        done = err <= share[seg] * (hi - lo)
+        total += np.bincount(seg[done], res[done], rows)
+        seg, lo, hi = seg[~done], lo[~done], hi[~done]
+        bisections += np.bincount(seg, minlength=rows)
+        if bisections.max(initial=0) > _MAX_BISECTIONS:
+            raise CapExceededError(
+                f"segment {int(np.argmax(bisections)) + 1}: the optimizer's reward integral needs "
+                f"more than {_MAX_BISECTIONS} bisections to reach tolerance {_EPS_REL:g}"
+            )
+        mid = 0.5 * (lo + hi)
+        seg, lo, hi = np.tile(seg, 2), np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    return total
 
 
 def _cut_pieces(c, h, d, dur, eta, pairs):
@@ -347,35 +364,6 @@ def _cut_pieces(c, h, d, dur, eta, pairs):
     owner, cuts = owner[order], cuts[order]
     piece = (owner[1:] == owner[:-1]) & (cuts[1:] > cuts[:-1])
     return owner[1:][piece], cuts[:-1][piece], cuts[1:][piece]
-
-
-def _integrate_chunk(c, h, d, dur, eta, pairs, first):
-    """`_integrate_segments` on one chunk of segments, numbered from `first`."""
-    rows, m = h.shape
-    seg, lo, hi = _cut_pieces(c, h, d, dur, eta, pairs)
-    total = np.zeros(rows)
-    bisections = np.zeros(rows, dtype=np.int64)
-    batch = max(1, _QUAD_BATCH // (_NODES.size * m))
-    while seg.size:
-        res, err = np.empty(seg.size), np.empty(seg.size)
-        for k in range(0, seg.size, batch):
-            p, q = seg[k:k + batch], slice(k, k + batch)
-            res[q], err[q] = _qk21(c[p], h[p], d[p], eta, lo[q], hi[q])
-        estimate = np.abs(total + np.bincount(seg, res, rows))
-        share = np.maximum(_EPS_ABS, _EPS_REL * estimate) / dur
-        done = err <= share[seg] * (hi - lo)
-        total += np.bincount(seg[done], res[done], rows)
-        seg, lo, hi = seg[~done], lo[~done], hi[~done]
-        bisections += np.bincount(seg, minlength=rows)
-        if bisections.max(initial=0) > _MAX_BISECTIONS:
-            s = int(np.argmax(bisections))
-            raise CapExceededError(
-                f"segment {first + s + 1}: the optimizer's reward integral needs more than "
-                f"{_MAX_BISECTIONS} bisections to reach tolerance {_EPS_REL:g}"
-            )
-        mid = 0.5 * (lo + hi)
-        seg, lo, hi = np.tile(seg, 2), np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    return total
 
 
 def _simulate_replicator(game, schedule, eta, h0) -> Trajectory:

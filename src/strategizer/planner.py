@@ -32,8 +32,6 @@ from .games import (
 )
 from .learners import MAX_ROUNDS, MWU, Schedule, lse, simulate, softmax
 
-MAX_FW_ITERATIONS = 10_000_000
-
 
 @dataclass(frozen=True, eq=False)
 class PlannerResult:
@@ -167,8 +165,7 @@ def _face_newton(ms: np.ndarray, p: np.ndarray, g_s: np.ndarray) -> np.ndarray |
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow makes the gap non-finite, which raises
-def frank_wolfe(z0: np.ndarray, mat: np.ndarray, gap_target: float,
-                max_iter: int = MAX_FW_ITERATIONS, x0: np.ndarray | None = None):
+def frank_wolfe(z0: np.ndarray, mat: np.ndarray, gap_target: float, x0: np.ndarray | None = None):
     """Minimize f(x) = lse(z0 + mat @ x) over the probability simplex.
 
     The solve starts at x0 or, by default, at the vertex with the least f.
@@ -182,9 +179,11 @@ def frank_wolfe(z0: np.ndarray, mat: np.ndarray, gap_target: float,
     lies within rounding of it. Returns (x, gap, iterations). The
     Frank-Wolfe gap max_v grad'(x - v) upper-bounds f(x) - f*, so it
     certifies optimality regardless of the path taken; CapExceededError is
-    raised if max_iter iterations do not bring it to gap_target.
+    raised if 100*(n + m) iterations on the m x n mat do not bring it to
+    gap_target.
     """
     n = mat.shape[1]
+    max_iter = 100 * sum(mat.shape)
     best_vertex = np.eye(n)[np.argmin(lse((z0[:, None] + mat).T))]
     x = best_vertex if x0 is None else np.array(x0, dtype=float)
     for it in range(max_iter + 1):

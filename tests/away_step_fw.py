@@ -15,7 +15,7 @@ from strategizer import planner
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def away_step_frank_wolfe(z0, mat, gap_target, max_iter=planner.MAX_FW_ITERATIONS):
+def away_step_frank_wolfe(z0, mat, gap_target, max_iter=10_000_000):
     m, n = mat.shape
     x = np.full(n, 1.0 / n)
     for it in range(max_iter + 1):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import time
 
 import numpy as np
@@ -298,6 +299,28 @@ def test_extreme_numbers_exit_at_once(command, matrix, args, code, message, caps
     got, _, err = run(capsys, *argv)
     assert got == code and message in err and "Traceback" not in err
     assert time.perf_counter() - start < 10
+
+
+def test_huge_finite_eta_t_hits_the_iteration_cap_promptly(capsys, tmp_path):
+    # at eta*T = 5e299 each Frank-Wolfe step moves x only in its last bits,
+    # so neither the fixed-point nor the non-finite check fires and only the
+    # iteration cap, 100*(n + m) = 600 here, ends the solve
+    game = tmp_path / "game.txt"
+    game.write_text("3.0 -0.09658054786688242 -5.960464477539063e-08\n"
+                    "-2.7909818038541353e-45 0.0 1.0\n"
+                    "5.065375980918949e-05 0.43063536203088804 -1.0\n")
+
+    def expire(signum, frame):
+        raise TimeoutError("plan ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        code, _, err = run(capsys, "plan", str(game), "--eta", "1e300", "--T", "0.5")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 4 and "iteration cap 600" in err and "Traceback" not in err
 
 
 def instance_json(graph=None, **changes):

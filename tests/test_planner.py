@@ -293,8 +293,8 @@ class TestFrankWolfe:
             eta = (0.1, 1.0)[i % 2]
             z0, mat = _objective_terms(rng.uniform(-1, 1, size=(n, m)), np.zeros(m),
                                        eta_t / eta, eta)
-            _, gap, _ = frank_wolfe(z0, mat, 1e-6 * eta, max_iter=FW_ITERATION_BOUND)
-            assert gap <= 1e-6 * eta
+            _, gap, iterations = frank_wolfe(z0, mat, 1e-6 * eta)
+            assert gap <= 1e-6 * eta and iterations <= FW_ITERATION_BOUND
 
     @pytest.mark.parametrize("x0", [None, np.full(4, 0.25)], ids=["vertex", "uniform"])
     def test_singular_face(self, x0):
