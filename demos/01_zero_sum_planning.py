@@ -36,8 +36,8 @@ print(f"value {val.value:+.3f}, minmax strategy {val.optimizer_strategy}")
 # average; the uniform average is optimal here and earns exactly 0.
 uniform = Schedule.constant([0.5, 0.5], T, "continuous")
 skewed = Schedule.constant([0.8, 0.2], T, "continuous")
-print(f"reward of the uniform average : {reward_cont(uniform, None, T, mp, eta):+.6f}")
-print(f"reward of a skewed average    : {reward_cont(skewed, None, T, mp, eta):+.6f}")
+print(f"reward of the uniform average : {reward_cont(uniform, None, mp, eta):+.6f}")
+print(f"reward of a skewed average    : {reward_cont(skewed, None, mp, eta):+.6f}")
 
 res = optimize_continuous(mp, None, T, eta, epsilon=1e-6)
 print(f"planner: x* = {res.x_star}, r* = {res.r_star:.2e} "
@@ -60,7 +60,7 @@ x, k = min_br_minmax(a, gv)
 lo, hi = reward_bounds(a, T, eta)
 print(f"least best-response count k = {k}; reward bracket [{lo:.3f}, {hi:.3f}]")
 
-r = reward_cont(Schedule.constant(concentrated, T, "continuous"), None, T, a, eta)
+r = reward_cont(Schedule.constant(concentrated, T, "continuous"), None, a, eta)
 print(f"concentrated mix earns {r:.6f} ~= T + ln(6) = {T + math.log(6):.6f}")
 print("so the whole ln(m)/eta headroom above value*T is collected here.")
 

@@ -196,7 +196,7 @@ def criterion_3(seed, count):
     failures = 0
     for a, eta, res in _planning_pass(np.random.default_rng(seed), count):
         continuous = Schedule.constant(res.x_star, float(ROUNDS), "continuous")
-        cont = reward_cont(continuous, None, float(ROUNDS), a, eta)
+        cont = reward_cont(continuous, None, a, eta)
         disc = simulate(BimatrixGame.from_zero_sum(a), Schedule.constant(res.x_star, ROUNDS), MWU, eta=eta)
         if disc.totals[0] < cont - 1e-9:
             failures += 1
@@ -229,7 +229,7 @@ def criterion_5(seed, count):
     x_star = np.array([0.0, 0.0, 0.5, 0.5, 0.0])
     worst = 0.0
     for big_t in (50.0, 200.0):
-        r = reward_cont(Schedule.constant(x_star, big_t, "continuous"), None, big_t, a, eta)
+        r = reward_cont(Schedule.constant(x_star, big_t, "continuous"), None, a, eta)
         worst = max(worst, abs(r - (big_t + math.log(6.0))))
     _, k = min_br_minmax(a, game_value(a))
     ok = worst <= 0.01 and k == 1
@@ -259,7 +259,7 @@ def criterion_7(seed, count):
         a = games[i % 3]
         h = rng.uniform(-1.0, 1.0, size=3)
         t = float(rng.uniform(1.0, 4.0))
-        worst = max(worst, hjb_residual(h, t, a, eta, 1e-4))
+        worst = max(worst, hjb_residual(h, t, a, eta))
     return worst <= 1e-3, f"max residual {worst:.2e} over 20 points (tol 1e-3)"
 
 

@@ -37,22 +37,23 @@ ENV_PREFIX = "STRATEGIZER_"
 LEARNER_NAMES = {"mwu": MWU, "br": BEST_RESPONSE, "replicator": REPLICATOR}
 
 
-def _env_number(name: str, cast):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return None
+# Each command's numeric parameters, {flag dest: (type, default)}; `main` fills
+# each flag left unset from STRATEGIZER_<NAME>, else the default, in this order.
+_PARAMS = {
+    "plan": {"eta": (float, 1.0), "T": (float, 100.0), "eps": (float, 1e-6)},
+    "simulate": {"eta": (float, 0.1), "eps": (float, 1e-6), "T": (float, 100.0)},
+    "brute": {"cap": (int, 10_000_000)},
+    "battery": {"seed": (int, acceptance.DEFAULT_SEED), "count": (int, acceptance.DEFAULT_COUNT)},
+}
+
+
+def _env_number(name: str, cast, default):
+    """STRATEGIZER_<NAME> read as a number, or default when it is unset."""
+    raw = os.environ.get(ENV_PREFIX + name.upper(), default)
     try:
         return cast(raw)
     except ValueError:
         raise InputError(f"environment variable {ENV_PREFIX}{name.upper()}={raw!r} is not numeric") from None
-
-
-def _resolve(flag_value, name: str, cast, default):
-    """CLI flag beats environment variable beats default."""
-    if flag_value is not None:
-        return flag_value
-    env = _env_number(name, cast)
-    return default if env is None else env
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -91,10 +92,7 @@ def cmd_plan(args) -> int:
             "planning needs a zero-sum game (B = -A); use 'strategizer simulate' "
             "for general-sum play"
         )
-    eta = _resolve(args.eta, "eta", float, 1.0)
-    big_t = _resolve(args.T, "t", float, 100.0)
-    eps = _resolve(args.eps, "eps", float, 1e-6)
-    _print_json(planner_report(game.a, eta, big_t, eps), args.out)
+    _print_json(planner_report(game.a, args.eta, args.T, args.eps), args.out)
     return 0
 
 
@@ -131,20 +129,15 @@ def _builtin_schedule(name: str, game: BimatrixGame, learner: str, rounds, eta, 
 
 def cmd_simulate(args) -> int:
     game = fileio.read_game(args.game)
-    learner = LEARNER_NAMES.get(args.learner)
-    if learner is None:
-        raise InputError(f"unknown learner {args.learner!r}; use mwu, br, or replicator")
-    eta = _resolve(args.eta, "eta", float, 0.1)
-    eps = _resolve(args.eps, "eps", float, 1e-6)
-    big_t = _resolve(args.T, "t", float, 100.0)
+    learner = LEARNER_NAMES[args.learner]
     h0 = None
     if args.h0:
         h0 = fileio.read_matrix(args.h0).ravel()
     if os.path.exists(args.schedule):
         schedule = fileio.read_schedule(args.schedule)
     else:
-        schedule = _builtin_schedule(args.schedule, game, learner, big_t, eta, eps)
-    traj = simulate(game, schedule, learner, eta=eta, h0=h0)
+        schedule = _builtin_schedule(args.schedule, game, learner, args.T, args.eta, args.eps)
+    traj = simulate(game, schedule, learner, eta=args.eta, h0=h0)
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
     fileio.atomic_write((csv_path, fileio.trajectory_csv(traj)),
@@ -152,12 +145,11 @@ def cmd_simulate(args) -> int:
     print(f"optimizer total {fileio.format_float(traj.totals[0])}")
     print(f"learner total   {fileio.format_float(traj.totals[1])}")
     if game.zero_sum and traj.rounds:
-        horizon = float(schedule.total)
         cont_schedule = Schedule(
             "continuous", schedule.lengths, schedule.strategies
         ) if schedule.mode == "discrete" else schedule
-        cont = reward_cont(cont_schedule, h0, horizon, game.a, eta)
-        lo, hi = reward_bounds(game.a, horizon, eta)
+        cont = reward_cont(cont_schedule, h0, game.a, args.eta)
+        lo, hi = reward_bounds(game.a, cont_schedule.total, args.eta)
         print(f"continuous-time reward of the same time-average: {fileio.format_float(cont)}")
         print(f"optimal continuous reward bounds: [{fileio.format_float(lo)}, {fileio.format_float(hi)}]")
     print(f"wrote {csv_path} and {json_path}")
@@ -182,13 +174,21 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _witness_json(inst, playout, cycle):
-    return {
-        "sequence": [i + 1 for i in playout.sequence],
-        "learner": playout_labels(inst, playout),
-        "reward": playout.total_reward,
-        "cycle": cycle,
-    }
+def _witness(inst, playout, out_path):
+    """The cycle a play-out traces, or None; writes the witness JSON to out_path if given."""
+    reward = playout.total_reward
+    cycle = None
+    # only a play-out earning k = n+1 in the reduction's n+1 rounds traces a cycle
+    if reward >= inst.k and reward == inst.T == inst.n_graph_vertices + 1:
+        cycle = extract_cycle(inst, playout, DirectedGraph(inst.n_graph_vertices, inst.edges))
+    if out_path:
+        fileio.atomic_write((out_path, fileio.canonical_json({
+            "sequence": [i + 1 for i in playout.sequence],
+            "learner": playout_labels(inst, playout),
+            "reward": reward,
+            "cycle": cycle,
+        })))
+    return cycle
 
 
 def cmd_verify(args) -> int:
@@ -205,11 +205,7 @@ def cmd_verify(args) -> int:
     else:
         sequence = [i - 1 for i in witness["sequence"]]
     playout = play_ocdp(inst, sequence)
-    cycle = extract_cycle(inst, playout, graph) if playout.total_reward >= inst.k else None
-    if args.out:  # before the verdict lines, so a failed write prints none
-        fileio.atomic_write(
-            (args.out, fileio.canonical_json(_witness_json(inst, playout, cycle)))
-        )
+    cycle = _witness(inst, playout, args.out)  # writes before the verdict lines
     if res is not None:
         print(f"OK: cycle verified, reward {res.reward}")
         print("sequence: " + " ".join(inst.row_labels[i] for i in res.sequence))
@@ -227,18 +223,9 @@ def cmd_verify(args) -> int:
 
 def cmd_brute(args) -> int:
     inst = fileio.read_instance_or_graph(args.input)
-    cap = _resolve(args.cap, "cap", int, 10_000_000)
-    best, seq = brute_force_ocdp(inst, cap=cap)
+    best, seq = brute_force_ocdp(inst, cap=args.cap)
     if args.out:  # before the verdict lines, so a failed write prints none
-        playout = play_ocdp(inst, seq)
-        cycle = None
-        # only a play-out earning n+1 in the reduction's n+1 rounds traces a cycle
-        if best >= inst.k and best == inst.T == inst.n_graph_vertices + 1:
-            graph = DirectedGraph(inst.n_graph_vertices, inst.edges)
-            cycle = extract_cycle(inst, playout, graph)
-        fileio.atomic_write(
-            (args.out, fileio.canonical_json(_witness_json(inst, playout, cycle)))
-        )
+        _witness(inst, play_ocdp(inst, seq), args.out)
     verdict = "YES" if best >= inst.k else "NO"
     print(f"max reward {best} over {inst.n_actions_opt}^{inst.T} sequences")
     print("best sequence: " + " ".join(inst.row_labels[i] for i in seq))
@@ -249,8 +236,7 @@ def cmd_brute(args) -> int:
 
 
 def cmd_battery(args) -> int:
-    seed = _resolve(args.seed, "seed", int, acceptance.DEFAULT_SEED)
-    count = _resolve(args.count, "count", int, acceptance.DEFAULT_COUNT)
+    seed, count = args.seed, args.count
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     if count < 1:
@@ -317,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="graph file or instance JSON")
     p.add_argument("--cap", type=int, default=None,
                    help="most learner histories the search may build before it "
-                        "exits 4 (default 10000000)")
+                        f"exits 4 (default {_PARAMS['brute']['cap'][1]})")
     p.add_argument("--out", default=None, help="write the best play-out as witness JSON")
 
     p = sub.add_parser("battery", help="run the acceptance criteria")
@@ -331,6 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, (cast, default) in _PARAMS.get(args.command, {}).items():
+            if getattr(args, name) is None:
+                setattr(args, name, _env_number(name, cast, default))
         # looked up at each call, so a replaced cmd_* function takes effect
         return globals()["cmd_" + args.command](args)
     except InputError as exc:

@@ -32,6 +32,8 @@ from .games import (
 )
 from .learners import MAX_ROUNDS, MWU, Schedule, lse, simulate, softmax
 
+HJB_FD_STEP = 1e-4  # hjb_residual's finite-difference step in h and t
+
 
 @dataclass(frozen=True, eq=False)
 class PlannerResult:
@@ -80,18 +82,18 @@ def _zero_sum_matrix(game) -> np.ndarray:
     return as_matrix(game)
 
 
-def reward_cont(schedule: Schedule, h0, T: float, a, eta: float) -> float:
+def reward_cont(schedule: Schedule, h0, a, eta: float) -> float:
     """Exact continuous-time reward of a schedule against replicator dynamics.
 
-    The closed form depends on the schedule only through its time-average, so
-    the piecewise-constant integral is evaluated exactly (no discretization).
+    The horizon T is the schedule's total duration. The closed form depends on
+    the schedule only through its time-average, so the piecewise-constant
+    integral is evaluated exactly (no discretization).
     """
     a = _zero_sum_matrix(a)
     n, m = a.shape
     if schedule.mode != "continuous":
         raise PreconditionError("reward_cont requires a continuous schedule")
-    if abs(schedule.total - T) > 1e-9 * max(1.0, abs(T)):
-        raise InputError(f"schedule covers {schedule.total:g} time units, horizon is {T:g}")
+    T = schedule.total
     if not eta > 0:
         raise InputError("eta must be positive")
     h0 = np.zeros(m) if h0 is None else as_weights(h0, m, "h0")
@@ -262,20 +264,24 @@ def optimize_continuous(a, h0, T: float, eta: float, epsilon: float) -> PlannerR
         raise InputError(f"eta = {eta:g} and T = {T:g} overflow eta*h0 or eta*T*A")
     x, gap, iterations = frank_wolfe(z0, mat, gap_target=epsilon * eta)
     schedule = Schedule.constant(x, T, mode="continuous")
-    r_star = reward_cont(schedule, h0, T, a, eta)
+    r_star = reward_cont(schedule, h0, a, eta)
     return PlannerResult(
         x_star=schedule.strategies[0], r_star=r_star, epsilon=gap / eta,
         iterations=max(iterations, 1),
     )
 
 
+def _bracket(value: float, m: int, T: float, eta: float) -> list[float]:
+    """[Val*T, Val*T + ln(m)/eta]: the optimal continuous reward bracket."""
+    return [value * T, value * T + math.log(m) / eta]
+
+
 def reward_bounds(a, T: float, eta: float) -> tuple[float, float]:
-    """[Val(A)*T, Val(A)*T + ln(m)/eta]: the optimal continuous reward bracket."""
+    """The optimal continuous reward bracket of the zero-sum game A."""
     a = _zero_sum_matrix(a)
     if not eta > 0:
         raise InputError("eta must be positive")
-    value = game_value(a).value
-    return value * T, value * T + math.log(a.shape[1]) / eta
+    return tuple(_bracket(game_value(a).value, a.shape[1], T, eta))
 
 
 def alternating_plan(a) -> AlternatingPlan:
@@ -322,12 +328,13 @@ def alternating_gain(a, eta: float, T: int, plan: AlternatingPlan) -> float:
     return (traj.totals[0] - T * value) / (eta * T)
 
 
-def hjb_residual(h, t: float, a, eta: float, fd_step: float) -> float:
+def hjb_residual(h, t: float, a, eta: float) -> float:
     """Finite-difference residual of the optimal-control PDE at (h, t).
 
     V(h, t) is the optimal reward-to-go with t time remaining, evaluated via
     the closed form with the inner maximization solved to tolerance
-    fd_step**2. With the time-remaining parametrization the equation reads
+    fd_step**2, where fd_step = HJB_FD_STEP. With the time-remaining
+    parametrization the equation reads
 
         dV/dt = max_x [ softmax(eta*h)' A' x - (grad_h V)' A' x ],
 
@@ -337,8 +344,7 @@ def hjb_residual(h, t: float, a, eta: float, fd_step: float) -> float:
     """
     a = _zero_sum_matrix(a)
     n, m = a.shape
-    if not fd_step > 0:
-        raise InputError("fd_step must be positive")
+    fd_step = HJB_FD_STEP
     if not t > fd_step:
         raise InputError("t must exceed fd_step for the central time difference")
     h = as_weights(h, m, "h")
@@ -417,7 +423,7 @@ def planner_report(a, eta: float, T: float, epsilon: float) -> dict:
         "x_star": result.x_star.tolist(),
         "r_star": result.r_star,
         "epsilon": result.epsilon,
-        "bounds": [value * T, value * T + math.log(m) / eta],
+        "bounds": _bracket(value, m, T, eta),
         "k": k,
         "asymptotic_bound": value * T + math.log(m / k) / eta,
         "assumption1": {"holds": witness is not None},

@@ -191,7 +191,7 @@ class TestSimulate:
 
         want = reward_cont(
             Schedule.constant([1.0, 0.0], 5.0, "continuous"),
-            None, 5.0, matching_pennies(), 0.2,
+            None, matching_pennies(), 0.2,
         )
         assert abs(total - want) <= 1e-9
 

@@ -1,0 +1,114 @@
+"""Input checks that no other test reaches: one case per check.
+
+Each library case names the exception class and a fragment of its message,
+so the case fails if a different check fires first. The CLI cases also pin
+the exit code.
+"""
+
+import json
+
+import pytest
+
+from strategizer import (
+    MWU, REPLICATOR, BimatrixGame, InputError, PreconditionError, Schedule, best_response_set,
+    fileio, matching_pennies, optimize_continuous, reduce_hamiltonian, reward_bounds, reward_cont,
+    simulate, unique_br_game,
+)
+from strategizer.acceptance import example_graph
+from strategizer.cli import main
+from strategizer.games import as_matrix
+
+MP = matching_pennies()
+MP_GAME = BimatrixGame.from_zero_sum(MP)
+DISCRETE = Schedule.constant([0.5, 0.5], 3)
+CONTINUOUS = Schedule.constant([0.5, 0.5], 1.0, "continuous")
+
+LIBRARY_CASES = {
+    "simulate-mwu-eta-zero": (lambda: simulate(MP_GAME, DISCRETE, MWU, eta=0.0),
+                              InputError, "eta must be positive"),
+    "simulate-replicator-eta-negative": (lambda: simulate(MP_GAME, CONTINUOUS, REPLICATOR, eta=-1.0),
+                                         InputError, "eta must be positive"),
+    "simulate-unknown-learner": (lambda: simulate(MP_GAME, DISCRETE, "fictitious-play"),
+                                 InputError, "unknown learner kind"),
+    "schedule-bad-mode": (lambda: Schedule("hybrid", [1], [[1.0, 0.0]]),
+                          InputError, "discrete or continuous"),
+    "schedule-zero-duration": (lambda: Schedule("continuous", [1.0, 0.0], [[1.0, 0.0]] * 2),
+                               InputError, "duration must be positive"),
+    "round-strategies-continuous": (lambda: CONTINUOUS.round_strategies(),
+                                    PreconditionError, "requires a discrete schedule"),
+    "time-average-empty": (lambda: Schedule("continuous", [], []).time_average(),
+                           PreconditionError, "empty schedule"),
+    "reward-cont-discrete": (lambda: reward_cont(DISCRETE, None, MP, 0.5),
+                             PreconditionError, "requires a continuous schedule"),
+    "reward-cont-eta-zero": (lambda: reward_cont(CONTINUOUS, None, MP, 0.0),
+                             InputError, "eta must be positive"),
+    "reward-cont-dimension": (lambda: reward_cont(Schedule.constant([1.0, 0.0, 0.0], 1.0, "continuous"),
+                                                  None, MP, 0.5),
+                              InputError, "dimension 3, game has 2 rows"),
+    "reward-cont-overflow": (lambda: reward_cont(Schedule.constant([1.0, 0.0], 1e300, "continuous"),
+                                                 None, MP, 1e10),
+                             InputError, "overflows floating point"),
+    "optimize-continuous-horizon-zero": (lambda: optimize_continuous(MP, None, 0.0, 0.5, 1e-6),
+                                         InputError, "horizon T must be positive"),
+    "reward-bounds-eta-negative": (lambda: reward_bounds(MP, 10.0, -0.5),
+                                   InputError, "eta must be positive"),
+    "best-response-set-negative-tol": (lambda: best_response_set([0.5, 0.5], MP_GAME, tol=-1e-9),
+                                       InputError, "tol must be non-negative"),
+    "as-matrix-1d": (lambda: as_matrix([1.0, 2.0]), InputError, "must be 2-D"),
+    "unique-br-game-2": (lambda: unique_br_game(2), InputError, "n >= 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_CASES))
+def test_library_check(case):
+    call, error, fragment = LIBRARY_CASES[case]
+    with pytest.raises(error, match=fragment):
+        call()
+
+
+def _malformed_instance():
+    obj = fileio.instance_to_json(reduce_hamiltonian(example_graph()))
+    obj["labels"]["rows"] = 5  # not a list of labels
+    return fileio.canonical_json(obj)
+
+
+# (reader, file text, message fragment); every one raises InputError
+FILE_CASES = {
+    "matrix-missing-keys": (fileio.read_matrix, '{"rows": 2, "cols": 2}', "needs rows/cols/data"),
+    "schedule-missing-keys": (fileio.read_schedule, '{"mode": "discrete"}', "needs mode and segments"),
+    "matrix-empty": (fileio.read_matrix, "# only a comment\n\n", "no matrix rows found"),
+    "graph-empty": (fileio.read_graph, "\n# nothing\n", "empty graph file"),
+    "json-syntax": (fileio.read_schedule, '{"mode": "discrete",}', "line 1, column 21"),
+    "graph-vertex-count": (fileio.read_graph, "five\n1 2\n", "expected vertex count"),
+    "dot-named-nodes": (fileio.read_graph, "digraph { a -> b }", "bare integer node ids"),
+    "dot-attribute": (fileio.read_graph, "digraph {\n  rankdir=LR;\n  1 -> 2\n}", "unsupported statement"),
+    "dot-no-vertices": (fileio.read_graph, "digraph {\n}", "declares no vertices"),
+    "instance-malformed": (fileio.read_instance, _malformed_instance(), "malformed instance JSON"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_file_check(case, tmp_path):
+    reader, text, fragment = FILE_CASES[case]
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(InputError, match=fragment):
+        reader(str(path))
+
+
+GENERAL_SUM = {"a": {"rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 1.0]]},
+               "b": {"rows": 2, "cols": 2, "data": [[0.5, 0.0], [0.0, 2.0]]}}
+
+
+@pytest.mark.parametrize("game, extra, code, fragment", [
+    (GENERAL_SUM, ["--schedule", "constant-xstar"], 3, "constant-xstar runs the zero-sum planner"),
+    (GENERAL_SUM, ["--schedule", "alternating"], 3, "alternating plan needs a zero-sum game"),
+    (None, ["--schedule", "uniform", "--T", "2.5"], 2, "whole number of rounds"),
+], ids=["constant-xstar-general-sum", "alternating-general-sum", "mwu-fractional-T"])
+def test_cli_simulate_check(game, extra, code, fragment, tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game) if game else "1 -1\n-1 1\n")
+    got = main(["simulate", str(path), "--learner", "mwu", "--out", str(tmp_path / "t"), *extra])
+    captured = capsys.readouterr()
+    assert got == code and fragment in captured.err and captured.out == ""
+    assert not list(tmp_path.glob("t.*"))

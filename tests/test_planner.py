@@ -48,13 +48,13 @@ class TestRewardCont:
     def test_all_zeros(self):
         a = np.zeros((3, 4))
         sched = Schedule("continuous", [2.0, 3.0], [[1, 0, 0], [0, 0.5, 0.5]])
-        assert reward_cont(sched, None, 5.0, a, 0.7) == 0.0
+        assert reward_cont(sched, None, a, 0.7) == 0.0
 
     def test_matching_pennies_optimum_is_zero(self, mp_matrix):
         uniform = constant_schedule([0.5, 0.5], 10.0)
-        assert abs(reward_cont(uniform, None, 10.0, mp_matrix, 0.5)) <= 1e-12
+        assert abs(reward_cont(uniform, None, mp_matrix, 0.5)) <= 1e-12
         skewed = constant_schedule([0.8, 0.2], 10.0)
-        assert reward_cont(skewed, None, 10.0, mp_matrix, 0.5) < 0.0
+        assert reward_cont(skewed, None, mp_matrix, 0.5) < 0.0
 
     def test_depends_only_on_time_average(self, mp_matrix, rng):
         for _ in range(10):
@@ -62,24 +62,20 @@ class TestRewardCont:
             split = Schedule("continuous", [1.0, 1.0], [x1, x2])
             merged = constant_schedule((x1 + x2) / 2, 2.0)
             swapped = Schedule("continuous", [1.0, 1.0], [x2, x1])
-            r = reward_cont(split, None, 2.0, mp_matrix, 0.9)
-            assert abs(r - reward_cont(merged, None, 2.0, mp_matrix, 0.9)) <= 1e-12
-            assert abs(r - reward_cont(swapped, None, 2.0, mp_matrix, 0.9)) <= 1e-12
+            r = reward_cont(split, None, mp_matrix, 0.9)
+            assert abs(r - reward_cont(merged, None, mp_matrix, 0.9)) <= 1e-12
+            assert abs(r - reward_cont(swapped, None, mp_matrix, 0.9)) <= 1e-12
 
     @pytest.mark.parametrize("h0", [[1.0, 2.0, 3.0], [[1.0], [2.0]]])
     def test_h0_shape_checked(self, mp_matrix, h0):
         with pytest.raises(InputError, match="h0"):
-            reward_cont(constant_schedule([0.5, 0.5], 1.0), h0, 1.0, mp_matrix, 0.5)
+            reward_cont(constant_schedule([0.5, 0.5], 1.0), h0, mp_matrix, 0.5)
 
     def test_rejects_general_sum(self):
         game = BimatrixGame([[1.0, 0.0]], [[1.0, 0.0]])
         sched = constant_schedule([1.0], 1.0)
         with pytest.raises(PreconditionError, match="B = -A"):
-            reward_cont(sched, None, 1.0, game, 0.5)
-
-    def test_horizon_mismatch(self, mp_matrix):
-        with pytest.raises(InputError):
-            reward_cont(constant_schedule([0.5, 0.5], 2.0), None, 3.0, mp_matrix, 0.5)
+            reward_cont(sched, None, game, 0.5)
 
 
 class TestOptimizeContinuous:
@@ -125,7 +121,7 @@ class TestOptimizeContinuous:
         h0 = [1.0, 0.0]
         res = optimize_continuous(mp_matrix, h0, 10.0, 1.0, 1e-9)
         uniform = Schedule.constant([0.5, 0.5], 10.0, "continuous")
-        assert res.r_star >= reward_cont(uniform, h0, 10.0, mp_matrix, 1.0)
+        assert res.r_star >= reward_cont(uniform, h0, mp_matrix, 1.0)
         assert abs(res.x_star[0] - 0.5) > 1e-3
 
     def test_bracket_on_random_games(self, rng):
@@ -247,25 +243,25 @@ def test_alternating_gain_positive_on_battery_games():
 
 class TestHjbResidual:
     def test_all_zeros_exact(self):
-        assert hjb_residual(np.zeros(3), 2.0, np.zeros((3, 3)), 0.5, 1e-4) == 0.0
+        assert hjb_residual(np.zeros(3), 2.0, np.zeros((3, 3)), 0.5) == 0.0
 
     def test_matching_pennies_point(self, mp_matrix):
-        assert hjb_residual(np.zeros(2), 5.0, mp_matrix, 0.5, 1e-4) <= 1e-3
+        assert hjb_residual(np.zeros(2), 5.0, mp_matrix, 0.5) <= 1e-3
 
     def test_random_points(self, rng):
         a = rng.uniform(-1, 1, size=(3, 3))
         for _ in range(10):
             h = rng.uniform(-1, 1, size=3)
             t = float(rng.uniform(1.0, 4.0))
-            assert hjb_residual(h, t, a, 0.5, 1e-4) <= 1e-3
+            assert hjb_residual(h, t, a, 0.5) <= 1e-3
 
     def test_small_t_rejected(self, mp_matrix):
         with pytest.raises(InputError):
-            hjb_residual(np.zeros(2), 1e-5, mp_matrix, 0.5, 1e-4)
+            hjb_residual(np.zeros(2), 1e-5, mp_matrix, 0.5)
 
     def test_h_dimension_checked(self, mp_matrix):
         with pytest.raises(DimensionMismatchError, match="h has dimension 3"):
-            hjb_residual(np.zeros(3), 2.0, mp_matrix, 0.5, 1e-4)
+            hjb_residual(np.zeros(3), 2.0, mp_matrix, 0.5)
 
 
 class TestFrankWolfe:
@@ -443,7 +439,7 @@ class TestDiscreteVsContinuous:
             a = rng.uniform(-1, 1, size=(3, 3))
             game = BimatrixGame.from_zero_sum(a)
             res = optimize_continuous(a, None, 50.0, 0.5, 1e-6)
-            cont = reward_cont(constant_schedule(res.x_star, 50.0), None, 50.0, a, 0.5)
+            cont = reward_cont(constant_schedule(res.x_star, 50.0), None, a, 0.5)
             disc = simulate(game, Schedule.constant(res.x_star, 50), MWU, eta=0.5)
             assert disc.totals[0] >= cont - 1e-9
 
