@@ -61,18 +61,24 @@ class _LPResult(NamedTuple):
     duals: np.ndarray | None  # row duals of the a_ub rows
 
 
+_solver = None  # the one HiGHS object, made by the first linprog call
+
+
 def linprog(c, a_ub, b_ub, a_eq, b_eq, lower, upper, options) -> _LPResult:
     """min c'x subject to a_ub x <= b_ub, a_eq x = b_eq, lower <= x <= upper.
 
     The dense LP goes to HiGHS as scipy.optimize.linprog(method="highs")
     gives it: one column-wise matrix of the stacked [a_ub; a_eq] rows with
     exact zeros dropped, row bounds [-inf, b_ub] and [b_eq, b_eq], and
-    `options` from _highs_options. Each call solves on a fresh HiGHS object,
-    so x and the duals are scipy's bit for bit (tests/test_games.py). As in
-    scipy, an optimal answer succeeds only if x is within its bounds, the
-    a_ub slack is at least -_LP_CHECK_TOL and the a_eq residual at most
-    _LP_CHECK_TOL; otherwise the status is 4.
+    `options` from _highs_options. All calls share one HiGHS object, made by
+    the first; it is cleared and given the options again before each model,
+    so x and the duals are scipy's bit for bit whatever ran before
+    (tests/test_games.py). linprog is not reentrant; the library runs no
+    threads. As in scipy, an optimal answer succeeds only if x is within its
+    bounds, the a_ub slack is at least -_LP_CHECK_TOL and the a_eq residual
+    at most _LP_CHECK_TOL; otherwise the status is 4.
     """
+    global _solver
     a = np.vstack([a_ub, a_eq]).T  # row j is column j of the LP
     nonzero = a != 0.0
     lp = _highs.HighsLp()
@@ -85,7 +91,11 @@ def linprog(c, a_ub, b_ub, a_eq, b_eq, lower, upper, options) -> _LPResult:
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, lower, upper
     lp.row_lower_ = np.concatenate((np.full(len(b_ub), -_highs.kHighsInf), b_eq))
     lp.row_upper_ = np.concatenate((b_ub, b_eq))
-    highs = _highs._Highs()
+    if _solver is None:
+        _solver = _highs._Highs()
+    highs = _solver
+    highs.clearModel()
+    highs.clearSolver()
     highs.passOptions(options)
     rejected = highs.passModel(lp) == _highs.HighsStatus.kError
     failed = rejected or highs.run() == _highs.HighsStatus.kError
@@ -377,16 +387,29 @@ def min_br_minmax(a, gv: GameValueResult) -> tuple[np.ndarray, int]:
     are enumerated; adding the same forced set to two sets of equal size
     keeps their lexicographic order, so (x, k) is unchanged. The search
     raises CapExceededError after MAX_MIN_BR_LPS pinned LPs.
+
+    gv's own x often settles the search without a pinned LP. Let the forced
+    set F be non-empty, and let x = gv.optimizer_strategy pay every column
+    of F within tol of the value and every other column more than
+    value + tol + slack, slack being the forcing rule's bound above. F is
+    the first candidate, as the only set of size |F| that contains F. x is a
+    point of F's pinned LP, up to the tolerances that LP works at, with a
+    margin above tol and slack to spare, so the LP would accept F and k is
+    |F| as before. x itself is then returned; on a degenerate game it can be
+    another minmax point than the pinned LP's. In every other case the
+    enumeration runs and returns the accepted LP's x.
     """
     a = as_matrix(a)
     n, m = a.shape
     y = as_weights(gv.learner_strategy, m, "learner strategy")
-    slack = 0.5 * gv.certificate_gap + _LP_TOL_PINNED * (
-        1.0 + np.max(np.abs(a))
-    )
-    forced = set(np.flatnonzero(y * DEFAULT_TOL > slack).tolist())
-    unforced = [j for j in range(m) if j not in forced]
-    candidates = (tuple(sorted(forced.union(extra))) for size in range(max(len(forced), 1), m + 1)
+    slack = 0.5 * gv.certificate_gap + _LP_TOL_PINNED * (1.0 + np.max(np.abs(a)))
+    is_forced = y * DEFAULT_TOL > slack
+    pays = as_weights(gv.optimizer_strategy, n, "optimizer strategy") @ a - gv.value
+    if (is_forced.any() and np.all(np.abs(pays[is_forced]) <= DEFAULT_TOL)
+            and np.all(pays[~is_forced] > DEFAULT_TOL + slack)):
+        return gv.optimizer_strategy, int(is_forced.sum())
+    forced, unforced = np.flatnonzero(is_forced).tolist(), np.flatnonzero(~is_forced).tolist()
+    candidates = (tuple(sorted(forced + list(extra))) for size in range(max(len(forced), 1), m + 1)
                   for extra in combinations(unforced, size - len(forced)))
     for lps, tight in enumerate(candidates):
         if lps == MAX_MIN_BR_LPS:

@@ -22,7 +22,7 @@ from strategizer import (
     planner_report,
     unique_br_game,
 )
-from strategizer import fileio, games
+from strategizer import acceptance, fileio, games, matching_pennies
 
 
 def value_2x2(a):
@@ -301,13 +301,14 @@ class TestMinBrMinmax:
             min_br_minmax(a, gv)
 
     def test_many_columns_need_few_lps(self, minmax_lp_calls):
-        # 25 columns were over the old 20-column cap; with the forced dual
-        # support pinned, the first candidate set is the answer
+        # 25 columns were over the old 20-column cap; the forced dual support
+        # is the answer, and gv's own x proves it without a pinned LP
         a = np.random.default_rng(25).uniform(-1, 1, (3, 25))
         gv = game_value(a)
         minmax_lp_calls.clear()
         x, k = min_br_minmax(a, gv)
-        assert len(minmax_lp_calls) == 1
+        assert len(minmax_lp_calls) == 0
+        assert x.tobytes() == gv.optimizer_strategy.tobytes()
         assert np.min(x @ a) >= gv.value - 1e-8
         assert len(best_response_set(x, BimatrixGame.from_zero_sum(a))) == k
 
@@ -354,25 +355,42 @@ def exhaustive_assumption(a, tol=games.DEFAULT_TOL):
     return None
 
 
-def search_outcomes(a):
-    """(min-BR result, witness) of the pruned searches and of the references,
-    as bytes and ints, or the name of the exception raised."""
-    def attempt(search):
-        try:
-            out = search()
-        except (AssertionError, PreconditionError):  # no exact best-response set
-            return "no exact best-response set"
-        if out is None:
-            return None
-        if isinstance(out, games.AssumptionWitness):
-            out = (out.x, out.i1, out.i2, out.k_action)
-        return (out[0].tobytes(),) + tuple(out[1:])
-
+def check_min_br(a, minmax_lp_calls):
+    """min_br_minmax(a) against exhaustive_min_br(a): the same k, or both
+    find no exact best-response set. A search that solves a pinned LP
+    returns the reference's x byte for byte. One that solves none has taken
+    the shortcut and returns gv's own x, which must be minmax within 1e-8
+    with exactly k best responses; on degenerate games it can be another
+    minmax point than the reference's. Returns whether the shortcut was
+    taken."""
     gv = game_value(a)
-    pruned = (attempt(lambda: min_br_minmax(a, gv)),
-              attempt(lambda: check_assumption_no_pure(a, gv)))
-    reference = (attempt(lambda: exhaustive_min_br(a)), attempt(lambda: exhaustive_assumption(a)))
-    return pruned, reference
+    minmax_lp_calls.clear()
+    try:
+        x, k = min_br_minmax(a, gv)
+    except PreconditionError:
+        with pytest.raises(AssertionError, match="no exact-BR set"):
+            exhaustive_min_br(a)
+        return False
+    shortcut = not minmax_lp_calls
+    x_ref, k_ref = exhaustive_min_br(a)
+    assert k == k_ref, a
+    if shortcut:
+        assert x.tobytes() == gv.optimizer_strategy.tobytes(), a
+        assert np.min(x @ a) >= gv.value - 1e-8, a
+        assert len(best_response_set(x, BimatrixGame.from_zero_sum(a))) == k, a
+    else:
+        assert x.tobytes() == x_ref.tobytes(), a
+    return shortcut
+
+
+def check_witness(a):
+    """check_assumption_no_pure(a) against exhaustive_assumption(a), byte for
+    byte."""
+    w = check_assumption_no_pure(a, game_value(a))
+    ref = exhaustive_assumption(a)
+    assert (w is None) == (ref is None), a
+    if w is not None:
+        assert w.x.tobytes() == ref[0].tobytes() and (w.i1, w.i2, w.k_action) == ref[1:], a
 
 
 def min_br_battery(kind, count=200):
@@ -392,16 +410,25 @@ def min_br_battery(kind, count=200):
 
 class TestMinBrPruning:
     @pytest.mark.parametrize("kind", range(4), ids=["uniform", "ternary", "one-decimal", "special"])
-    def test_matches_exhaustive_search(self, kind):
+    def test_matches_exhaustive_search(self, kind, minmax_lp_calls):
         for a in min_br_battery(kind):
-            x, k = min_br_minmax(a, game_value(a))
-            x_ref, k_ref = exhaustive_min_br(a)
-            assert k == k_ref and np.array_equal(x, x_ref), a
+            check_min_br(a, minmax_lp_calls)
+
+    def test_shortcut_keeps_k(self, minmax_lp_calls):
+        # seeded games of every family the shortcut was checked on, at seeds
+        # the other tests do not use; both paths are taken
+        rng = np.random.default_rng(4242)
+        families = [acceptance._random_games(rng, 40), min_br_battery(1, 40),
+                    min_br_battery(2, 40), near_degenerate_games(40, 1),
+                    small_weight_games(40, 1), REFUSED_GAMES[:2]]
+        shortcuts = [check_min_br(a, minmax_lp_calls) for family in families for a in family]
+        assert 50 <= sum(shortcuts) <= len(shortcuts) - 50
 
     def test_generic_games_need_two_lps(self, minmax_lp_calls):
-        # One value LP, then one pinned LP at the dual support, whenever every
-        # column the learner plays carries enough dual weight to be forced
-        # (above 0.02 at tol 1e-7 on these games).
+        # One value LP, then at most one pinned LP at the dual support,
+        # whenever every column the learner plays carries enough dual weight
+        # to be forced (above 0.02 at tol 1e-7 on these games); none when
+        # gv's own x settles the search.
         rng = np.random.default_rng(97)
         checked = 0
         for _ in range(20):
@@ -469,18 +496,14 @@ class TestUniqueSupportPruning:
     @pytest.mark.parametrize("kind", range(4), ids=["uniform", "ternary", "one-decimal", "special"])
     def test_witness_matches_unpruned_search(self, kind):
         for a in min_br_battery(kind, count=100):
-            w = check_assumption_no_pure(a, game_value(a))
-            ref = exhaustive_assumption(a)
-            assert (w is None) == (ref is None), a
-            if w is not None:
-                assert np.array_equal(w.x, ref[0]) and (w.i1, w.i2, w.k_action) == ref[1:], a
+            check_witness(a)
 
     @pytest.mark.parametrize("family", [near_degenerate_games, small_weight_games])
-    def test_near_degenerate_games_match(self, family):
+    def test_near_degenerate_games_match(self, family, minmax_lp_calls):
         certified = 0
         for a in family(60, 8642):
-            pruned, reference = search_outcomes(a)
-            assert pruned == reference, a
+            check_min_br(a, minmax_lp_calls)
+            check_witness(a)
             certified += games._unique_support(a, game_value(a)) is not None
         assert certified >= 5  # the certificate is exercised, not only refused
 
@@ -582,30 +605,23 @@ def lp_family(name):
     return [draw(tuple(rng.integers(2, 7, size=2))) for _ in range(25)]
 
 
-class TestLeanLinprog:
-    @pytest.mark.parametrize("family", LP_FAMILIES)
-    def test_matches_scipy_bit_for_bit(self, family, monkeypatch):
-        """Every LP shape _minmax_lp builds: the value LP (t free), up to three
-        pinned sets per size (t >= 0, or t = 0 with every column pinned), some
-        infeasible, and up to three pair LPs maximising the mass on rows."""
-        lean, statuses = games.linprog, []
+def family_lps(name, monkeypatch):
+    """The arguments of every LP shape _minmax_lp builds on lp_family(name),
+    in order: the value LP (t free), up to three pinned sets per size (t >= 0,
+    or t = 0 with every column pinned), some infeasible, and up to three pair
+    LPs maximising the mass on rows."""
+    lps, real = [], games.linprog
 
-        def both(*lp):
-            ours, ref = lean(*lp), scipy_linprog(*lp)
-            assert ours.success == ref.success and (ours.status == 2) == (ref.status == 2)
-            if ref.x is None:
-                assert ours.x is None and ours.duals is None
-            else:
-                assert ours.x.tobytes() == ref.x.tobytes()
-                assert ours.duals.tobytes() == ref.ineqlin.marginals.tobytes()
-            statuses.append(ref.status)
-            return ours
+    def record(*lp):
+        lps.append(lp)
+        return real(*lp)
 
-        monkeypatch.setattr(games, "linprog", both)
-        for a in lp_family(family):
+    with monkeypatch.context() as patch:
+        patch.setattr(games, "linprog", record)
+        for a in lp_family(name):
             try:
                 value = game_value(a).value
-            except InputError:  # the value LP failed on both sides
+            except InputError:  # HiGHS rejected the value LP
                 continue
             m = a.shape[1]
             for size in range(1, m + 1):
@@ -615,7 +631,54 @@ class TestLeanLinprog:
                 rows = np.flatnonzero(np.abs(a[:, pair[0]] - a[:, pair[1]]) > games.DEFAULT_TOL)
                 if rows.size:
                     games._minmax_lp(a, value, pair, rows)
+    return lps
+
+
+def same_answer(one, other):
+    """Whether two linprog results agree in success, status, x and the duals,
+    bit for bit."""
+    if (one.success, one.status) != (other.success, other.status):
+        return False
+    if one.x is None or other.x is None:
+        return one.x is other.x and one.duals is other.duals
+    return one.x.tobytes() == other.x.tobytes() and one.duals.tobytes() == other.duals.tobytes()
+
+
+class TestLeanLinprog:
+    @pytest.mark.parametrize("family", LP_FAMILIES)
+    def test_matches_scipy_bit_for_bit(self, family, monkeypatch):
+        statuses = []
+        for lp in family_lps(family, monkeypatch):
+            ours, ref = games.linprog(*lp), scipy_linprog(*lp)
+            assert ours.success == ref.success and (ours.status == 2) == (ref.status == 2)
+            if ref.x is None:
+                assert ours.x is None and ours.duals is None
+            else:
+                assert ours.x.tobytes() == ref.x.tobytes()
+                assert ours.duals.tobytes() == ref.ineqlin.marginals.tobytes()
+            statuses.append(ref.status)
         assert 0 in statuses and 2 in statuses
+
+    def test_reused_solver_is_order_independent(self, monkeypatch):
+        """The one HiGHS object carries nothing from one LP to the next: every
+        family's LPs solved forward and then in reverse give the same bits,
+        infeasible LPs and the model error of 1e16 payoffs included."""
+        lps = [lp for family in LP_FAMILIES for lp in family_lps(family, monkeypatch)]
+        forward = [games.linprog(*lp) for lp in lps]
+        backward = [games.linprog(*lp) for lp in reversed(lps)][::-1]
+        assert all(same_answer(f, b) for f, b in zip(forward, backward))
+        assert {0, 2, 4} <= {res.status for res in forward}
+        assert any("Model error" in res.message for res in forward)
+
+    def test_refused_games_leave_no_state(self):
+        before = game_value(matching_pennies())
+        for a in REFUSED_GAMES:
+            with pytest.raises((InputError, PreconditionError)):
+                min_br_minmax(a, game_value(a))
+        after = game_value(matching_pennies())
+        for field in ("optimizer_strategy", "learner_strategy"):
+            assert getattr(before, field).tobytes() == getattr(after, field).tobytes()
+        assert (before.value, before.certificate_gap) == (after.value, after.certificate_gap)
 
 
 class TestAssumptionNoPure:
