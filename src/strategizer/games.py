@@ -310,7 +310,7 @@ def best_response_set(x, game: BimatrixGame, tol: float = DEFAULT_TOL) -> set[in
     Defined as the argmax of x'B; for zero-sum games this equals the argmin
     of x'A because B = -A.
     """
-    if tol < 0:
+    if not tol >= 0:  # also NaN, which would select no column
         raise InputError("tol must be non-negative")
     xw = as_weights(x, game.n, "optimizer strategy")
     scores = xw @ game.b
@@ -330,20 +330,22 @@ def _unique_support(a: np.ndarray, gv: GameValueResult) -> list[int] | None:
     off R and holds every column of S at the value, and K (x'_R, value) =
     (0, 1) has the one solution (x_R, value).
 
-    check_assumption_no_pure solves its pair LPs at tolerance delta, so the
-    certificate also needs two margins. The identity
-    sum_j y_j (x'Ae_j - value) = x'Ay - value at the LP's point x bounds the
-    mass on a row off R by noise/r_i and the excess of a column of S by
-    noise/y_j, noise about (delta + gap)*(1 + max|A|). Through K^-1 that
+    check_assumption_no_pure reads its verdict off gv's x on a certified
+    game, and that x is itself an LP answer, minmax only up to noise of about
+    (delta + gap)*(1 + max|A|), delta the pinned LPs' tolerance. So the
+    certificate also needs two margins, which make gv's x stand for any point
+    such an LP may return. The identity sum_j y_j (x'Ae_j - value) =
+    x'Ay - value at such a point x bounds the mass on a row off R by
+    noise/r_i and the excess of a column of S by noise/y_j. Through K^-1 that
     moves a column's payoff by at most about cond(K)*(1 + max|A|)*noise/rho,
-    rho = min(r_i, y_j), so no column off S can be pinned at the value when
+    rho = min(r_i, y_j), so no column off S comes near the value when
         min sigma * rho > C * cond(K) * (1 + max|A|)**2 * (delta + gap),
     with cond(K) in the 1-norm and C = _CERT_FACTOR covering the norm and
     dimension factors. HiGHS uses that room: at delta = 1e-9 it put 1.8e-5
     of mass on a row of slack 1.17e-5. The first-order test
     sigma_j, r_i > _CERT_MARGIN*(1 + max|A|) holds every column off S and
-    every row off R well clear of the value at the pair LPs' tolerance, and
-    keeps the product test off a zero slack.
+    every row off R well clear of the value at that noise, and keeps the
+    product test off a zero slack.
     """
     n, m = a.shape
     x = as_weights(gv.optimizer_strategy, n, "optimizer strategy")
@@ -431,22 +433,29 @@ def check_assumption_no_pure(a, gv: GameValueResult) -> AssumptionWitness | None
     the LP's x, mapped onto the simplex, is minmax with i1 and i2 at the
     value, all within DEFAULT_TOL; exhausting all pairs proves none exists.
     When _unique_support certifies that gv's strategies are the only
-    equilibrium, a pair with a column off supp(y) has no minmax x to pin, so
-    only the pairs inside supp(y) are solved, in the same order.
+    equilibrium, every pair LP could only return gv's x, so no LP is solved:
+    the pairs inside supp(y) are tried in the same order with x = gv's x,
+    its mass on the rows and the same test. A certified x below the value by
+    more than DEFAULT_TOL at some column gets the full search instead.
     """
     a = as_matrix(a)
     n, m = a.shape
     support = _unique_support(a, gv)
+    if support is not None and np.min(gv.optimizer_strategy @ a) < gv.value - DEFAULT_TOL:
+        support = None
     for i1, i2 in combinations(range(m) if support is None else support, 2):
         rows = np.flatnonzero(np.abs(a[:, i1] - a[:, i2]) > DEFAULT_TOL)
         if rows.size == 0:
             continue
-        res = _minmax_lp(a, gv.value, (i1, i2), rows)
-        if not res.success:
-            continue
-        mass = res.x[rows]
+        if support is None:
+            res = _minmax_lp(a, gv.value, (i1, i2), rows)
+            if not res.success:
+                continue
+            x, mass = _lp_strategy(res.x[:n]), res.x[rows]
+        else:
+            x = gv.optimizer_strategy
+            mass = x[rows]
         if mass.sum() > DEFAULT_TOL:
-            x = _lp_strategy(res.x[:n])
             pays = x @ a - gv.value
             if pays.min() >= -DEFAULT_TOL and max(pays[i1], pays[i2]) <= DEFAULT_TOL:
                 return AssumptionWitness(x=x, i1=i1, i2=i2, k_action=int(rows[np.argmax(mass)]))

@@ -321,6 +321,8 @@ def alternating_gain(a, eta: float, T: int, plan: AlternatingPlan) -> float:
     The theory guarantees a positive game-dependent constant; this reports
     the empirical one for the given plan.
     """
+    if not T >= 1:
+        raise InputError(f"alternating_gain needs at least one round, got T = {T}")
     a = _zero_sum_matrix(a)
     game = BimatrixGame.from_zero_sum(a)
     traj = simulate(game, plan.to_schedule(T), MWU, eta=eta)

@@ -383,14 +383,40 @@ def check_min_br(a, minmax_lp_calls):
     return shortcut
 
 
-def check_witness(a):
-    """check_assumption_no_pure(a) against exhaustive_assumption(a), byte for
-    byte."""
-    w = check_assumption_no_pure(a, game_value(a))
+def check_certified_witness(a, gv, w, tol=games.DEFAULT_TOL):
+    """An assumption-1 witness checked from its definition: x on the simplex
+    and minmax within tol, i1 and i2 within tol of the value, and k_action a
+    row where x carries mass and the two columns differ by more than tol."""
+    x = w.x
+    assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= 1e-12, a
+    pays = x @ a - gv.value
+    assert pays.min() >= -tol, a
+    assert w.i1 < w.i2 and max(abs(pays[w.i1]), abs(pays[w.i2])) <= tol, a
+    assert x[w.k_action] > 0.0 and abs(a[w.k_action, w.i1] - a[w.k_action, w.i2]) > tol, a
+
+
+def check_witness(a, minmax_lp_calls):
+    """check_assumption_no_pure(a) against exhaustive_assumption(a). On a game
+    _unique_support does not certify, the witness is the reference's byte for
+    byte. On a certified game the search solves no LP, reaches the
+    reference's verdict, and its witness passes check_certified_witness; its
+    x is gv's, which can differ from the pair LP's in the last bits (or, on
+    games at the certificate's margins, by the LP's tolerance room). Returns
+    whether the game is certified."""
+    gv = game_value(a)
+    minmax_lp_calls.clear()
+    w = check_assumption_no_pure(a, gv)
+    lps = len(minmax_lp_calls)
+    certified = games._unique_support(a, gv) is not None
     ref = exhaustive_assumption(a)
     assert (w is None) == (ref is None), a
-    if w is not None:
+    if certified:
+        assert lps == 0, a
+        if w is not None:
+            check_certified_witness(a, gv, w)
+    elif w is not None:
         assert w.x.tobytes() == ref[0].tobytes() and (w.i1, w.i2, w.k_action) == ref[1:], a
+    return certified
 
 
 def min_br_battery(kind, count=200):
@@ -490,26 +516,26 @@ def small_weight_games(count, seed):
 
 
 class TestUniqueSupportPruning:
-    """The unique-equilibrium certificate only drops LPs: both searches agree
-    byte for byte with their unpruned references."""
+    """On a game the unique-equilibrium certificate covers, the assumption
+    search reads its verdict off gv's x and solves no LP; it still reaches
+    the unpruned search's verdict (check_witness). The min-BR search agrees
+    with its reference as before."""
 
     @pytest.mark.parametrize("kind", range(4), ids=["uniform", "ternary", "one-decimal", "special"])
-    def test_witness_matches_unpruned_search(self, kind):
+    def test_witness_matches_unpruned_search(self, kind, minmax_lp_calls):
         for a in min_br_battery(kind, count=100):
-            check_witness(a)
+            check_witness(a, minmax_lp_calls)
 
     @pytest.mark.parametrize("family", [near_degenerate_games, small_weight_games])
     def test_near_degenerate_games_match(self, family, minmax_lp_calls):
         certified = 0
         for a in family(60, 8642):
             check_min_br(a, minmax_lp_calls)
-            check_witness(a)
-            certified += games._unique_support(a, game_value(a)) is not None
+            certified += check_witness(a, minmax_lp_calls)
         assert certified >= 5  # the certificate is exercised, not only refused
 
     def test_lp_counts(self, minmax_lp_calls):
-        # certified generic games: the first pair inside the support yields
-        # the witness
+        # certified generic games: the verdict is read off gv's x
         rng = np.random.default_rng(531)
         for _ in range(10):
             a = rng.uniform(-1, 1, size=(5, 6))
@@ -517,7 +543,7 @@ class TestUniqueSupportPruning:
             assert games._unique_support(a, gv) is not None
             minmax_lp_calls.clear()
             check_assumption_no_pure(a, gv)
-            assert len(minmax_lp_calls) <= 1
+            assert minmax_lp_calls == []
         # a pure saddle point: no pair lies inside a one-column support
         a = rng.uniform(0.5, 1.0, size=(4, 5))
         a[1:, 2] = -rng.uniform(0.5, 1.0, size=3)

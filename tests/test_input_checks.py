@@ -10,9 +10,9 @@ import json
 import pytest
 
 from strategizer import (
-    MWU, REPLICATOR, BimatrixGame, InputError, PreconditionError, Schedule, best_response_set,
-    fileio, matching_pennies, optimize_continuous, reduce_hamiltonian, reward_bounds, reward_cont,
-    simulate, unique_br_game,
+    MWU, REPLICATOR, BimatrixGame, InputError, PreconditionError, Schedule, alternating_gain,
+    alternating_plan, best_response_set, fileio, matching_pennies, optimize_continuous,
+    reduce_hamiltonian, reward_bounds, reward_cont, simulate, unique_br_game,
 )
 from strategizer.acceptance import example_graph
 from strategizer.cli import main
@@ -54,6 +54,10 @@ LIBRARY_CASES = {
                                    InputError, "eta must be positive"),
     "best-response-set-negative-tol": (lambda: best_response_set([0.5, 0.5], MP_GAME, tol=-1e-9),
                                        InputError, "tol must be non-negative"),
+    "best-response-set-nan-tol": (lambda: best_response_set([0.5, 0.5], MP_GAME, tol=float("nan")),
+                                  InputError, "tol must be non-negative"),
+    "alternating-gain-no-rounds": (lambda: alternating_gain(MP, 0.5, 0, alternating_plan(MP)),
+                                   InputError, "at least one round"),
     "as-matrix-1d": (lambda: as_matrix([1.0, 2.0]), InputError, "must be 2-D"),
     "unique-br-game-2": (lambda: unique_br_game(2), InputError, "n >= 3"),
 }

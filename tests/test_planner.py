@@ -189,9 +189,10 @@ def test_one_value_lp_per_report(minmax_lp_calls):
 
 def test_lps_per_report(minmax_lp_calls):
     """A report solves the value LP, a pinned LP only when game_value's x
-    does not settle k, and the pair LPs of the assumption-1 search."""
+    does not settle k, and the pair LPs of the assumption-1 search only on a
+    game the uniqueness certificate does not cover (unique_br_game(3))."""
     saddle = np.array([[0.0, 1.0], [-1.0, 2.0]])  # pure saddle point at (0, 0)
-    for a, lps in [(matching_pennies(), 2), (saddle, 1), (unique_br_game(3), 3)]:
+    for a, lps in [(matching_pennies(), 1), (saddle, 1), (unique_br_game(3), 3)]:
         minmax_lp_calls.clear()
         planner_report(a, 1.0, 10.0, 1e-6)
         assert len(minmax_lp_calls) == lps
@@ -200,7 +201,7 @@ def test_lps_per_report(minmax_lp_calls):
         minmax_lp_calls.clear()
         planner_report(a, 1.0, 10.0, 1e-6)
         counts.append(len(minmax_lp_calls))
-    assert np.mean(counts) <= 2.0  # 1.80 here; 2.78 with a pinned LP per report
+    assert np.mean(counts) <= 1.06  # 53 LPs here; 90 with pair LPs on certified games
 
 
 class TestAlternatingPlan:
