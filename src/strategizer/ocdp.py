@@ -308,6 +308,17 @@ def brute_force_ocdp(inst: OcdpInstance, cap: int = 10_000_000):
     prefix, action and reward; it is cut again when popped and builds its
     own history only if it survives. Leaves are not pushed: the last round
     is scored at its parent, by the first row paying at j, else action 0.
+
+    A finished subtree leaves a bound: the reward still to come depends only
+    on the history and the depth, and reordered prefixes reach the same
+    history. A marker beneath a node's children pops once they are done; if
+    best - reward is below the T - depth rounds left, it is recorded in a
+    per-depth table keyed on the history. A popped child that survives the
+    cut is cut again when its reward plus its bound cannot beat the
+    incumbent, so the answer is unchanged and no more histories are built.
+    The tables keep at most one entry per history built (and the root's),
+    300-500 bytes each for n = 6-10: up to 3-5 GB at the default cap.
+
     `cap` bounds the histories built (one per surviving node at depths
     1..T-1), and CapExceededError is raised once the count passes it.
     Returns (max_reward, first maximizing sequence in lexicographic order).
@@ -320,7 +331,7 @@ def brute_force_ocdp(inst: OcdpInstance, cap: int = 10_000_000):
     # children are pushed in reverse so that they pop in lexicographic order
     actions = range(inst.n_actions_opt - 1, -1, -1)
     pays = [[s for s in actions if col[s]] for col in a_cols]
-    best, best_seq, built, stack = -1, (), 0, []
+    best, best_seq, built, stack, bounds = -1, (), 0, [], {}
     # the root: the learner opens with column 0, the first argmax of the zero history
     h, prefix, reward = (0,) * inst.n_actions_learner, (), 0
     while True:
@@ -332,22 +343,33 @@ def brute_force_ocdp(inst: OcdpInstance, cap: int = 10_000_000):
                 best, best_seq = reward + a_cols[j][last], prefix + (last,)
                 if best == big_t:
                     break
-        elif reward + (big_t - depth - 1) <= best:
-            stack.extend((h, prefix, s, reward + 1) for s in pays[j])
         else:
-            col = a_cols[j]
-            stack.extend((h, prefix, s, reward + col[s]) for s in actions)
+            # the marker pops once every child below it is finished; children
+            # go in from lists, which extend takes faster than generators
+            stack.append((h, prefix, None, reward))
+            if reward + (big_t - depth - 1) <= best:
+                stack.extend([(h, prefix, s, reward + 1) for s in pays[j]])
+            else:
+                col = a_cols[j]
+                stack.extend([(h, prefix, s, reward + col[s]) for s in actions])
         while stack:
             h, prefix, r, reward = stack.pop()
-            if reward + (big_t - len(prefix) - 1) > best:
-                break
+            depth = len(prefix)
+            if r is None:
+                # no completion of this subtree beats best - reward
+                if best - reward < big_t - depth:
+                    bounds.setdefault(depth, {})[h] = best - reward
+            elif reward + (big_t - depth - 1) > best:
+                built += 1
+                if built > cap:
+                    raise CapExceededError(
+                        f"brute force built more than the cap of {cap} histories"
+                    )
+                h = tuple(map(add, h, b_rows[r]))
+                prefix += (r,)
+                table = bounds.get(depth + 1)
+                if not table or reward + table.get(h, big_t) > best:
+                    break
         else:
             break
-        built += 1
-        if built > cap:
-            raise CapExceededError(
-                f"brute force built more than the cap of {cap} histories"
-            )
-        h = tuple(map(add, h, b_rows[r]))
-        prefix += (r,)
     return best, best_seq

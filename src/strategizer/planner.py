@@ -61,8 +61,9 @@ class AlternatingPlan:
 
         An odd final round plays the base minmax strategy instead.
         """
-        if total_rounds < 0:
-            raise InputError(f"an alternating plan cannot run {total_rounds} rounds")
+        if not (total_rounds >= 0 and total_rounds % 1 == 0):
+            raise InputError(f"an alternating plan cannot run {total_rounds} rounds: "
+                             "it needs a whole number of rounds")
         if total_rounds > MAX_ROUNDS:
             raise CapExceededError(
                 f"alternating plan of {total_rounds} rounds exceeds the {MAX_ROUNDS}-round cap"

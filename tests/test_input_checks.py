@@ -58,6 +58,12 @@ LIBRARY_CASES = {
                                   InputError, "tol must be non-negative"),
     "alternating-gain-no-rounds": (lambda: alternating_gain(MP, 0.5, 0, alternating_plan(MP)),
                                    InputError, "at least one round"),
+    "alternating-gain-fractional-rounds": (
+        lambda: alternating_gain(MP, 0.5, 2.5, alternating_plan(MP)),
+        InputError, "cannot run 2.5 rounds: it needs a whole number"),
+    "alternating-plan-fractional-rounds": (
+        lambda: alternating_plan(MP).to_schedule(2.5),
+        InputError, "cannot run 2.5 rounds: it needs a whole number"),
     "as-matrix-1d": (lambda: as_matrix([1.0, 2.0]), InputError, "must be 2-D"),
     "unique-br-game-2": (lambda: unique_br_game(2), InputError, "n >= 3"),
 }

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -71,6 +72,65 @@ def exhaustive_best(inst):
         if reward > best:
             best, best_seq = reward, seq
     return best, best_seq
+
+
+def unmemoised_search(inst):
+    """The brute-force search as it was before finished subtrees recorded
+    bounds: the same DFS, cuts and last-round scoring, no table. Returns
+    (max reward, first maximizing sequence, number of histories built)."""
+    big_t = inst.T
+    b_rows = [tuple(row) for row in inst.b_int.tolist()]
+    a_cols = inst.a_int.T.tolist()
+    actions = range(inst.n_actions_opt - 1, -1, -1)
+    pays = [[s for s in actions if col[s]] for col in a_cols]
+    best, best_seq, built, stack = -1, (), 0, []
+    h, prefix, reward = (0,) * inst.n_actions_learner, (), 0
+    while True:
+        depth = len(prefix)
+        j = h.index(max(h))
+        if depth == big_t - 1:
+            last = pays[j][-1] if pays[j] else 0
+            if reward + a_cols[j][last] > best:
+                best, best_seq = reward + a_cols[j][last], prefix + (last,)
+                if best == big_t:
+                    break
+        elif reward + (big_t - depth - 1) <= best:
+            stack.extend((h, prefix, s, reward + 1) for s in pays[j])
+        else:
+            col = a_cols[j]
+            stack.extend((h, prefix, s, reward + col[s]) for s in actions)
+        while stack:
+            h, prefix, r, reward = stack.pop()
+            if reward + (big_t - len(prefix) - 1) > best:
+                break
+        else:
+            break
+        built += 1
+        h = tuple(map(operator.add, h, b_rows[r]))
+        prefix += (r,)
+    return best, best_seq, built
+
+
+def histories_built(inst, most):
+    """The smallest cap brute_force_ocdp answers `inst` under, found by
+    bisection over 1..most; `most` must be a cap it answers under."""
+    low = 1
+    while low < most:
+        mid = (low + most) // 2
+        try:
+            brute_force_ocdp(inst, cap=mid)
+            most = mid
+        except CapExceededError:
+            low = mid + 1
+    return most
+
+
+def every_small_graph():
+    """Every labelled digraph with 2, 3 and 4 vertices (3 + 63 + 4,095)."""
+    for n in (2, 3, 4):
+        pairs = list(itertools.permutations(range(1, n + 1), 2))
+        for mask in range(1, 1 << len(pairs)):
+            yield DirectedGraph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
 
 
 def pop_cut_search(inst):
@@ -376,12 +436,13 @@ class TestBruteForce:
         assert best == 1  # the learner opens with v_1 and edge e_1 leaves it
 
     def test_cap(self, example_graph_5):
-        # the NO graph builds 257 histories: a cap counts them, not |E|^T
+        # the NO graph builds 211 histories (257 without the bound table): a
+        # cap counts them, not |E|^T
         edges = tuple(e for e in example_graph_5.edges if e != (5, 2))
         inst = reduce_hamiltonian(DirectedGraph(5, edges))
-        assert brute_force_ocdp(inst, cap=257)[0] == 5
-        with pytest.raises(CapExceededError, match="more than the cap of 256 histories"):
-            brute_force_ocdp(inst, cap=256)
+        assert brute_force_ocdp(inst, cap=211)[0] == 5
+        with pytest.raises(CapExceededError, match="more than the cap of 210 histories"):
+            brute_force_ocdp(inst, cap=210)
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one_rejected(self, cap, example_graph_5):
@@ -394,11 +455,18 @@ class TestBruteForce:
         for big_t in (200, 5000):
             assert brute_force_ocdp(dataclasses.replace(inst, T=big_t)) == (1, (0,) * big_t)
 
+    def test_huge_horizon_meets_the_cap_first(self):
+        # the bound tables are made per depth as the search reaches it, so a
+        # horizon of 10^9 costs nothing before the cap stops the descent
+        inst = reduce_hamiltonian(DirectedGraph(2, ((1, 2),)))
+        with pytest.raises(CapExceededError, match="cap of 1000 histories"):
+            brute_force_ocdp(dataclasses.replace(inst, T=10**9), cap=1000)
+
     @pytest.mark.parametrize("n", [5, 6])
     def test_complete_digraph(self, n):
-        # 20^6 and 30^7 sequences; the search stops at T after 899 and 2,894
-        # histories
-        built = {5: 899, 6: 2894}[n]
+        # 20^6 and 30^7 sequences; the search stops at T after 679 and 2,284
+        # histories (899 and 2,894 without the bound table)
+        built = {5: 679, 6: 2284}[n]
         g = DirectedGraph(n, tuple(itertools.permutations(range(1, n + 1), 2)))
         inst = reduce_hamiltonian(g)
         best, seq = brute_force_ocdp(inst, cap=built)
@@ -426,8 +494,9 @@ class TestBruteForce:
 
     def test_matches_pop_cut_search(self, rng):
         # the push-time cut and last-round scoring change neither the answer
-        # nor the histories built, on reductions (T and k redrawn, raw and
-        # normalized) and on random 0/1 A with B in multiples of 1/160
+        # nor the histories built, and the bound table changes only the count,
+        # never upwards, on reductions (T and k redrawn, raw and normalized)
+        # and on random 0/1 A with B in multiples of 1/160
         cases = []
         for _ in range(120):
             n = int(rng.integers(2, 7))
@@ -448,10 +517,45 @@ class TestBruteForce:
                 edges=(), n_graph_vertices=0, normalized=False))
         for inst in cases:
             best, seq, built = pop_cut_search(inst)
+            assert unmemoised_search(inst) == (best, seq, built)
             assert brute_force_ocdp(inst, cap=max(built, 1)) == (best, seq)
-            if built >= 2:
+            fewer = histories_built(inst, max(built, 1))
+            assert brute_force_ocdp(inst, cap=fewer) == (best, seq)
+            if fewer >= 2:
                 with pytest.raises(CapExceededError):
-                    brute_force_ocdp(inst, cap=built - 1)
+                    brute_force_ocdp(inst, cap=fewer - 1)
+
+    def test_matches_unmemoised_search(self, rng):
+        # the bound table keeps the answer and never builds more histories,
+        # on every small digraph (raw and normalized) and on 6-vertex
+        # reductions two rounds past the cycle
+        cases = []
+        for g in every_small_graph():
+            inst = reduce_hamiltonian(g)
+            cases += [inst, normalize_payoffs(inst)]
+        for _ in range(8):
+            inst = reduce_hamiltonian(random_graph(rng, 6, int(rng.integers(6, 13))))
+            cases.append(dataclasses.replace(inst, T=8))
+        for inst in cases:
+            best, seq, built = unmemoised_search(inst)
+            assert brute_force_ocdp(inst, cap=max(built, 1)) == (best, seq)
+
+    def test_agreement_with_hamiltonian_oracle_six_to_eight_vertices(self, rng):
+        # 8 graphs per size, every other one with a planted cycle, at T = n+1
+        for n in (6, 7, 8):
+            pairs = list(itertools.permutations(range(1, n + 1), 2))
+            for k in range(8):
+                order = [int(v) + 1 for v in rng.permutation(n)]
+                edges = set(zip(order, order[1:] + order[:1])) if k % 2 else set()
+                extra = rng.permutation(len(pairs))[:int(rng.integers(n, 2 * n + 1))]
+                edges.update(pairs[i] for i in extra)
+                g = DirectedGraph(n, tuple(sorted(edges)))
+                inst = reduce_hamiltonian(g)
+                best, seq = brute_force_ocdp(inst)
+                cycle = find_hamiltonian_cycle(g)
+                assert (best == n + 1) == (cycle is not None)
+                if cycle is not None:
+                    assert verify_cycle(g, extract_cycle(inst, play_ocdp(inst, seq), g)).ok
 
     def test_agreement_with_hamiltonian_oracle(self, rng):
         for _ in range(25):
@@ -467,12 +571,9 @@ class TestBruteForce:
 
     def test_every_small_graph(self):
         # the reduction theorem on every labelled digraph with 2, 3 and 4
-        # vertices (3 + 63 + 4,095 graphs), raw and normalized
-        for n in (2, 3, 4):
-            pairs = list(itertools.permutations(range(1, n + 1), 2))
-            for mask in range(1, 1 << len(pairs)):
-                g = DirectedGraph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
-                inst = reduce_hamiltonian(g)
-                result = brute_force_ocdp(inst)
-                assert (result[0] == n + 1) == (find_hamiltonian_cycle(g) is not None)
-                assert brute_force_ocdp(normalize_payoffs(inst)) == result
+        # vertices, raw and normalized
+        for g in every_small_graph():
+            inst = reduce_hamiltonian(g)
+            result = brute_force_ocdp(inst)
+            assert (result[0] == inst.k) == (find_hamiltonian_cycle(g) is not None)
+            assert brute_force_ocdp(normalize_payoffs(inst)) == result
