@@ -9,14 +9,50 @@ file formats and labels are 1-based (see fileio).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs  # private: scipy >= 1.15
 
 from .errors import CapExceededError, DimensionMismatchError, InputError, PreconditionError
+
+
+def _scipy_extension(name: str):
+    """The compiled scipy module `name`, loaded without the package __init__s above it.
+
+    Importing scipy.optimize or scipy.linalg pulls in most of scipy, about
+    0.5 s of a cold start; the extension module alone takes milliseconds. So
+    scipy itself is imported (its __init__ is cheap and readies the bundled
+    libraries), and `name` is loaded from its file under the scipy directory
+    and registered in sys.modules as `name`: a module already there is
+    reused, and a later `import a.b.c as m` or `from a.b import c` gets this
+    same object (the parent package, imported later, gets no attribute for
+    it). Without such a file, or if it fails to load, `name` is imported the
+    ordinary way.
+    """
+    if name not in sys.modules:
+        import scipy
+
+        stem = os.path.join(scipy.__path__[0], *name.split(".")[1:])
+        for path in (stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                spec = importlib.util.spec_from_loader(name, loader)
+                sys.modules[name] = module = importlib.util.module_from_spec(spec)
+                try:
+                    loader.exec_module(module)
+                except ImportError:
+                    del sys.modules[name]
+                break
+    return importlib.import_module(name)
+
+
+_highs = _scipy_extension("scipy.optimize._highspy._core")  # private: scipy >= 1.15
 
 DEFAULT_TOL = 1e-7
 
@@ -132,7 +168,8 @@ def as_simplex(values) -> np.ndarray:
     Works on one strategy of shape (n,) or a stack of shape (..., n) in one
     pass. Weights must be finite; negatives down to -1e-9 are clipped to 0,
     every vector needs at least one weight and a positive sum, and each is
-    divided by its sum. Returns a new read-only float array.
+    divided by its sum. A vector whose sum overflows is divided by its largest
+    weight first. Returns a new read-only float array.
     """
     try:
         w = np.array(values, dtype=float, ndmin=1)
@@ -140,13 +177,17 @@ def as_simplex(values) -> np.ndarray:
         raise DimensionMismatchError(f"strategy is not an array of numbers: {exc}") from None
     if w.shape[-1] == 0 and 0 not in w.shape[:-1]:
         raise DimensionMismatchError("a strategy needs at least one weight")
-    if not np.isfinite(w).all():
+    low, top = w.min(initial=np.inf), w.max(initial=0.0)
+    if not (-np.inf < low and top < np.inf):  # NaN fails both comparisons
         raise InputError("strategy contains non-finite weights")
-    low = w.min(initial=np.inf)
     if low < -1e-9:
         raise InputError(f"strategy has negative weight {low:g}")
     if low <= 0.0:  # also turns -0.0 into +0.0
         np.maximum(w, 0.0, out=w)
+    if float(top) * w.shape[-1] > sys.float_info.max / 2:  # a sum may overflow
+        with np.errstate(over="ignore"):
+            huge = np.isinf(w.sum(axis=-1, keepdims=True))
+        np.divide(w, w.max(axis=-1, keepdims=True), out=w, where=huge)
     sums = w.sum(axis=-1, keepdims=True)
     if np.any(sums <= 0.0):
         raise InputError("strategy weights sum to zero")

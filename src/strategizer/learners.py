@@ -122,8 +122,9 @@ class Schedule:
     ``lengths`` has shape (S,) and ``strategies`` shape (S, n); segment s
     plays strategies[s] for lengths[s]. Discrete mode: lengths are positive
     integer round counts totalling below 2**63. Continuous mode: positive
-    finite durations. All strategy rows go through games.as_simplex in one
-    pass. ``total``, the sum of the lengths, is computed once here.
+    finite durations with a finite total. All strategy rows go through
+    games.as_simplex in one pass. ``total``, the sum of the lengths, is
+    computed once here.
     """
 
     mode: str
@@ -145,9 +146,11 @@ class Schedule:
                 "a schedule needs lengths of shape (S,) and strategies of shape (S, n), "
                 f"got {lengths.shape} and {x.shape}"
             )
-        if not np.all(np.isfinite(lengths)):
+        low, top = lengths.min(initial=np.inf), lengths.max(initial=0.0)
+        if not (-np.inf < low and top < np.inf):  # NaN fails both comparisons
             raise InputError("schedule lengths must be finite")
-        total = lengths.sum().item()
+        with np.errstate(over="ignore"):  # an overflowing total is rejected below
+            total = lengths.sum().item()
         if self.mode == "discrete":
             bad = (lengths <= 0) | (lengths != np.floor(lengths))
             if bad.any():
@@ -158,8 +161,10 @@ class Schedule:
                 raise InputError(f"discrete segment counts must total below 2**63, got {total:g}")
             lengths = lengths.astype(np.int64)
             total = int(total)
-        elif not np.all(lengths > 0):
-            raise InputError(f"segment duration must be positive, got {lengths.min():g}")
+        elif not low > 0:
+            raise InputError(f"segment duration must be positive, got {low:g}")
+        elif total == math.inf:
+            raise InputError("segment durations must total a finite number")
         lengths.flags.writeable = False
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "strategies", as_simplex(x))

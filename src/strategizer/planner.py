@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .errors import CapExceededError, InputError, PreconditionError
 from .games import (
     BimatrixGame,
+    _scipy_extension,
     as_matrix,
     as_simplex,
     as_weights,
@@ -31,6 +31,8 @@ from .games import (
     min_br_minmax,
 )
 from .learners import MAX_ROUNDS, MWU, Schedule, lse, simulate, softmax
+
+dgesv = _scipy_extension("scipy.linalg._flapack").dgesv  # scipy.linalg.lapack.dgesv
 
 HJB_FD_STEP = 1e-4  # hjb_residual's finite-difference step in h and t
 

@@ -128,6 +128,18 @@ class TestSimulate:
         assert abs(total - 500 * math.tanh(0.1)) <= 1e-9
         assert os.path.exists(prefix + ".csv") and os.path.exists(prefix + ".json")
 
+    def test_overflowing_strategy_weights(self, capsys, mp_file, tmp_path):
+        # the weights sum to inf, so as_simplex scales them before normalising
+        sched = tmp_path / "s.json"
+        sched.write_text('{"mode": "discrete", "segments": '
+                         '[{"count": 3, "strategy": [1e308, 1e308]}]}')
+        prefix = str(tmp_path / "traj")
+        code, _, err = run(capsys, "simulate", mp_file, "--learner", "mwu",
+                           "--schedule", str(sched), "--out", prefix)
+        assert code == 0 and err == ""
+        with open(prefix + ".json") as f:
+            assert json.load(f)["optimizer_strategy"] == [[0.5, 0.5]] * 3
+
     def test_alternating_witness_from_noisy_lp(self, capsys, tmp_path):
         # the pinned witness LP returns x with weight -1.5e-9 on this valid
         # game; the witness is mapped onto the simplex, not rejected as input
@@ -344,6 +356,11 @@ def relabelled(**changes):
     ("verify", {"sequence": [1.5, 2, 4, 6, 7, 1]}, "list of integers"),
     ("verify", {"cycle": None}, "'cycle' or 'sequence'"),
     ("simulate", {"mode": "discrete", "segments": 5}, "segments must be a list"),
+    ("simulate", {"mode": "discrete", "segments": [{"count": 1e308, "strategy": [1, 0]}] * 2},
+     "must total below 2**63"),
+    ("simulate", {"mode": "continuous",
+                  "segments": [{"duration": 1e308, "strategy": [1, 0]}] * 2},
+     "must total a finite number"),
     ("brute", instance_json(k=None), "needs field 'k'"),
     ("brute", instance_json(T=-2), "must be positive"),
     ("brute", instance_json(a={"rows": 7, "cols": 10, "data": [[0.5] * 10] * 7}),
@@ -359,8 +376,8 @@ def relabelled(**changes):
     ("brute", instance_json(labels=relabelled(n_graph_vertices=1e16)),
      "which reduce to a (7, 20000000000000000) instance"),
 ], ids=["sequence-str", "cycle-str", "sequence-int", "cycle-string", "sequence-float",
-        "cycle-null", "segments-int", "instance-no-k", "instance-negative-T",
-        "instance-fractional-a", "instance-b-shape", "instance-fractional-T",
+        "cycle-null", "segments-int", "counts-overflow", "durations-overflow", "instance-no-k",
+        "instance-negative-T", "instance-fractional-a", "instance-b-shape", "instance-fractional-T",
         "instance-string-k", "instance-fractional-vertices", "instance-fractional-edge",
         "instance-reversed-edges", "instance-1e16-vertices"])
 def test_malformed_file_exit_2(command, content, message, capsys, graph_file, mp_file, tmp_path):
@@ -373,7 +390,7 @@ def test_malformed_file_exit_2(command, content, message, capsys, graph_file, mp
         "brute": ["brute", str(path)],
     }[command]
     code, _, err = run(capsys, *argv)
-    assert code == 2 and message in err and "Traceback" not in err
+    assert code == 2 and message in err and "Traceback" not in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("command", ["reduce", "brute", "verify"])

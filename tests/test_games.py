@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -110,6 +111,16 @@ class TestAsSimplex:
 
     def test_pure(self):
         assert np.array_equal(as_simplex(np.arange(3) == 1), [0.0, 1.0, 0.0])
+
+    def test_overflowing_sum(self):
+        # the sum 2e308 overflows: that row is scaled by its largest weight
+        # first, with no RuntimeWarning; the other row keeps its bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert as_simplex([1e308, 1e308]).tolist() == [0.5, 0.5]
+            stack = as_simplex([[1e308, 0.0, 1e308], [0.1, 0.2, 0.3]])
+        assert stack[0].tolist() == [0.5, 0.0, 0.5]
+        assert stack[1].tobytes() == as_simplex([0.1, 0.2, 0.3]).tobytes()
 
     @pytest.mark.parametrize("values", [[-0.0, 1.0], [[1.0, -0.0, 2.0], [-0.0, -0.0, 1.0]]])
     def test_negative_zero_becomes_positive_zero(self, values):

@@ -34,6 +34,13 @@ LIBRARY_CASES = {
                           InputError, "discrete or continuous"),
     "schedule-zero-duration": (lambda: Schedule("continuous", [1.0, 0.0], [[1.0, 0.0]] * 2),
                                InputError, "duration must be positive"),
+    # finite lengths whose sum overflows; under pytest's error::RuntimeWarning
+    # these also check that summing them raises no warning
+    "schedule-counts-overflow": (lambda: Schedule("discrete", [1e308] * 2, [[1.0, 0.0]] * 2),
+                                 InputError, r"must total below 2\*\*63, got inf"),
+    "schedule-durations-overflow": (
+        lambda: Schedule("continuous", [1e308] * 2, [[1.0, 0.0]] * 2),
+        InputError, "durations must total a finite number"),
     "round-strategies-continuous": (lambda: CONTINUOUS.round_strategies(),
                                     PreconditionError, "requires a discrete schedule"),
     "time-average-empty": (lambda: Schedule("continuous", [], []).time_average(),
