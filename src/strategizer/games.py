@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapExceededError, DimensionMismatchError, InputError, PreconditionError
+from .errors import DimensionMismatchError, InputError, PreconditionError
 
 
 def _scipy_extension(name: str):
@@ -55,9 +55,6 @@ def _scipy_extension(name: str):
 _highs = _scipy_extension("scipy.optimize._highspy._core")  # private: scipy >= 1.15
 
 DEFAULT_TOL = 1e-7
-
-# pinned LPs one min_br_minmax search may solve before it gives up (exit 4)
-MAX_MIN_BR_LPS = 10_000
 
 # unique-equilibrium certificate (_unique_support): the first-order margin
 # per unit of 1 + max|A|, and the constant C of its product test
@@ -414,33 +411,31 @@ def _unique_support(a: np.ndarray, gv: GameValueResult) -> list[int] | None:
 def min_br_minmax(a, gv: GameValueResult) -> tuple[np.ndarray, int]:
     """Minmax strategy with the fewest best responses, and that count k.
 
-    Takes the game's analysis gv from game_value. Enumerates candidate
-    best-response sets S in increasing cardinality and lexicographic order
-    and pins S at the value in the max-margin LP: the first S whose
-    non-members can all be held strictly above the value (margin above
-    tol = DEFAULT_TOL) is the answer. With every column pinned the LP is a
-    plain feasibility check.
+    Takes the game's analysis gv from game_value. A set S of columns, pinned
+    at the value in the max-margin LP, grows by one column per LP until S is
+    non-empty and its LP succeeds with every column pinned or the rest held
+    more than tol = DEFAULT_TOL above the value; that LP's x and |S| are
+    returned. A call solves at most m - |F| + 1 LPs, F the forced set below.
 
-    The learner's strategy y in gv prunes the search. For a minmax x with
-    column j unpinned at margin t, x'Ay >= value + t*y_j, while
-    x'Ay <= max_i (Ay)_i = value + gap/2 (gap the certificate gap). Widened
-    by the pinned LP's feasibility tolerance delta, a column with
-    y_j*tol > gap/2 + delta*(1 + max|A|) can never carry a margin above tol,
-    so it lies in every accepted S. Only supersets of these forced columns
-    are enumerated; adding the same forced set to two sets of equal size
-    keeps their lexicographic order, so (x, k) is unchanged. The search
-    raises CapExceededError after MAX_MIN_BR_LPS pinned LPs.
+    S starts as the forced set F. For a minmax x with column j unpinned at
+    margin t, x'Ay >= value + t*y_j (y gv's learner strategy), while
+    x'Ay <= value + gap/2 (gap the certificate gap). Widened by the pinned
+    LP's tolerance delta, a column with y_j*tol > gap/2 + delta*(1 + max|A|)
+    never carries a margin above tol, so it is in every accepted S. At a
+    margin t* <= tol, LP duality gives weights w >= 0 on the unpinned
+    columns (the row duals, scaled to sum to 1) with
+    sum_j w_j (x'Ae_j - value) <= t* on all of S's pinned face: no minmax x
+    holds all of supp(w) above tol. The heaviest column (the first on ties)
+    is pinned next; with tol 0 in exact arithmetic every column of supp(w)
+    is tight at every minmax x, so k is exact. A failed LP, or all weights
+    zero, raises PreconditionError.
 
-    gv's own x often settles the search without a pinned LP. Let the forced
-    set F be non-empty, and let x = gv.optimizer_strategy pay every column
-    of F within tol of the value and every other column more than
-    value + tol + slack, slack being the forcing rule's bound above. F is
-    the first candidate, as the only set of size |F| that contains F. x is a
-    point of F's pinned LP, up to the tolerances that LP works at, with a
-    margin above tol and slack to spare, so the LP would accept F and k is
-    |F| as before. x itself is then returned; on a degenerate game it can be
-    another minmax point than the pinned LP's. In every other case the
-    enumeration runs and returns the accepted LP's x.
+    When F is non-empty and x = gv.optimizer_strategy pays every column of F
+    within tol of the value and every other column more than
+    value + tol + slack (slack the forcing bound above), x lies on F's
+    pinned LP, up to its tolerances, with margin to spare. The first LP
+    would accept F, so x itself is returned with k = |F|, and no LP is
+    solved; on a degenerate game x can be another minmax point than the LP's.
     """
     a = as_matrix(a)
     n, m = a.shape
@@ -451,17 +446,18 @@ def min_br_minmax(a, gv: GameValueResult) -> tuple[np.ndarray, int]:
     if (is_forced.any() and np.all(np.abs(pays[is_forced]) <= DEFAULT_TOL)
             and np.all(pays[~is_forced] > DEFAULT_TOL + slack)):
         return gv.optimizer_strategy, int(is_forced.sum())
-    forced, unforced = np.flatnonzero(is_forced).tolist(), np.flatnonzero(~is_forced).tolist()
-    candidates = (tuple(sorted(forced + list(extra))) for size in range(max(len(forced), 1), m + 1)
-                  for extra in combinations(unforced, size - len(forced)))
-    for lps, tight in enumerate(candidates):
-        if lps == MAX_MIN_BR_LPS:
-            raise CapExceededError(f"min-BR search on {m} columns exceeded its budget of {lps} LPs")
-        res = _minmax_lp(a, gv.value, tight)
-        if res.success and (len(tight) == m or res.x[-1] > DEFAULT_TOL):
+    tight, column = np.flatnonzero(is_forced).tolist(), None
+    while (res := _minmax_lp(a, gv.value, tuple(tight))).success:
+        if tight and (len(tight) == m or res.x[-1] > DEFAULT_TOL):
             return _lp_strategy(res.x[:n]), len(tight)
-    raise PreconditionError(f"no exact best-response set: a column stays within {DEFAULT_TOL:g} "
-                            "of the value at every minmax strategy without being tight")
+        weights = np.abs(res.duals)
+        column = [j for j in range(m) if j not in tight][int(np.argmax(weights))]
+        if weights.max() == 0.0:
+            break
+        tight = sorted(tight + [column])
+    where = "a forced column" if column is None else f"column {column + 1}"
+    raise PreconditionError(f"no exact best-response set: {where} can neither be pinned at the "
+                            f"value nor held more than {DEFAULT_TOL:g} above it")
 
 
 def check_assumption_no_pure(a, gv: GameValueResult) -> AssumptionWitness | None:

@@ -243,6 +243,7 @@ def _simulate_discrete(game, schedule, learner_kind, eta, h0) -> Trajectory:
     y_rounds = respond(learner_kind, h_before, eta)
     r_lrn = np.einsum("tj,tj->t", increments, y_rounds)
     r_opt = -r_lrn if game.zero_sum else np.einsum("tj,tj->t", x_rounds @ game.a, y_rounds)
+    r_opt, r_lrn = r_opt + 0.0, r_lrn + 0.0  # -0.0 becomes 0.0: no reward is written as -0
     return Trajectory(
         mode="discrete", t=np.arange(1, big_t + 1),
         optimizer_strategy=x_rounds, learner_strategy=y_rounds,
@@ -395,6 +396,7 @@ def _simulate_replicator(game, schedule, eta, h0) -> Trajectory:
         r_opt = -r_lrn
     else:
         r_opt = _integrate_segments(xs @ game.a, h_start, drifts, durations, eta)
+    r_opt, r_lrn = r_opt + 0.0, r_lrn + 0.0  # -0.0 becomes 0.0: no reward is written as -0
     return Trajectory(
         mode="continuous", t=np.cumsum(durations),
         optimizer_strategy=xs, learner_strategy=respond(REPLICATOR, h_start, eta),

@@ -115,6 +115,14 @@ class TestPlan:
         assert code == 0
         assert abs(json.loads(out)["bounds"][1] - 2 * math.log(2)) <= 1e-9
 
+    def test_near_tie_names_the_column_exit_3(self, capsys, tmp_path):
+        # column 2 pays 1.49e-8 above the value at the only minmax x: within
+        # tol, yet the LP cannot pin it at the value
+        p = tmp_path / "tie.txt"
+        p.write_text("0.0 1.49e-08\n")
+        code, _, err = run(capsys, "plan", str(p), "--eta", "1", "--T", "1")
+        assert code == 3 and "column 2 can neither be pinned" in err
+
 
 class TestSimulate:
     def test_alternating_total(self, capsys, mp_file, tmp_path):
@@ -127,6 +135,21 @@ class TestSimulate:
         total = float(out.splitlines()[0].split()[-1])
         assert abs(total - 500 * math.tanh(0.1)) <= 1e-9
         assert os.path.exists(prefix + ".csv") and os.path.exists(prefix + ".json")
+
+    @pytest.mark.parametrize("learner", ["mwu", "replicator"])
+    def test_no_negative_zero_rewards(self, learner, capsys, mp_file, tmp_path):
+        # uniform play on matching pennies earns exactly 0 each round; the
+        # optimizer's reward, the negated learner's, was written as -0
+        prefix = str(tmp_path / "traj")
+        code, _, _ = run(capsys, "simulate", mp_file, "--learner", learner,
+                         "--schedule", "uniform", "--T", "3", "--out", prefix)
+        assert code == 0
+        rows = open(prefix + ".csv").read().splitlines()[1:]
+        assert rows and {field for row in rows for field in row.split(",")[1:4]} == {"0"}
+        # numbers read as their text, so -0 stays -0
+        obj = json.loads(open(prefix + ".json").read(), parse_int=str, parse_float=str)
+        rewards = obj["optimizer_reward"] + obj["learner_reward"] + list(obj["totals"].values())
+        assert set(rewards) == {"0"}
 
     def test_overflowing_strategy_weights(self, capsys, mp_file, tmp_path):
         # the weights sum to inf, so as_simplex scales them before normalising

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from itertools import combinations
@@ -10,7 +11,6 @@ from scipy.optimize import linprog
 
 from strategizer import (
     BimatrixGame,
-    CapExceededError,
     DimensionMismatchError,
     InputError,
     PreconditionError,
@@ -23,7 +23,9 @@ from strategizer import (
     planner_report,
     unique_br_game,
 )
-from strategizer import acceptance, fileio, games, matching_pennies
+from strategizer import acceptance, cli, fileio, games, matching_pennies
+
+from exact_lp import exact_k
 
 
 def value_2x2(a):
@@ -294,22 +296,34 @@ class TestMinBrMinmax:
         _, k = min_br_minmax(zeros, game_value(zeros))
         assert k == 4
 
-    def test_cap(self, monkeypatch, minmax_lp_calls):
-        # a degenerate ternary game the unique-equilibrium certificate does not
-        # cover: the search solves six pinned LPs, and one fewer in the budget
-        # stops it with exit 4
-        a = np.random.default_rng(3).integers(-1, 2, (5, 5)).astype(float)
-        gv = game_value(a)
-        assert games._unique_support(a, gv) is None
+    def test_lp_bound(self, minmax_lp_calls):
+        # the search starts from the forced set F and pins one column per LP,
+        # so no call solves more than m - |F| + 1 LPs, refusals included
+        battery = [a for kind in range(4) for a in min_br_battery(kind)] + REFUSED_GAMES[:2]
+        for a in battery + near_degenerate_games(60, 8642) + small_weight_games(60, 8642):
+            gv = game_value(a)
+            minmax_lp_calls.clear()
+            try:
+                min_br_minmax(a, gv)
+            except PreconditionError:
+                pass
+            assert len(minmax_lp_calls) <= a.shape[1] - forced_count(a, gv) + 1, a
+
+    @pytest.mark.parametrize("seed, k", [(80, 9), (134, 8)])
+    def test_many_tied_columns(self, seed, k, minmax_lp_calls, capsys, tmp_path):
+        # 4x20 games with entries in {-1, 0, 1} that the subset enumeration
+        # gave up on after 10,000 LPs (exit 4); k is the exact oracle's
+        a = np.random.default_rng(seed).integers(-1, 2, (4, 20))
+        gv = game_value(a.astype(float))
         minmax_lp_calls.clear()
-        x, k = min_br_minmax(a, gv)
-        assert len(minmax_lp_calls) == 6
-        monkeypatch.setattr(games, "MAX_MIN_BR_LPS", 6)
-        x_again, k_again = min_br_minmax(a, gv)
-        assert k_again == k and np.array_equal(x_again, x)
-        monkeypatch.setattr(games, "MAX_MIN_BR_LPS", 5)
-        with pytest.raises(CapExceededError, match="budget of 5 LPs"):
-            min_br_minmax(a, gv)
+        x, got = min_br_minmax(a.astype(float), gv)
+        assert got == exact_k(a.tolist()) == k
+        assert len(minmax_lp_calls) <= 20 - forced_count(a, gv) + 1
+        assert len(best_response_set(x, BimatrixGame.from_zero_sum(a))) == k
+        game = tmp_path / "game.txt"
+        game.write_text("\n".join(" ".join(map(str, row)) for row in a.tolist()) + "\n")
+        assert cli.main(["plan", str(game), "--eta", "1", "--T", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["k"] == k
 
     def test_many_columns_need_few_lps(self, minmax_lp_calls):
         # 25 columns were over the old 20-column cap; the forced dual support
@@ -334,6 +348,14 @@ class TestMinBrMinmax:
             game = BimatrixGame.from_zero_sum(a)
             assert np.min(x @ a) >= game_value(a).value - 1e-8
             assert len(best_response_set(x, game)) == k
+
+
+def forced_count(a, gv):
+    """|F|, the columns min_br_minmax pins from the start: those whose dual
+    weight y_j*tol exceeds half the certificate gap plus the pinned LP's
+    tolerance room."""
+    slack = 0.5 * gv.certificate_gap + games._LP_TOL_PINNED * (1.0 + np.max(np.abs(a)))
+    return int(np.sum(gv.learner_strategy * games.DEFAULT_TOL > slack))
 
 
 def exhaustive_min_br(a, tol=games.DEFAULT_TOL):
@@ -564,13 +586,13 @@ class TestUniqueSupportPruning:
         assert check_assumption_no_pure(a, gv) is None
         assert minmax_lp_calls == []
         # small dual weights (0.0123, 0.0126) force only three of the five
-        # support columns, so the min-BR search enumerates supersets of those
-        # three until it reaches the support
+        # support columns, so the min-BR search solves the LP of those three
+        # and then pins the other two, one LP each
         a = np.random.default_rng(2468).uniform(-1, 1, (6, 6))
         gv = game_value(a)
         minmax_lp_calls.clear()
         _, k = min_br_minmax(a, gv)
-        assert k == 5 and len(minmax_lp_calls) == 7
+        assert k == 5 and len(minmax_lp_calls) == 3
 
     def test_one_certificate_per_report(self, monkeypatch):
         # the pair search is the certificate's only caller: a plan report
