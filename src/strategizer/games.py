@@ -185,10 +185,10 @@ def as_simplex(values) -> np.ndarray:
         with np.errstate(over="ignore"):
             huge = np.isinf(w.sum(axis=-1, keepdims=True))
         np.divide(w, w.max(axis=-1, keepdims=True), out=w, where=huge)
-    sums = w.sum(axis=-1, keepdims=True)
-    if np.any(sums <= 0.0):
+    sums = w.sum(axis=-1)
+    if sums.min(initial=np.inf) <= 0.0:
         raise InputError("strategy weights sum to zero")
-    w /= sums
+    w /= sums[..., None]
     w.flags.writeable = False
     return w
 

@@ -78,8 +78,14 @@ _CUT_OFFSETS = np.concatenate([[0.0], 2.0 ** np.arange(7), -(2.0 ** np.arange(7)
 def softmax(z: np.ndarray) -> np.ndarray:
     """Overflow-safe softmax (max-subtracted before exponentiation)."""
     z = np.asarray(z, dtype=float)
-    p = np.exp(z - z.max(axis=-1, keepdims=True))
-    return p / p.sum(axis=-1, keepdims=True)
+    rows = z.reshape(-1, z.shape[-1])
+    if len(rows) == 1:
+        p = z - z.max(axis=-1, keepdims=True)
+    else:  # on many short rows numpy's argmax is several times faster than its max
+        p = z - rows[np.arange(len(rows)), rows.argmax(axis=-1)].reshape(z.shape[:-1] + (1,))
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -108,11 +114,31 @@ def respond(kind: str, h, eta: float = 1.0) -> np.ndarray:
 
     MWU and replicator play softmax(eta * h); best response plays the one-hot
     lexicographically-first argmax of h (exact float comparison, eta unused).
+    Any other kind raises InputError.
     """
     h = np.asarray(h, dtype=float)
-    if kind != BEST_RESPONSE:
-        return softmax(eta * h)
-    return (np.arange(h.shape[-1]) == np.argmax(h, axis=-1)[..., None]).astype(float)
+    if kind == BEST_RESPONSE:
+        return (np.arange(h.shape[-1]) == h.argmax(axis=-1)[..., None]).astype(float)
+    if kind not in LEARNER_KINDS:
+        raise InputError(f"unknown learner kind {kind!r}")
+    return softmax(eta * h)
+
+
+def _schedule_arrays(lengths, strategies):
+    """A schedule's lengths and strategies as float arrays of shapes (S,) and (S, n)."""
+    try:
+        lengths = np.array(lengths, dtype=float)
+        x = np.asarray(strategies, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged rows land here too
+        raise DimensionMismatchError(f"bad schedule row dimension or number: {exc}") from exc
+    if x.ndim == 1 and x.size == 0:
+        x = x.reshape(0, 0)
+    if x.ndim != 2 or lengths.shape != x.shape[:1]:
+        raise InputError(
+            "a schedule needs lengths of shape (S,) and strategies of shape (S, n), "
+            f"got {lengths.shape} and {x.shape}"
+        )
+    return lengths, x
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,18 +160,7 @@ class Schedule:
     def __post_init__(self):
         if self.mode not in ("discrete", "continuous"):
             raise InputError(f"schedule mode must be discrete or continuous, got {self.mode!r}")
-        try:
-            lengths = np.array(self.lengths, dtype=float)
-            x = np.asarray(self.strategies, dtype=float)
-        except (TypeError, ValueError) as exc:  # ragged rows land here too
-            raise DimensionMismatchError(f"bad schedule row dimension or number: {exc}") from exc
-        if x.ndim == 1 and x.size == 0:
-            x = x.reshape(0, 0)
-        if x.ndim != 2 or lengths.shape != x.shape[:1]:
-            raise InputError(
-                "a schedule needs lengths of shape (S,) and strategies of shape (S, n), "
-                f"got {lengths.shape} and {x.shape}"
-            )
+        lengths, x = _schedule_arrays(self.lengths, self.strategies)
         low, top = lengths.min(initial=np.inf), lengths.max(initial=0.0)
         if not (-np.inf < low and top < np.inf):  # NaN fails both comparisons
             raise InputError("schedule lengths must be finite")
@@ -165,10 +180,15 @@ class Schedule:
             raise InputError(f"segment duration must be positive, got {low:g}")
         elif total == math.inf:
             raise InputError("segment durations must total a finite number")
+        self._set(self.mode, lengths, x, total)
+
+    def _set(self, mode, lengths, x, total) -> "Schedule":
         lengths.flags.writeable = False
+        object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "strategies", as_simplex(x))
         object.__setattr__(self, "total", total)
+        return self
 
     @classmethod
     def constant(cls, strategy, total, mode: str = "discrete") -> "Schedule":
@@ -184,8 +204,11 @@ class Schedule:
 
     @classmethod
     def from_rounds(cls, strategies) -> "Schedule":
-        """One-round segments from a (T, n) array of per-round strategies."""
-        return cls("discrete", np.ones(len(strategies)), strategies)
+        """One-round segments from a (T, n) array of per-round strategies.
+        Only the strategies are checked: the all-ones lengths are made here."""
+        lengths, x = _schedule_arrays(np.ones(len(strategies)), strategies)
+        rounds = np.ones(lengths.size, dtype=np.int64)
+        return cls.__new__(cls)._set("discrete", rounds, x, rounds.size)
 
     @property
     def dim(self) -> int | None:
@@ -232,24 +255,20 @@ class Trajectory:
         return self.t.size
 
 
-def _simulate_discrete(game, schedule, learner_kind, eta, h0) -> Trajectory:
-    x_rounds = schedule.round_strategies().reshape(-1, game.n)  # (0, n) when empty
-    big_t = x_rounds.shape[0]
-    increments = x_rounds @ game.b  # row t is B' x(t)
-    h = np.zeros((big_t + 1, game.m))  # row t is the history after round t
-    np.cumsum(increments, axis=0, out=h[1:])
-    h += h0
-    h_before, h_after = h[:-1], h[1:]
-    y_rounds = respond(learner_kind, h_before, eta)
-    r_lrn = np.einsum("tj,tj->t", increments, y_rounds)
-    r_opt = -r_lrn if game.zero_sum else np.einsum("tj,tj->t", x_rounds @ game.a, y_rounds)
-    r_opt, r_lrn = r_opt + 0.0, r_lrn + 0.0  # -0.0 becomes 0.0: no reward is written as -0
-    return Trajectory(
-        mode="discrete", t=np.arange(1, big_t + 1),
-        optimizer_strategy=x_rounds, learner_strategy=y_rounds,
-        optimizer_reward=r_opt, learner_reward=r_lrn,
-        h_after=h_after, totals=(float(r_opt.sum()), float(r_lrn.sum())),
-    )
+def _simulate_discrete(game, x, learner_kind, eta, h0):
+    """MWU or best response from history h0 against rounds x of shape (..., T, n):
+    the learner's strategies y, the rewards r_opt and r_lrn, and h_after."""
+    increments = x @ game.b  # row t is B' x(t)
+    h = np.empty(increments.shape[:-2] + (increments.shape[-2] + 1, game.m))
+    h[..., 0, :] = h0  # row t is the history after round t
+    h_after = np.add.accumulate(increments, axis=-2, out=h[..., 1:, :])
+    h_after += h0
+    y = respond(learner_kind, h[..., :-1, :], eta)
+    r_lrn = np.einsum("...tj,...tj->...t", increments, y)
+    r_opt = -r_lrn if game.zero_sum else np.einsum("...tj,...tj->...t", x @ game.a, y)
+    r_opt += 0.0  # -0.0 becomes 0.0: no reward is written as -0
+    r_lrn += 0.0
+    return y, r_opt, r_lrn, h_after
 
 
 def _qk21(c, h, d, eta, lo, hi):
@@ -372,8 +391,9 @@ def _cut_pieces(c, h, d, dur, eta, pairs):
     return owner[1:][piece], cuts[:-1][piece], cuts[1:][piece]
 
 
-def _simulate_replicator(game, schedule, eta, h0) -> Trajectory:
-    """One trajectory row per segment; rewards are exact per segment.
+def _simulate_replicator(game, xs, durations, eta, h0):
+    """Replicator dynamics from history h0 over segments xs of the given durations:
+    (y, r_opt, r_lrn, h_after), one row per segment, with exact segment rewards.
 
     The learner's segment reward is the log-partition increment
     [lse(eta*h(end)) - lse(eta*h(start))]/eta for any game. The optimizer's
@@ -383,8 +403,6 @@ def _simulate_replicator(game, schedule, eta, h0) -> Trajectory:
     QUADPACK's G10-K21 rule, seeded at the crossing times of h and bisected
     to quad's default tolerance.
     """
-    durations = schedule.lengths
-    xs = schedule.strategies.reshape(durations.size, game.n)  # (0, n) when empty
     drifts = xs @ game.b  # row s is B' x_s
     h = np.cumsum(np.vstack([h0, durations[:, None] * drifts]), axis=0)
     h_start, h_after = h[:-1], h[1:]
@@ -397,12 +415,7 @@ def _simulate_replicator(game, schedule, eta, h0) -> Trajectory:
     else:
         r_opt = _integrate_segments(xs @ game.a, h_start, drifts, durations, eta)
     r_opt, r_lrn = r_opt + 0.0, r_lrn + 0.0  # -0.0 becomes 0.0: no reward is written as -0
-    return Trajectory(
-        mode="continuous", t=np.cumsum(durations),
-        optimizer_strategy=xs, learner_strategy=respond(REPLICATOR, h_start, eta),
-        optimizer_reward=r_opt, learner_reward=r_lrn,
-        h_after=h_after, totals=(float(r_opt.sum()), float(r_lrn.sum())),
-    )
+    return respond(REPLICATOR, h_start, eta), r_opt, r_lrn, h_after
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is checked before returning
@@ -438,9 +451,13 @@ def simulate(
     elif learner_kind == MWU and not eta > 0:
         raise InputError("eta must be positive")
     if learner_kind == REPLICATOR:
-        traj = _simulate_replicator(game, schedule, eta, h0)
+        x, t = schedule.strategies.reshape(-1, game.n), np.cumsum(schedule.lengths)
+        y, r_opt, r_lrn, h_after = _simulate_replicator(game, x, schedule.lengths, eta, h0)
     else:
-        traj = _simulate_discrete(game, schedule, learner_kind, eta, h0)
-    if not all(map(math.isfinite, traj.totals)):
+        x = schedule.round_strategies().reshape(-1, game.n)  # (0, n) when empty
+        t = np.arange(1, x.shape[0] + 1)
+        y, r_opt, r_lrn, h_after = _simulate_discrete(game, x, learner_kind, eta, h0)
+    totals = (float(r_opt.sum()), float(r_lrn.sum()))
+    if not all(map(math.isfinite, totals)):
         raise InputError("eta times the learner's history overflows")
-    return traj
+    return Trajectory(schedule.mode, t, x, y, r_opt, r_lrn, h_after, totals)

@@ -24,6 +24,8 @@ from strategizer import (
     simulate,
 )
 
+from frozen_simulator import FrozenSchedule
+
 OCDP_B_ROW_E1 = np.array([-0.1, 0, 0, 0, 1, 0.85, 0, 0, 0, 0])
 
 
@@ -51,6 +53,11 @@ class TestMwuStrategy:
             tiny = mpmath.exp(-10000)
             y0 = float(1 / (1 + tiny))
         assert abs(y[0] - y0) <= 1e-15
+
+    def test_unknown_kind_raises(self):
+        # simulate's message; respond used to fall through to softmax
+        with pytest.raises(InputError, match="unknown learner kind 'bogus'"):
+            respond("bogus", np.zeros(3))
 
     def test_sums_to_one_strictly_positive(self, rng):
         for _ in range(20):
@@ -348,9 +355,17 @@ def outcome(build, rows):
         return type(exc)
 
 
+def message(build, rows):
+    try:
+        build(rows)
+    except Exception as exc:
+        return str(exc)
+
+
 class TestFromRoundsMatchesRowByRow:
     MALFORMED = {
         "nan": [0.5, math.nan, 0.5],
+        "inf": [0.5, math.inf, 0.5],
         "negative": [0.5, -1e-6, 0.5],
         "clipped": [0.5, -1e-10, 0.5],
         "all_zero": [0.0, 0.0, 0.0],
@@ -365,6 +380,8 @@ class TestFromRoundsMatchesRowByRow:
         got = outcome(lambda r: Schedule.from_rounds(r).strategies, rows)
         if isinstance(want, type):
             assert got is want
+            # the message is the one from_rounds gave when it checked its lengths too
+            assert message(Schedule.from_rounds, rows) == message(FrozenSchedule.from_rounds, rows)
         else:
             assert np.max(np.abs(got - want)) <= 1e-15
 
