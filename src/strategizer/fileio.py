@@ -10,6 +10,7 @@ digits and fixed field order so reruns are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -270,10 +271,13 @@ def _parse_graph_text(text: str, path: str) -> DirectedGraph:
 
 
 def _parse_graph_dot(text: str, path: str) -> DirectedGraph:
-    body = text[text.index("{") + 1: text.rindex("}")] if "{" in text else text
+    start, end = text.find("{"), text.rfind("}")
+    if not 0 <= start < end:
+        raise InputError(f"{path}: DOT graph needs its statements between {{ and }}")
     edges = []
     max_vertex = 0
-    for ln, raw in enumerate(body.splitlines(), start=1):
+    first_line = text.count("\n", 0, start) + 1  # the file line that holds the {
+    for ln, raw in enumerate(text[start + 1:end].splitlines(), start=first_line):
         stripped = raw.strip().rstrip(";").strip()
         if not stripped or stripped.startswith("//"):
             continue
@@ -335,49 +339,44 @@ def _whole_number(value, name: str) -> int:
 
 
 def instance_from_json(obj) -> OcdpInstance:
-    """Read an instance; its payoffs must be the reduction of the graph its
-    labels name (normalized when flagged), row for row."""
+    """Read an instance as the reduction (normalized when flagged) of the
+    graph its labels name, with the file's k and T. Its A, B, row labels and
+    column labels must be that reduction's exactly."""
     try:
         labels = obj["labels"]
-        inst = OcdpInstance(
-            a=matrix_from_json(obj["a"]),
-            b=matrix_from_json(obj["b"]),
-            k=_whole_number(obj["k"], "k"),
-            T=_whole_number(obj["T"], "T"),
-            row_labels=tuple(labels["rows"]),
-            col_labels=tuple(labels["cols"]),
-            edges=tuple(
-                tuple(_whole_number(v, "labels.edges") for v in e) for e in labels["edges"]
-            ),
-            n_graph_vertices=_whole_number(labels["n_graph_vertices"], "n_graph_vertices"),
-            normalized=bool(obj["normalized"]),
+        a, b = matrix_from_json(obj["a"]), matrix_from_json(obj["b"])
+        k, T = _whole_number(obj["k"], "k"), _whole_number(obj["T"], "T")
+        names = list(labels["rows"]), list(labels["cols"])
+        normalized = obj["normalized"]
+        graph = DirectedGraph(
+            _whole_number(labels["n_graph_vertices"], "n_graph_vertices"),
+            tuple(tuple(_whole_number(v, "labels.edges") for v in e) for e in labels["edges"]),
         )
-        graph = DirectedGraph(inst.n_graph_vertices, inst.edges)
     except KeyError as exc:
         raise InputError(f"instance JSON needs field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed instance JSON: {exc}") from exc
+    if type(normalized) is not bool:
+        raise InputError(f"instance field 'normalized' must be true or false, got {normalized!r}")
     shape = (graph.n_edges, 2 * graph.n_vertices)  # checked before the reduction is built
-    if inst.a.shape != shape:
+    if not a.shape == b.shape == shape:
         raise InputError(
             f"labels.edges name {graph.n_edges} edges on {graph.n_vertices} vertices, "
-            f"which reduce to a {shape} instance, but A is {inst.a.shape}"
+            f"which reduce to a {shape} instance, but A has shape {a.shape} and B {b.shape}"
         )
     reduced = reduce_hamiltonian(graph)
-    if inst.normalized:
+    if normalized:
         reduced = normalize_payoffs(reduced)
-    wrong = (inst.a_int != reduced.a_int).any(axis=1) | (inst.b_int != reduced.b_int).any(axis=1)
+    wrong = (a != reduced.a).any(axis=1) | (b != reduced.b).any(axis=1)
     if wrong.any():
         row = int(np.argmax(wrong))
         raise InputError(
             f"labels.edges do not match the payoffs: row {row + 1} of A and B does not "
-            f"encode edge {inst.edges[row]}"
+            f"encode edge {graph.edges[row]}"
         )
-    return inst
-
-
-def read_instance(path: str) -> OcdpInstance:
-    return instance_from_json(_read_json(path))
+    if names != (list(reduced.row_labels), list(reduced.col_labels)):
+        raise InputError("labels.rows and labels.cols are not the reduction's e_i, v_j and v_in_j")
+    return dataclasses.replace(reduced, k=k, T=T)
 
 
 def read_instance_or_graph(path: str) -> OcdpInstance:

@@ -125,12 +125,15 @@ def respond(kind: str, h, eta: float = 1.0) -> np.ndarray:
 
 
 def _schedule_arrays(lengths, strategies):
-    """A schedule's lengths and strategies as float arrays of shapes (S,) and (S, n)."""
+    """A schedule's lengths and strategies as float arrays of shapes (S,) and (S, n).
+    Lengths None stand for one round per leading entry of strategies."""
     try:
-        lengths = np.array(lengths, dtype=float)
+        lengths = None if lengths is None else np.array(lengths, dtype=float)
         x = np.asarray(strategies, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged rows land here too
         raise DimensionMismatchError(f"bad schedule row dimension or number: {exc}") from exc
+    if lengths is None:
+        lengths = np.ones(x.shape[:1])
     if x.ndim == 1 and x.size == 0:
         x = x.reshape(0, 0)
     if x.ndim != 2 or lengths.shape != x.shape[:1]:
@@ -205,8 +208,8 @@ class Schedule:
     @classmethod
     def from_rounds(cls, strategies) -> "Schedule":
         """One-round segments from a (T, n) array of per-round strategies.
-        Only the strategies are checked: the all-ones lengths are made here."""
-        lengths, x = _schedule_arrays(np.ones(len(strategies)), strategies)
+        Only the strategies are checked, not the all-ones lengths made for them."""
+        lengths, x = _schedule_arrays(None, strategies)
         rounds = np.ones(lengths.size, dtype=np.int64)
         return cls.__new__(cls)._set("discrete", rounds, x, rounds.size)
 

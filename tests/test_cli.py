@@ -387,7 +387,7 @@ def relabelled(**changes):
     ("brute", instance_json(k=None), "needs field 'k'"),
     ("brute", instance_json(T=-2), "must be positive"),
     ("brute", instance_json(a={"rows": 7, "cols": 10, "data": [[0.5] * 10] * 7}),
-     "0 or 1"),
+     "row 1 of A and B does not encode edge (1, 5)"),
     ("brute", instance_json(b={"rows": 7, "cols": 1, "data": [[0.0]] * 7}), "shape"),
     ("brute", instance_json(T=4.7), "'T' must be a whole number"),
     ("brute", instance_json(k="6"), "'k' must be a whole number"),
@@ -398,11 +398,23 @@ def relabelled(**changes):
      "row 1 of A and B does not encode edge (3, 1)"),
     ("brute", instance_json(labels=relabelled(n_graph_vertices=1e16)),
      "which reduce to a (7, 20000000000000000) instance"),
+    ("brute", instance_json(labels=relabelled(rows=[None] + [f"e_{i}" for i in range(2, 8)])),
+     "labels.rows and labels.cols are not the reduction's"),
+    ("brute", instance_json(labels=relabelled(rows=" ".join(f"e_{i}" for i in range(1, 8)))),
+     "labels.rows and labels.cols are not the reduction's"),
+    ("brute", instance_json(labels=relabelled(cols=list(range(1, 11)))),
+     "labels.rows and labels.cols are not the reduction's"),
+    ("brute", instance_json(normalized="false"), "'normalized' must be true or false, got 'false'"),
+    ("brute", instance_json(normalized=0), "'normalized' must be true or false, got 0"),
+    ("brute", {**instance_json(), "normalized": None},
+     "'normalized' must be true or false, got None"),
 ], ids=["sequence-str", "cycle-str", "sequence-int", "cycle-string", "sequence-float",
         "cycle-null", "segments-int", "counts-overflow", "durations-overflow", "instance-no-k",
         "instance-negative-T", "instance-fractional-a", "instance-b-shape", "instance-fractional-T",
         "instance-string-k", "instance-fractional-vertices", "instance-fractional-edge",
-        "instance-reversed-edges", "instance-1e16-vertices"])
+        "instance-reversed-edges", "instance-1e16-vertices", "instance-null-row-label",
+        "instance-string-row-labels", "instance-int-col-labels", "instance-normalized-string",
+        "instance-normalized-zero", "instance-normalized-null"])
 def test_malformed_file_exit_2(command, content, message, capsys, graph_file, mp_file, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))

@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from strategizer import DirectedGraph, fileio, reduce_hamiltonian
@@ -190,8 +190,17 @@ def run_cli(argv, files):
         return main([word.format(**names) for word in argv])
 
 
+def null_row_label_instance():
+    """The reduction of the 1-edge graph 1 -> 2 (k = T = 3) with labels.rows [null]."""
+    obj = fileio.instance_to_json(reduce_hamiltonian(DirectedGraph(2, ((1, 2),))))
+    obj["labels"]["rows"] = [None]
+    return dump(obj)
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=invocation())
+@example(case=(["brute", "{input}", "--cap", "2000", "--out", "{dir}/w.json"],
+               {"input": null_row_label_instance()}))
 def test_exit_code_contract(case):
     code = run_cli(*case)
     event(f"{case[0][0]} exit {code}")

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import math
 import os
 import stat
 
@@ -7,6 +10,8 @@ import pytest
 
 from strategizer import InputError, Schedule, normalize_payoffs, reduce_hamiltonian
 from strategizer import fileio
+
+from test_ocdp import every_small_graph
 
 
 class TestCanonicalJson:
@@ -123,12 +128,32 @@ class TestGraphIo:
             fileio.read_graph(str(path))
 
 
+def single_corruptions(obj):
+    """Copies of an instance's JSON, each with one row or column label, one
+    A or B entry (off by one ulp or by 1/160), or `normalized` changed."""
+    for key in ("rows", "cols"):
+        for i, name in enumerate(obj["labels"][key]):
+            for other in (name + "x", None, i + 1):
+                bad = copy.deepcopy(obj)
+                bad["labels"][key][i] = other
+                yield bad
+    for key in ("a", "b"):
+        for i, row in enumerate(obj[key]["data"]):
+            for j, value in enumerate(row):
+                for other in (math.nextafter(value, math.inf), value + 1 / 160):
+                    bad = copy.deepcopy(obj)
+                    bad[key]["data"][i][j] = other
+                    yield bad
+    for other in ("false", "true", 0, 1, 0.0, None, []):
+        yield {**obj, "normalized": other}
+
+
 class TestInstanceIo:
     def test_round_trip(self, tmp_path, example_graph_5):
         inst = reduce_hamiltonian(example_graph_5)
         path = tmp_path / "inst.json"
         path.write_text(fileio.canonical_json(fileio.instance_to_json(inst)))
-        back = fileio.read_instance(str(path))
+        back = fileio.read_instance_or_graph(str(path))
         assert np.array_equal(back.a, inst.a)
         assert np.array_equal(back.b, inst.b)
         assert np.array_equal(back.b_int, inst.b_int)
@@ -147,6 +172,28 @@ class TestInstanceIo:
         obj["labels"]["edges"][0] = [1, 3]  # same source, other target
         with pytest.raises(InputError, match="row 1 of A and B does not encode edge"):
             fileio.instance_from_json(obj)
+
+    def test_every_small_graph_round_trips_byte_for_byte(self, rng):
+        # every labelled digraph on 2, 3 and 4 vertices, raw and normalized,
+        # each with its own k and T
+        for g in every_small_graph():
+            inst = reduce_hamiltonian(g)
+            for flagged in (inst, normalize_payoffs(inst)):
+                k, T = (int(v) for v in rng.integers(1, 10, 2))
+                text = fileio.canonical_json(
+                    fileio.instance_to_json(dataclasses.replace(flagged, k=k, T=T)))
+                back = fileio.instance_from_json(json.loads(text))
+                assert fileio.canonical_json(fileio.instance_to_json(back)) == text
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    def test_any_single_corruption_is_refused(self, example_graph_5, normalize):
+        inst = reduce_hamiltonian(example_graph_5)
+        obj = json.loads(fileio.canonical_json(
+            fileio.instance_to_json(normalize_payoffs(inst) if normalize else inst)))
+        fileio.instance_from_json(obj)
+        for bad in single_corruptions(obj):
+            with pytest.raises(InputError):
+                fileio.instance_from_json(bad)
 
     def test_witness_requires_fields(self, tmp_path):
         path = tmp_path / "w.json"

@@ -7,6 +7,7 @@ the exit code.
 
 import json
 
+import numpy as np
 import pytest
 
 from strategizer import (
@@ -71,6 +72,8 @@ LIBRARY_CASES = {
     "alternating-plan-fractional-rounds": (
         lambda: alternating_plan(MP).to_schedule(2.5),
         InputError, "cannot run 2.5 rounds: it needs a whole number"),
+    "from-rounds-numpy-scalar": (lambda: Schedule.from_rounds(np.float64(1)),
+                                 InputError, r"strategies of shape \(S, n\), got \(\) and \(\)"),
     "as-matrix-1d": (lambda: as_matrix([1.0, 2.0]), InputError, "must be 2-D"),
     "unique-br-game-2": (lambda: unique_br_game(2), InputError, "n >= 3"),
 }
@@ -100,7 +103,10 @@ FILE_CASES = {
     "dot-named-nodes": (fileio.read_graph, "digraph { a -> b }", "bare integer node ids"),
     "dot-attribute": (fileio.read_graph, "digraph {\n  rankdir=LR;\n  1 -> 2\n}", "unsupported statement"),
     "dot-no-vertices": (fileio.read_graph, "digraph {\n}", "declares no vertices"),
-    "instance-malformed": (fileio.read_instance, _malformed_instance(), "malformed instance JSON"),
+    "dot-unclosed": (fileio.read_graph, "digraph { 1 -> 2", "between { and }"),
+    "dot-file-line": (fileio.read_graph, "digraph G\n{\n1 -> 2\n2 -> x\n}", "DOT line 4:"),
+    "instance-malformed": (fileio.read_instance_or_graph, _malformed_instance(),
+                           "malformed instance JSON"),
 }
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from strategizer import BEST_RESPONSE, MWU, BimatrixGame, Schedule, as_simplex, simulate
+from strategizer import BEST_RESPONSE, MWU, BimatrixGame, InputError, Schedule, as_simplex, simulate
 from strategizer.learners import _simulate_discrete
 
 from frozen_simulator import FrozenSchedule, frozen_as_simplex, frozen_simulate
@@ -178,8 +178,14 @@ class TestErrorParity:
     @pytest.mark.parametrize("name", sorted(ROWS))
     def test_from_rounds(self, name):
         rows = ROWS[name]
-        assert_same_outcome(outcome(lambda: Schedule.from_rounds(rows)),
-                            outcome(lambda: FrozenSchedule.from_rounds(rows)))
+        want = outcome(lambda: FrozenSchedule.from_rounds(rows))
+        if name == "scalar":
+            # the frozen copy let len() raise TypeError; from_rounds now raises
+            # the InputError Schedule gives any strategies array that is not 2-D
+            assert want[0] is TypeError
+            want = (InputError, "a schedule needs lengths of shape (S,) and strategies of "
+                                "shape (S, n), got () and ()")
+        assert_same_outcome(outcome(lambda: Schedule.from_rounds(rows)), want)
 
     @pytest.mark.parametrize("name", sorted(SCHEDULES))
     def test_schedule(self, name):
