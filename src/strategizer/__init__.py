@@ -54,10 +54,7 @@ from .planner import (
     PlannerResult,
     alternating_gain,
     alternating_plan,
-    fixed_step_objectives,
     frank_wolfe,
-    fw_rate_constant,
-    hjb_residual,
     optimize_continuous,
     planner_report,
     reward_bounds,
@@ -73,9 +70,8 @@ __all__ = [
     "PlannerResult", "PreconditionError", "REPLICATOR", "Schedule",
     "StrategizerError", "Trajectory", "alternating_gain", "alternating_plan",
     "as_simplex", "best_response_set", "brute_force_ocdp",
-    "check_assumption_no_pure", "extract_cycle", "fixed_step_objectives",
-    "frank_wolfe", "fw_rate_constant",
-    "game_value", "hjb_residual", "matching_pennies", "min_br_minmax",
+    "check_assumption_no_pure", "extract_cycle", "frank_wolfe",
+    "game_value", "matching_pennies", "min_br_minmax",
     "normalize_payoffs", "optimize_continuous", "planner_report", "play_ocdp",
     "playout_labels", "reduce_hamiltonian", "respond",
     "reward_bounds", "reward_cont", "simulate", "softmax", "unique_br_game",

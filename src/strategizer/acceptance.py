@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .games import as_simplex, game_value, min_br_minmax, matching_pennies, unique_br_game, BimatrixGame
+from .errors import InputError
+from .games import as_simplex, as_weights, game_value, min_br_minmax, matching_pennies, unique_br_game, BimatrixGame
 from .learners import MWU, Schedule, _simulate_discrete, simulate, softmax
 from .ocdp import (
     DirectedGraph,
@@ -29,12 +30,10 @@ from .ocdp import (
 )
 from .planner import (
     _objective_terms,
+    _zero_sum_matrix,
     alternating_gain,
     alternating_plan,
-    fixed_step_objectives,
     frank_wolfe,
-    fw_rate_constant,
-    hjb_residual,
     optimize_continuous,
     reward_bounds,
     reward_cont,
@@ -246,6 +245,44 @@ def criterion_6(seed, count):
     return ok, f"slopes {['%.4f' % s for s in slopes]}, spread {spread:.1%} (< 25%)"
 
 
+HJB_FD_STEP = 1e-4  # hjb_residual's finite-difference step in h and t
+
+
+def hjb_residual(h, t: float, a, eta: float) -> float:
+    """Finite-difference residual of the optimal-control PDE at (h, t).
+
+    V(h, t) is the optimal reward-to-go with t time remaining: the r_star of
+    optimize_continuous from history h over horizon t, solved to tolerance
+    fd_step**2, where fd_step = HJB_FD_STEP. With the time-remaining
+    parametrization the equation reads
+
+        dV/dt = max_x [ softmax(eta*h)' A' x - (grad_h V)' A' x ],
+
+    and the inner maximum of a linear function over the simplex is attained
+    at a vertex. Returns |dV/dt - max_x(...)|; the closed form solves the
+    PDE, so the residual is O(fd_step^2 * curvature) plus solver tolerance.
+    """
+    a = _zero_sum_matrix(a)
+    m = a.shape[1]
+    fd_step = HJB_FD_STEP
+    if not t > fd_step:
+        raise InputError("t must exceed fd_step for the central time difference")
+    h = as_weights(h, m, "h")
+
+    def v(hh, tt):
+        return optimize_continuous(a, hh, tt, eta, fd_step**2).r_star
+
+    dv_dt = (v(h, t + fd_step) - v(h, t - fd_step)) / (2.0 * fd_step)
+    grad = np.zeros(m)
+    for i in range(m):
+        e = np.zeros(m)
+        e[i] = fd_step
+        grad[i] = (v(h + e, t) - v(h - e, t)) / (2.0 * fd_step)
+    p = softmax(eta * h)
+    inner_max = float(np.max(a @ (p - grad)))
+    return abs(dv_dt - inner_max)
+
+
 @criterion(7, "HJB residual", budget=120)
 def criterion_7(seed, count):
     """The closed-form value function solves the control PDE (FD residual)."""
@@ -333,9 +370,38 @@ def criterion_9(seed, count):
     return disagreements == 0, f"{len(graphs)} graphs, {disagreements} oracle disagreements"
 
 
+def fixed_step_objectives(z0: np.ndarray, mat: np.ndarray, steps: int) -> list:
+    """Objective values f(x_s) of classical Frank-Wolfe with step 2/(s+2).
+
+    The reference run for the rate bound f(x_s) - f* <= 2*C/(s+1) of
+    criterion 10: it starts at the uniform point, records f(x_s) for
+    s = 0, 1, ..., steps and stops early once the Frank-Wolfe gap is 0.
+    """
+    x = np.full(mat.shape[1], 1.0 / mat.shape[1])
+    values = []
+    for s in range(steps + 1):
+        z = z0 + mat @ x
+        c = z.max()
+        p = np.exp(z - c)
+        total = p.sum()
+        values.append(c + math.log(total))
+        g = mat.T @ (p / total)
+        v = int(np.argmin(g))
+        if g @ x - g[v] <= 0.0:
+            break
+        gamma = 2.0 / (s + 2.0)
+        x = x + gamma * (-x)
+        x[v] += gamma
+    return values
+
+
 @criterion(10, "Frank-Wolfe rate and gradient", budget=60)
 def criterion_10(seed, count):
-    """Fixed-step rate bound 2C/(s+1) holds; analytic gradient matches FD."""
+    """Fixed-step rate bound 2C/(s+1) holds; analytic gradient matches FD.
+
+    f is (eta*T*||A||_2)^2-smooth in the euclidean norm and the simplex has
+    euclidean diameter sqrt(2), so C = 2*(eta*T*||A||_2)^2.
+    """
     rng = np.random.default_rng(seed)
     games = _random_games(rng, 20)
     eta, big_t = 0.5, 5.0
@@ -345,7 +411,7 @@ def criterion_10(seed, count):
         z0, mat = _objective_terms(a, np.zeros(a.shape[1]), big_t, eta)
         x_ref, _, _ = frank_wolfe(z0, mat, gap_target=1e-11)
         f_ref = float(np.logaddexp.reduce(z0 + mat @ x_ref))
-        cert = fw_rate_constant(a, big_t, eta)
+        cert = 2.0 * (eta * big_t * np.linalg.norm(a, 2)) ** 2
         log = fixed_step_objectives(z0, mat, 300)
         for s in range(1, len(log)):
             if log[s] - f_ref > 2.0 * cert / (s + 1):
@@ -389,6 +455,6 @@ def criterion_11(seed, count):
 
 
 def run_battery(seed=DEFAULT_SEED, count=DEFAULT_COUNT, numbers=None):
-    """Run the requested criteria (all by default); returns their results."""
-    selected = sorted(numbers) if numbers else sorted(ALL_CRITERIA)
+    """Run the requested criteria (all by default), each once; returns their results."""
+    selected = sorted(set(numbers or ALL_CRITERIA))
     return [ALL_CRITERIA[k](seed=seed, count=count) for k in selected]

@@ -278,27 +278,29 @@ def _parse_graph_dot(text: str, path: str) -> DirectedGraph:
     max_vertex = 0
     first_line = text.count("\n", 0, start) + 1  # the file line that holds the {
     for ln, raw in enumerate(text[start + 1:end].splitlines(), start=first_line):
-        stripped = raw.strip().rstrip(";").strip()
-        if not stripped or stripped.startswith("//"):
-            continue
-        if "->" in stripped:
-            chain = [tok.strip() for tok in stripped.split("->")]
-            try:
-                ids = [int(tok) for tok in chain]
-            except ValueError:
-                raise InputError(
-                    f"{path}: DOT line {ln}: only bare integer node ids are supported"
-                ) from None
-            for u, v in zip(ids, ids[1:]):
-                edges.append((u, v))
-            max_vertex = max(max_vertex, *ids)
-        else:
-            try:
-                max_vertex = max(max_vertex, int(stripped))
-            except ValueError:
-                raise InputError(
-                    f"{path}: DOT line {ln}: unsupported statement {stripped!r}"
-                ) from None
+        for stmt in raw.split(";"):
+            stripped = stmt.strip()
+            if stripped.startswith("//"):  # a comment runs to the end of the line
+                break
+            if not stripped:
+                continue
+            if "->" in stripped:
+                chain = [tok.strip() for tok in stripped.split("->")]
+                try:
+                    ids = [int(tok) for tok in chain]
+                except ValueError:
+                    raise InputError(
+                        f"{path}: DOT line {ln}: only bare integer node ids are supported"
+                    ) from None
+                edges += zip(ids, ids[1:])
+                max_vertex = max(max_vertex, *ids)
+            else:
+                try:
+                    max_vertex = max(max_vertex, int(stripped))
+                except ValueError:
+                    raise InputError(
+                        f"{path}: DOT line {ln}: unsupported statement {stripped!r}"
+                    ) from None
     if max_vertex == 0:
         raise InputError(f"{path}: DOT graph declares no vertices")
     return DirectedGraph(n_vertices=max_vertex, edges=tuple(edges))

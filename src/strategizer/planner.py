@@ -8,8 +8,7 @@ schedule depends only on the schedule's time-average x, through
 where lse is log-sum-exp. Maximizing it is the convex problem of minimizing
 f(x) = lse(eta*(h0 - T*A'x)) over the simplex, which Frank-Wolfe solves with
 a certified duality gap. Everything else here (value bounds, the asymptotic
-ln(m/k) surplus, the odd/even alternating plan, the Bellman-equation
-residual check) builds on that closed form.
+ln(m/k) surplus, the odd/even alternating plan) builds on that closed form.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from .games import (
 from .learners import MAX_ROUNDS, MWU, Schedule, lse, simulate, softmax
 
 dgesv = _scipy_extension("scipy.linalg._flapack").dgesv  # scipy.linalg.lapack.dgesv
-
-HJB_FD_STEP = 1e-4  # hjb_residual's finite-difference step in h and t
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,17 +167,17 @@ def _face_newton(ms: np.ndarray, p: np.ndarray, g_s: np.ndarray) -> np.ndarray |
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow makes the gap non-finite, which raises
-def frank_wolfe(z0: np.ndarray, mat: np.ndarray, gap_target: float, x0: np.ndarray | None = None):
+def frank_wolfe(z0: np.ndarray, mat: np.ndarray, gap_target: float):
     """Minimize f(x) = lse(z0 + mat @ x) over the probability simplex.
 
-    The solve starts at x0 or, by default, at the vertex with the least f.
-    Each iteration finds the Frank-Wolfe vertex s, the argmin of the
-    gradient. If s is off the support S of x, a Frank-Wolfe step toward s
-    with exact line search brings it into S. If s is on S, a Newton step on
-    the face of S (_face_newton) follows, clipped where a coordinate reaches
-    0, which then leaves S. Unlike away steps, whose linear rate degrades as
-    eta*T sharpens f, this converges in a few steps once S is the optimal
-    face. Near the optimum the Newton step is taken whole: its line minimum
+    The solve starts at the vertex with the least f. Each iteration finds
+    the Frank-Wolfe vertex s, the argmin of the gradient. If s is off the
+    support S of x, a Frank-Wolfe step toward s with exact line search
+    brings it into S. If s is on S, a Newton step on the face of S
+    (_face_newton) follows, clipped where a coordinate reaches 0, which then
+    leaves S. Unlike away steps, whose linear rate degrades as eta*T
+    sharpens f, this converges in a few steps once S is the optimal face.
+    Near the optimum the Newton step is taken whole: its line minimum
     lies within rounding of it. Returns (x, gap, iterations). The
     Frank-Wolfe gap max_v grad'(x - v) upper-bounds f(x) - f*, so it
     certifies optimality regardless of the path taken; CapExceededError is
@@ -189,8 +186,7 @@ def frank_wolfe(z0: np.ndarray, mat: np.ndarray, gap_target: float, x0: np.ndarr
     """
     n = mat.shape[1]
     max_iter = 100 * sum(mat.shape)
-    best_vertex = np.eye(n)[np.argmin(lse((z0[:, None] + mat).T))]
-    x = best_vertex if x0 is None else np.array(x0, dtype=float)
+    x = np.eye(n)[np.argmin(lse((z0[:, None] + mat).T))]
     for it in range(max_iter + 1):
         z = z0 + mat @ x
         p = np.exp(z - z.max())
@@ -269,8 +265,7 @@ def optimize_continuous(a, h0, T: float, eta: float, epsilon: float) -> PlannerR
     schedule = Schedule.constant(x, T, mode="continuous")
     r_star = reward_cont(schedule, h0, a, eta)
     return PlannerResult(
-        x_star=schedule.strategies[0], r_star=r_star, epsilon=gap / eta,
-        iterations=max(iterations, 1),
+        x_star=schedule.strategies[0], r_star=r_star, epsilon=gap / eta, iterations=iterations,
     )
 
 
@@ -331,87 +326,6 @@ def alternating_gain(a, eta: float, T: int, plan: AlternatingPlan) -> float:
     traj = simulate(game, plan.to_schedule(T), MWU, eta=eta)
     value = game_value(a).value
     return (traj.totals[0] - T * value) / (eta * T)
-
-
-def hjb_residual(h, t: float, a, eta: float) -> float:
-    """Finite-difference residual of the optimal-control PDE at (h, t).
-
-    V(h, t) is the optimal reward-to-go with t time remaining, evaluated via
-    the closed form with the inner maximization solved to tolerance
-    fd_step**2, where fd_step = HJB_FD_STEP. With the time-remaining
-    parametrization the equation reads
-
-        dV/dt = max_x [ softmax(eta*h)' A' x - (grad_h V)' A' x ],
-
-    and the inner maximum of a linear function over the simplex is attained
-    at a vertex. Returns |dV/dt - max_x(...)|; the closed form solves the
-    PDE, so the residual is O(fd_step^2 * curvature) plus solver tolerance.
-    """
-    a = _zero_sum_matrix(a)
-    n, m = a.shape
-    fd_step = HJB_FD_STEP
-    if not t > fd_step:
-        raise InputError("t must exceed fd_step for the central time difference")
-    h = as_weights(h, m, "h")
-    inner_eps = fd_step**2
-
-    center, _ = _value_to_go(a, h, t, eta, inner_eps, x0=None)
-
-    def v(hh, tt, x0=center):
-        return _value_to_go(a, hh, tt, eta, inner_eps, x0=x0)[1]
-
-    dv_dt = (v(h, t + fd_step) - v(h, t - fd_step)) / (2.0 * fd_step)
-    grad = np.zeros(m)
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = fd_step
-        grad[i] = (v(h + e, t) - v(h - e, t)) / (2.0 * fd_step)
-    p = softmax(eta * h)
-    inner_max = float(np.max(a @ (p - grad)))
-    return abs(dv_dt - inner_max)
-
-
-def _value_to_go(a, h, t, eta, epsilon, x0=None):
-    """(argmin x, reward) of the closed form at history h with t remaining."""
-    z0, mat = _objective_terms(a, h, t, eta)
-    x, _, _ = frank_wolfe(z0, mat, gap_target=epsilon * eta, x0=x0)
-    value = float(lse(z0) - lse(z0 + mat @ x)) / eta
-    return x, value
-
-
-def fw_rate_constant(a, T: float, eta: float) -> float:
-    """Certified beta*R^2 for the fixed-step rate bound f(x_s) - f* <= 2*C/(s+1).
-
-    f is (eta*T*||A||_2)^2-smooth in the euclidean norm and the simplex has
-    euclidean diameter sqrt(2).
-    """
-    a = as_matrix(a)
-    return 2.0 * (eta * T * np.linalg.norm(a, 2)) ** 2
-
-
-def fixed_step_objectives(z0: np.ndarray, mat: np.ndarray, steps: int) -> list:
-    """Objective values f(x_s) of classical Frank-Wolfe with step 2/(s+2).
-
-    The reference run for the rate bound f(x_s) - f* <= 2*C/(s+1), with C
-    from fw_rate_constant: it starts at the uniform point, records f(x_s)
-    for s = 0, 1, ..., steps and stops early once the Frank-Wolfe gap is 0.
-    """
-    x = np.full(mat.shape[1], 1.0 / mat.shape[1])
-    values = []
-    for s in range(steps + 1):
-        z = z0 + mat @ x
-        c = z.max()
-        p = np.exp(z - c)
-        total = p.sum()
-        values.append(c + math.log(total))
-        g = mat.T @ (p / total)
-        v = int(np.argmin(g))
-        if g @ x - g[v] <= 0.0:
-            break
-        gamma = 2.0 / (s + 2.0)
-        x = x + gamma * (-x)
-        x[v] += gamma
-    return values
 
 
 def planner_report(a, eta: float, T: float, epsilon: float) -> dict:

@@ -11,7 +11,7 @@ from strategizer import (
     MWU, BimatrixGame, DirectedGraph, Schedule, StrategizerError, check_assumption_no_pure, cli,
     fileio, game_value, planner_report, reduce_hamiltonian, simulate,
 )
-from strategizer.acceptance import example_graph
+from strategizer.acceptance import example_graph, run_battery
 from strategizer.cli import main
 
 MP_TEXT = "1 -1\n-1 1\n"
@@ -693,6 +693,12 @@ class TestBattery:
         assert code == 0
         assert out.count("PASS") == 4
         assert "4/4 criteria passed" in out
+
+    def test_repeated_criterion_runs_once(self, capsys):
+        code, out, _ = run(capsys, "battery", "--only", "5,1,1,5")
+        assert code == 0
+        assert out.count("PASS") == 2 and "2/2 criteria passed" in out
+        assert [r.number for r in run_battery(numbers=[1, 1])] == [1]
 
     def test_unknown_criterion_exit_2(self, capsys):
         code, _, err = run(capsys, "battery", "--only", "99")

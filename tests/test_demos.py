@@ -1,9 +1,10 @@
 """Each narrative demo runs to completion against the library in src/, and
-every name the package exports resolves."""
+the package exports exactly its public names, each of which resolves."""
 
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,10 @@ def test_exports_resolve():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(strategizer, name)]
     assert missing == []
+
+
+def test_exports_are_the_public_bindings():
+    # a name moved out of a submodule cannot leave a stale export behind
+    bound = {name for name, value in vars(strategizer).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(strategizer.__all__) == sorted(bound)

@@ -121,6 +121,16 @@ class TestGraphIo:
         g = fileio.read_graph(str(path))
         assert g.n_vertices == 3 and g.edges == ((1, 2), (2, 3), (3, 1))
 
+    def test_dot_statements_split_on_semicolons(self, tmp_path):
+        instances = []
+        for name, text in (("one-line", "digraph {\n 1 -> 2; 2 -> 3\n 3 -> 1\n}"),
+                           ("per-line", "digraph {\n 1 -> 2\n 2 -> 3\n 3 -> 1\n}")):
+            path = tmp_path / f"{name}.dot"
+            path.write_text(text)
+            inst = reduce_hamiltonian(fileio.read_graph(str(path)))
+            instances.append(fileio.canonical_json(fileio.instance_to_json(inst)))
+        assert instances[0] == instances[1]
+
     def test_bad_pair(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("2\n1 2 3\n")

@@ -105,6 +105,7 @@ FILE_CASES = {
     "dot-no-vertices": (fileio.read_graph, "digraph {\n}", "declares no vertices"),
     "dot-unclosed": (fileio.read_graph, "digraph { 1 -> 2", "between { and }"),
     "dot-file-line": (fileio.read_graph, "digraph G\n{\n1 -> 2\n2 -> x\n}", "DOT line 4:"),
+    "dot-semicolon-line": (fileio.read_graph, "digraph {\n1 -> 2; 2 -> x\n}", "DOT line 2:"),
     "instance-malformed": (fileio.read_instance_or_graph, _malformed_instance(),
                            "malformed instance JSON"),
 }

@@ -15,11 +15,8 @@ from strategizer import (
     alternating_gain,
     alternating_plan,
     check_assumption_no_pure,
-    fixed_step_objectives,
     frank_wolfe,
-    fw_rate_constant,
     game_value,
-    hjb_residual,
     matching_pennies,
     min_br_minmax,
     optimize_continuous,
@@ -30,9 +27,11 @@ from strategizer import (
     unique_br_game,
 )
 from strategizer import planner
-from strategizer.acceptance import DEFAULT_COUNT, DEFAULT_SEED, _random_games
+from strategizer.acceptance import (
+    DEFAULT_COUNT, DEFAULT_SEED, _random_games, fixed_step_objectives, hjb_residual,
+)
 from strategizer.learners import softmax
-from strategizer.planner import _line_minimize, _objective_terms
+from strategizer.planner import _face_newton, _line_minimize, _objective_terms
 
 from away_step_fw import away_step_frank_wolfe
 
@@ -85,6 +84,12 @@ class TestOptimizeContinuous:
         assert abs(res.r_star) <= 1e-6
         assert res.epsilon <= 1e-6
         assert res.iterations >= 1
+
+    def test_certified_start_vertex_reports_zero_iterations(self):
+        # row 1 dominates: frank_wolfe's start vertex e_1 already has gap 0
+        res = optimize_continuous([[1.0, 1.0], [0.0, 0.0]], None, 10.0, 1.0, 1e-6)
+        assert res.iterations == 0 and res.epsilon == 0.0
+        assert np.array_equal(res.x_star, [1.0, 0.0])
 
     def test_all_zeros(self):
         res = optimize_continuous(np.zeros((3, 4)), None, 10.0, 1.0, 1e-6)
@@ -309,20 +314,31 @@ class TestFrankWolfe:
             _, gap, iterations = frank_wolfe(z0, mat, 1e-6 * eta)
             assert gap <= 1e-6 * eta and iterations <= FW_ITERATION_BOUND
 
-    @pytest.mark.parametrize("x0", [None, np.full(4, 0.25)], ids=["vertex", "uniform"])
-    def test_singular_face(self, x0):
-        # n > m: the Hessian on the full simplex face is singular, and only
-        # the ridge keeps the Newton step from the uniform start useful
-        # (24 iterations without it; away steps took 458)
-        a = np.array([
-            [-0.33588389625481474, -0.01783157063845553, -0.4523775227764626],
-            [0.45315559930815774, -0.8320182913086935, -0.35371696290701604],
-            [-0.15825454532041294, -0.48389469454047185, 0.6797558332733771],
-            [-0.2917989374910288, -0.15869922645786727, -0.06238906762619467],
-        ])
-        z0, mat = _objective_terms(a, np.zeros(3), 100.0, 0.1)
-        _, gap, iterations = frank_wolfe(z0, mat, 1e-7, x0=x0)
+    SINGULAR_FACE_GAME = np.array([
+        [-0.33588389625481474, -0.01783157063845553, -0.4523775227764626],
+        [0.45315559930815774, -0.8320182913086935, -0.35371696290701604],
+        [-0.15825454532041294, -0.48389469454047185, 0.6797558332733771],
+        [-0.2917989374910288, -0.15869922645786727, -0.06238906762619467],
+    ])
+
+    def test_singular_face(self):
+        # n > m: the Hessian on the full simplex face is singular
+        z0, mat = _objective_terms(self.SINGULAR_FACE_GAME, np.zeros(3), 100.0, 0.1)
+        _, gap, iterations = frank_wolfe(z0, mat, 1e-7)
         assert gap <= 1e-7 and iterations <= 16
+
+    def test_face_newton_on_singular_hessian(self):
+        # at the uniform point the full face's Hessian has rank 2 of 4: f is
+        # linear along its null space, and the Newton direction must still be
+        # a finite descent direction with a coordinate for the clip to cut
+        z0, mat = _objective_terms(self.SINGULAR_FACE_GAME, np.zeros(3), 100.0, 0.1)
+        p = softmax(z0 + mat @ np.full(4, 0.25))
+        g = mat.T @ p
+        c = mat - g
+        assert np.linalg.matrix_rank((c.T * p) @ c) == 2
+        d = _face_newton(mat, p, g)
+        assert d is not None and np.all(np.isfinite(d))
+        assert g @ d < 0.0 and d.min() < 0.0
 
     def test_linesearch_objective_monotone(self, rng, monkeypatch):
         objectives = []
@@ -345,7 +361,7 @@ class TestFrankWolfe:
             z0, mat = _objective_terms(a, np.zeros(4), big_t, eta)
             x_ref, _, _ = frank_wolfe(z0, mat, gap_target=1e-11)
             f_ref = float(np.logaddexp.reduce(z0 + mat @ x_ref))
-            cert = fw_rate_constant(a, big_t, eta)
+            cert = 2.0 * (eta * big_t * np.linalg.norm(a, 2)) ** 2
             log = fixed_step_objectives(z0, mat, 200)
             for s in range(1, len(log)):
                 assert log[s] - f_ref <= 2.0 * cert / (s + 1)
