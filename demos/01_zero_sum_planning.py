@@ -47,7 +47,7 @@ print()
 print("== A game where the minmax choice matters =====================")
 a = unique_br_game(3)                      # 5 rows, 6 columns, value 1
 game = BimatrixGame.from_zero_sum(a)
-gv = game_value(a)                         # one analysis, passed to the searches
+gv = game_value(a)                         # one analysis; the searches need nothing else
 print(f"value {gv.value:.3f}")
 
 # Two minmax strategies, very different best-response counts:
@@ -56,7 +56,7 @@ concentrated = np.array([0.0, 0.0, 0.5, 0.5, 0.0])
 print(f"uniform-over-diagonal mix leaves {len(best_response_set(spread_out, game))} best responses")
 print(f"the concentrated mix leaves     {len(best_response_set(concentrated, game))} best response")
 
-x, k = min_br_minmax(a, gv)
+x, k = min_br_minmax(gv)
 lo, hi = reward_bounds(a, T, eta)
 print(f"least best-response count k = {k}; reward bracket [{lo:.3f}, {hi:.3f}]")
 

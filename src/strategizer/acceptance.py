@@ -228,7 +228,7 @@ def criterion_5(seed, count):
     for big_t in (50.0, 200.0):
         r = reward_cont(Schedule.constant(x_star, big_t, "continuous"), None, a, eta)
         worst = max(worst, abs(r - (big_t + math.log(6.0))))
-    _, k = min_br_minmax(a, game_value(a))
+    _, k = min_br_minmax(game_value(a))
     ok = worst <= 0.01 and k == 1
     return ok, f"max |reward - (T + ln 6)| = {worst:.2e} (tol 0.01), k = {k} (want 1)"
 
@@ -455,6 +455,9 @@ def criterion_11(seed, count):
 
 
 def run_battery(seed=DEFAULT_SEED, count=DEFAULT_COUNT, numbers=None):
-    """Run the requested criteria (all by default), each once; returns their results."""
+    """Run the requested criteria (all by default), each once; unknown numbers raise InputError."""
+    unknown = [k for k in numbers or () if k not in ALL_CRITERIA]
+    if unknown:
+        raise InputError(f"unknown criteria {unknown}; valid: 1..{len(ALL_CRITERIA)}")
     selected = sorted(set(numbers or ALL_CRITERIA))
     return [ALL_CRITERIA[k](seed=seed, count=count) for k in selected]

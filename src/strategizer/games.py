@@ -9,6 +9,7 @@ file formats and labels are 1-based (see fileio).
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -253,16 +254,23 @@ class BimatrixGame:
 
 @dataclass(frozen=True, eq=False)
 class GameValueResult:
-    """Minmax value with bracketing strategy certificates.
+    """Minmax value with bracketing strategy certificates, for the game `a`.
 
     min_j optimizer_strategy' A e_j and max_i e_i' A learner_strategy bracket
-    the value within certificate_gap.
+    the value within certificate_gap. `a` is a read-only copy of the
+    validated payoff matrix, so the searches need only this analysis.
     """
 
     value: float
     optimizer_strategy: np.ndarray
     learner_strategy: np.ndarray
     certificate_gap: float
+    a: np.ndarray
+
+    @functools.cached_property
+    def support(self) -> tuple[int, ...] | None:
+        """The learner's support if _unique_support certifies it, else None; run once, on first use."""
+        return _unique_support(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,7 +333,8 @@ def game_value(a) -> GameValueResult:
     One LP gives both strategies: the optimizer's from its primal solution,
     the learner's from the duals of the column constraints.
     """
-    a = as_matrix(a)
+    a = as_matrix(a).copy(order="K")  # same layout: x @ a sums as on the caller's array
+    a.flags.writeable = False
     n = a.shape[0]
     res = _minmax_lp(a)
     if not res.success:  # feasible and bounded, so only payoffs HiGHS cannot take
@@ -339,6 +348,7 @@ def game_value(a) -> GameValueResult:
         optimizer_strategy=x,
         learner_strategy=y,
         certificate_gap=hi - lo,
+        a=a,
     )
 
 
@@ -355,9 +365,9 @@ def best_response_set(x, game: BimatrixGame, tol: float = DEFAULT_TOL) -> set[in
     return set(np.flatnonzero(scores >= scores.max() - tol).tolist())
 
 
-def _unique_support(a: np.ndarray, gv: GameValueResult) -> list[int] | None:
+def _unique_support(gv: GameValueResult) -> tuple[int, ...] | None:
     """Support S of gv's learner strategy when gv's strategies are the game's
-    only equilibrium, else None.
+    only equilibrium, else None; GameValueResult.support calls it.
 
     With R and S the supports of gv's strategies x and y, the Shapley-Snow
     kernel argument makes x the only minmax strategy, with best responses
@@ -368,8 +378,8 @@ def _unique_support(a: np.ndarray, gv: GameValueResult) -> list[int] | None:
     off R and holds every column of S at the value, and K (x'_R, value) =
     (0, 1) has the one solution (x_R, value).
 
-    check_assumption_no_pure reads its verdict off gv's x on a certified
-    game, and that x is itself an LP answer, minmax only up to noise of about
+    Both searches read their answer off gv's x on a certified game, and that
+    x is itself an LP answer, minmax only up to noise of about
     (delta + gap)*(1 + max|A|), delta the pinned LPs' tolerance. So the
     certificate also needs two margins, which make gv's x stand for any point
     such an LP may return. The identity sum_j y_j (x'Ae_j - value) =
@@ -383,11 +393,10 @@ def _unique_support(a: np.ndarray, gv: GameValueResult) -> list[int] | None:
     of mass on a row of slack 1.17e-5. The first-order test
     sigma_j, r_i > _CERT_MARGIN*(1 + max|A|) holds every column off S and
     every row off R well clear of the value at that noise, and keeps the
-    product test off a zero slack.
+    product test off a zero slack. An x below the value by more than
+    DEFAULT_TOL at some column gets no certificate either.
     """
-    n, m = a.shape
-    x = as_weights(gv.optimizer_strategy, n, "optimizer strategy")
-    y = as_weights(gv.learner_strategy, m, "learner strategy")
+    a, x, y = gv.a, gv.optimizer_strategy, gv.learner_strategy
     rows, cols = np.flatnonzero(x > 0.0), np.flatnonzero(y > 0.0)
     k = cols.size
     if rows.size != k:
@@ -403,19 +412,23 @@ def _unique_support(a: np.ndarray, gv: GameValueResult) -> list[int] | None:
     col_slack = np.delete(x @ a - gv.value, cols).min(initial=np.inf)
     row_slack = np.delete(gv.value - a @ y, rows).min(initial=np.inf)
     if (np.isfinite(cond) and min(col_slack, row_slack) > _CERT_MARGIN * scale
-            and col_slack * min(row_slack, y[cols].min()) > _CERT_FACTOR * cond * scale**2 * (delta + gap)):
-        return cols.tolist()
+            and col_slack * min(row_slack, y[cols].min()) > _CERT_FACTOR * cond * scale**2 * (delta + gap)
+            and np.min(x @ a) >= gv.value - DEFAULT_TOL):
+        return tuple(cols.tolist())
     return None
 
 
-def min_br_minmax(a, gv: GameValueResult) -> tuple[np.ndarray, int]:
+def min_br_minmax(gv: GameValueResult) -> tuple[np.ndarray, int]:
     """Minmax strategy with the fewest best responses, and that count k.
 
-    Takes the game's analysis gv from game_value. A set S of columns, pinned
-    at the value in the max-margin LP, grows by one column per LP until S is
-    non-empty and its LP succeeds with every column pinned or the rest held
-    more than tol = DEFAULT_TOL above the value; that LP's x and |S| are
-    returned. A call solves at most m - |F| + 1 LPs, F the forced set below.
+    Takes the game's analysis gv from game_value. When gv.support is set,
+    gv's x is the only minmax strategy and its best responses are exactly
+    that support, so x and the support's size are returned and no LP is
+    solved. Otherwise a set S of columns, pinned at the value in the
+    max-margin LP, grows by one column per LP until S is non-empty and its
+    LP succeeds with every column pinned or the rest held more than
+    tol = DEFAULT_TOL above the value; that LP's x and |S| are returned. A
+    call solves at most m - |F| + 1 LPs, F the forced set below.
 
     S starts as the forced set F. For a minmax x with column j unpinned at
     margin t, x'Ay >= value + t*y_j (y gv's learner strategy), while
@@ -429,24 +442,13 @@ def min_br_minmax(a, gv: GameValueResult) -> tuple[np.ndarray, int]:
     is pinned next; with tol 0 in exact arithmetic every column of supp(w)
     is tight at every minmax x, so k is exact. A failed LP, or all weights
     zero, raises PreconditionError.
-
-    When F is non-empty and x = gv.optimizer_strategy pays every column of F
-    within tol of the value and every other column more than
-    value + tol + slack (slack the forcing bound above), x lies on F's
-    pinned LP, up to its tolerances, with margin to spare. The first LP
-    would accept F, so x itself is returned with k = |F|, and no LP is
-    solved; on a degenerate game x can be another minmax point than the LP's.
     """
-    a = as_matrix(a)
+    if gv.support is not None:
+        return gv.optimizer_strategy, len(gv.support)
+    a = gv.a
     n, m = a.shape
-    y = as_weights(gv.learner_strategy, m, "learner strategy")
     slack = 0.5 * gv.certificate_gap + _LP_TOL_PINNED * (1.0 + np.max(np.abs(a)))
-    is_forced = y * DEFAULT_TOL > slack
-    pays = as_weights(gv.optimizer_strategy, n, "optimizer strategy") @ a - gv.value
-    if (is_forced.any() and np.all(np.abs(pays[is_forced]) <= DEFAULT_TOL)
-            and np.all(pays[~is_forced] > DEFAULT_TOL + slack)):
-        return gv.optimizer_strategy, int(is_forced.sum())
-    tight, column = np.flatnonzero(is_forced).tolist(), None
+    tight, column = np.flatnonzero(gv.learner_strategy * DEFAULT_TOL > slack).tolist(), None
     while (res := _minmax_lp(a, gv.value, tuple(tight))).success:
         if tight and (len(tight) == m or res.x[-1] > DEFAULT_TOL):
             return _lp_strategy(res.x[:n]), len(tight)
@@ -460,7 +462,7 @@ def min_br_minmax(a, gv: GameValueResult) -> tuple[np.ndarray, int]:
                             f"value nor held more than {DEFAULT_TOL:g} above it")
 
 
-def check_assumption_no_pure(a, gv: GameValueResult) -> AssumptionWitness | None:
+def check_assumption_no_pure(gv: GameValueResult) -> AssumptionWitness | None:
     """Search for a minmax x with two best responses differing on support(x).
 
     Takes the game's analysis gv from game_value. For every column pair
@@ -469,17 +471,13 @@ def check_assumption_no_pure(a, gv: GameValueResult) -> AssumptionWitness | None
     much mass as possible on those rows. Positive mass yields a witness once
     the LP's x, mapped onto the simplex, is minmax with i1 and i2 at the
     value, all within DEFAULT_TOL; exhausting all pairs proves none exists.
-    When _unique_support certifies that gv's strategies are the only
-    equilibrium, every pair LP could only return gv's x, so no LP is solved:
-    the pairs inside supp(y) are tried in the same order with x = gv's x,
-    its mass on the rows and the same test. A certified x below the value by
-    more than DEFAULT_TOL at some column gets the full search instead.
+    When gv.support is set, gv's strategies are the only equilibrium and
+    every pair LP could only return gv's x, so no LP is solved: the pairs
+    inside the support are tried in the same order with x = gv's x, its mass
+    on the rows and the same test.
     """
-    a = as_matrix(a)
+    a, support = gv.a, gv.support
     n, m = a.shape
-    support = _unique_support(a, gv)
-    if support is not None and np.min(gv.optimizer_strategy @ a) < gv.value - DEFAULT_TOL:
-        support = None
     for i1, i2 in combinations(range(m) if support is None else support, 2):
         rows = np.flatnonzero(np.abs(a[:, i1] - a[:, i2]) > DEFAULT_TOL)
         if rows.size == 0:

@@ -290,7 +290,7 @@ def alternating_plan(a) -> AlternatingPlan:
     matching pennies that reproduces the pure alternation schedule.
     """
     a = _zero_sum_matrix(a)
-    witness = check_assumption_no_pure(a, game_value(a))
+    witness = check_assumption_no_pure(game_value(a))
     if witness is None:
         raise PreconditionError("game does not satisfy the no-pure assumption")
     x = witness.x
@@ -335,8 +335,8 @@ def planner_report(a, eta: float, T: float, epsilon: float) -> dict:
     gv = game_value(a)
     value = gv.value
     m = a.shape[1]
-    _, k = min_br_minmax(a, gv)
-    witness = check_assumption_no_pure(a, gv)
+    _, k = min_br_minmax(gv)
+    witness = check_assumption_no_pure(gv)
     report = {
         "value": value,
         "x_star": result.x_star.tolist(),

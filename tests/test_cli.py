@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from strategizer import (
-    MWU, BimatrixGame, DirectedGraph, Schedule, StrategizerError, check_assumption_no_pure, cli,
+    MWU, BimatrixGame, DirectedGraph, InputError, Schedule, StrategizerError, check_assumption_no_pure, cli,
     fileio, game_value, planner_report, reduce_hamiltonian, simulate,
 )
 from strategizer.acceptance import example_graph, run_battery
@@ -175,7 +175,7 @@ class TestSimulate:
         assert code == 0, err
         a = np.array(NOISY_WITNESS_GAME)
         gv = game_value(a)
-        w = check_assumption_no_pure(a, gv)
+        w = check_assumption_no_pure(gv)
         pays = w.x @ a - gv.value
         assert pays.min() >= -1e-7 and max(pays[w.i1], pays[w.i2]) <= 1e-7
 
@@ -703,6 +703,11 @@ class TestBattery:
     def test_unknown_criterion_exit_2(self, capsys):
         code, _, err = run(capsys, "battery", "--only", "99")
         assert code == 2 and "unknown criteria" in err
+
+    @pytest.mark.parametrize("numbers", [[99], ["1"]], ids=["out-of-range", "string"])
+    def test_run_battery_refuses_unknown_numbers(self, numbers):
+        with pytest.raises(InputError, match=r"unknown criteria \[.*\]; valid: 1\.\.11"):
+            run_battery(numbers=numbers)
 
     @pytest.mark.parametrize("name, value, message", [
         ("seed", "-1", "seed must be non-negative, got -1"),

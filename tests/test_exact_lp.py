@@ -36,5 +36,5 @@ def test_value_and_k_match_exact_oracle(low, high, seed):
         gv = game_value(a.astype(float))
         value = exact_value(a.tolist())
         assert abs(gv.value - value) <= 1e-9, a.tolist()
-        _, k = min_br_minmax(a.astype(float), gv)
+        _, k = min_br_minmax(gv)
         assert k == exact_k(a.tolist(), value), a.tolist()

@@ -279,13 +279,13 @@ class TestBestResponseSet:
 
 class TestMinBrMinmax:
     def test_matching_pennies(self, mp_matrix):
-        x, k = min_br_minmax(mp_matrix, game_value(mp_matrix))
+        x, k = min_br_minmax(game_value(mp_matrix))
         assert k == 2
         assert np.allclose(x, [0.5, 0.5], atol=1e-8)
 
     def test_unique_br_example(self):
         a = unique_br_game(3)
-        x, k = min_br_minmax(a, game_value(a))
+        x, k = min_br_minmax(game_value(a))
         assert k == 1
         game = BimatrixGame.from_zero_sum(a)
         assert best_response_set(x, game) == {5}
@@ -293,7 +293,7 @@ class TestMinBrMinmax:
 
     def test_all_zeros_k_equals_m(self):
         zeros = np.zeros((2, 4))
-        _, k = min_br_minmax(zeros, game_value(zeros))
+        _, k = min_br_minmax(game_value(zeros))
         assert k == 4
 
     def test_lp_bound(self, minmax_lp_calls):
@@ -304,7 +304,7 @@ class TestMinBrMinmax:
             gv = game_value(a)
             minmax_lp_calls.clear()
             try:
-                min_br_minmax(a, gv)
+                min_br_minmax(gv)
             except PreconditionError:
                 pass
             assert len(minmax_lp_calls) <= a.shape[1] - forced_count(a, gv) + 1, a
@@ -316,7 +316,7 @@ class TestMinBrMinmax:
         a = np.random.default_rng(seed).integers(-1, 2, (4, 20))
         gv = game_value(a.astype(float))
         minmax_lp_calls.clear()
-        x, got = min_br_minmax(a.astype(float), gv)
+        x, got = min_br_minmax(gv)
         assert got == exact_k(a.tolist()) == k
         assert len(minmax_lp_calls) <= 20 - forced_count(a, gv) + 1
         assert len(best_response_set(x, BimatrixGame.from_zero_sum(a))) == k
@@ -326,25 +326,21 @@ class TestMinBrMinmax:
         assert json.loads(capsys.readouterr().out)["k"] == k
 
     def test_many_columns_need_few_lps(self, minmax_lp_calls):
-        # 25 columns were over the old 20-column cap; the forced dual support
-        # is the answer, and gv's own x proves it without a pinned LP
+        # 25 columns were over the old 20-column cap; the certificate covers
+        # the game, so gv's own x answers without a pinned LP
         a = np.random.default_rng(25).uniform(-1, 1, (3, 25))
         gv = game_value(a)
         minmax_lp_calls.clear()
-        x, k = min_br_minmax(a, gv)
+        x, k = min_br_minmax(gv)
         assert len(minmax_lp_calls) == 0
         assert x.tobytes() == gv.optimizer_strategy.tobytes()
         assert np.min(x @ a) >= gv.value - 1e-8
         assert len(best_response_set(x, BimatrixGame.from_zero_sum(a))) == k
 
-    def test_analysis_dimension_checked(self, mp_matrix):
-        with pytest.raises(DimensionMismatchError, match="dimension 2"):
-            min_br_minmax(np.zeros((2, 3)), game_value(mp_matrix))
-
     def test_contract_on_random_games(self, rng):
         for _ in range(10):
             a = rng.uniform(-1, 1, size=(3, 4))
-            x, k = min_br_minmax(a, game_value(a))
+            x, k = min_br_minmax(game_value(a))
             game = BimatrixGame.from_zero_sum(a)
             assert np.min(x @ a) >= game_value(a).value - 1e-8
             assert len(best_response_set(x, game)) == k
@@ -389,31 +385,36 @@ def exhaustive_assumption(a, tol=games.DEFAULT_TOL):
 
 
 def check_min_br(a, minmax_lp_calls):
-    """min_br_minmax(a) against exhaustive_min_br(a): the same k, or both
-    find no exact best-response set. A search that solves a pinned LP
-    returns the reference's x byte for byte. One that solves none has taken
-    the shortcut and returns gv's own x, which must be minmax within 1e-8
-    with exactly k best responses; on degenerate games it can be another
-    minmax point than the reference's. Returns whether the shortcut was
-    taken."""
+    """min_br_minmax(a) against exhaustive_min_br(a). On a game the
+    uniqueness certificate does not cover, both find the same k and x byte
+    for byte, or both find no exact best-response set. On a certified game
+    the search solves no LP and returns gv's own x, which must be minmax
+    within 1e-8 with exactly k best responses; k is the reference's, or,
+    where the reference's tol-banded search gives another k or none,
+    exact_k's. Returns whether the game is certified."""
     gv = game_value(a)
     minmax_lp_calls.clear()
     try:
-        x, k = min_br_minmax(a, gv)
+        x, k = min_br_minmax(gv)
     except PreconditionError:
         with pytest.raises(AssertionError, match="no exact-BR set"):
             exhaustive_min_br(a)
         return False
-    shortcut = not minmax_lp_calls
-    x_ref, k_ref = exhaustive_min_br(a)
-    assert k == k_ref, a
-    if shortcut:
-        assert x.tobytes() == gv.optimizer_strategy.tobytes(), a
-        assert np.min(x @ a) >= gv.value - 1e-8, a
-        assert len(best_response_set(x, BimatrixGame.from_zero_sum(a))) == k, a
-    else:
-        assert x.tobytes() == x_ref.tobytes(), a
-    return shortcut
+    lps = len(minmax_lp_calls)
+    try:
+        x_ref, k_ref = exhaustive_min_br(a)
+    except AssertionError:
+        x_ref, k_ref = None, None
+    if gv.support is None:
+        assert k == k_ref and x.tobytes() == x_ref.tobytes(), a
+        return False
+    assert lps == 0, a
+    assert x.tobytes() == gv.optimizer_strategy.tobytes(), a
+    assert np.min(x @ a) >= gv.value - 1e-8, a
+    assert len(best_response_set(x, BimatrixGame.from_zero_sum(a))) == k, a
+    if k != k_ref:
+        assert k == exact_k(a.tolist()), a
+    return True
 
 
 def check_certified_witness(a, gv, w, tol=games.DEFAULT_TOL):
@@ -438,9 +439,9 @@ def check_witness(a, minmax_lp_calls):
     whether the game is certified."""
     gv = game_value(a)
     minmax_lp_calls.clear()
-    w = check_assumption_no_pure(a, gv)
+    w = check_assumption_no_pure(gv)
     lps = len(minmax_lp_calls)
-    certified = games._unique_support(a, gv) is not None
+    certified = gv.support is not None
     ref = exhaustive_assumption(a)
     assert (w is None) == (ref is None), a
     if certified:
@@ -474,20 +475,20 @@ class TestMinBrPruning:
             check_min_br(a, minmax_lp_calls)
 
     def test_shortcut_keeps_k(self, minmax_lp_calls):
-        # seeded games of every family the shortcut was checked on, at seeds
-        # the other tests do not use; both paths are taken
+        # seeded games of every family the no-LP answer was checked on, at
+        # seeds the other tests do not use; both paths are taken
         rng = np.random.default_rng(4242)
         families = [acceptance._random_games(rng, 40), min_br_battery(1, 40),
                     min_br_battery(2, 40), near_degenerate_games(40, 1),
                     small_weight_games(40, 1), REFUSED_GAMES[:2]]
-        shortcuts = [check_min_br(a, minmax_lp_calls) for family in families for a in family]
-        assert 50 <= sum(shortcuts) <= len(shortcuts) - 50
+        certified = [check_min_br(a, minmax_lp_calls) for family in families for a in family]
+        assert 50 <= sum(certified) <= len(certified) - 50
 
     def test_generic_games_need_two_lps(self, minmax_lp_calls):
         # One value LP, then at most one pinned LP at the dual support,
         # whenever every column the learner plays carries enough dual weight
         # to be forced (above 0.02 at tol 1e-7 on these games); none when
-        # gv's own x settles the search.
+        # the certificate covers the game.
         rng = np.random.default_rng(97)
         checked = 0
         for _ in range(20):
@@ -496,7 +497,7 @@ class TestMinBrPruning:
             if y[y > 0].min() <= 0.05:
                 continue
             minmax_lp_calls.clear()
-            min_br_minmax(a, game_value(a))
+            min_br_minmax(game_value(a))
             assert len(minmax_lp_calls) <= 2
             checked += 1
         assert checked >= 10
@@ -573,9 +574,9 @@ class TestUniqueSupportPruning:
         for _ in range(10):
             a = rng.uniform(-1, 1, size=(5, 6))
             gv = game_value(a)
-            assert games._unique_support(a, gv) is not None
+            assert gv.support is not None
             minmax_lp_calls.clear()
-            check_assumption_no_pure(a, gv)
+            check_assumption_no_pure(gv)
             assert minmax_lp_calls == []
         # a pure saddle point: no pair lies inside a one-column support
         a = rng.uniform(0.5, 1.0, size=(4, 5))
@@ -583,36 +584,63 @@ class TestUniqueSupportPruning:
         a[0, 2] = 0.0
         gv = game_value(a)
         minmax_lp_calls.clear()
-        assert check_assumption_no_pure(a, gv) is None
+        assert check_assumption_no_pure(gv) is None
         assert minmax_lp_calls == []
         # small dual weights (0.0123, 0.0126) force only three of the five
-        # support columns, so the min-BR search solves the LP of those three
-        # and then pins the other two, one LP each
+        # support columns, which took three pinned LPs; the certificate
+        # covers the game, so the min-BR search reads k off it instead
         a = np.random.default_rng(2468).uniform(-1, 1, (6, 6))
         gv = game_value(a)
         minmax_lp_calls.clear()
-        _, k = min_br_minmax(a, gv)
-        assert k == 5 and len(minmax_lp_calls) == 3
+        _, k = min_br_minmax(gv)
+        assert k == 5 and minmax_lp_calls == []
 
-    def test_one_certificate_per_report(self, monkeypatch):
-        # the pair search is the certificate's only caller: a plan report
-        # runs it once, and the min-BR search never does
+    def test_certified_k_is_exact(self):
+        # on a certified game k is the size of the one minmax x's support;
+        # the tol-banded search gave a smaller k or exit 3 on 8 of these
+        certified = 0
+        for a in small_weight_games(200, 1):
+            gv = game_value(a)
+            if gv.support is not None:
+                assert min_br_minmax(gv)[1] == exact_k(a.tolist()), a
+                certified += 1
+        assert certified >= 50
+
+    def test_one_certificate_per_analysis(self, monkeypatch, tmp_path, capsys):
+        # a plan report proves uniqueness once for both searches; value and
+        # simulate, whose zero-sum reward bounds read only the value, never do
         calls = []
         real = games._unique_support
 
-        def counted(a, gv):
-            calls.append(a.shape)
-            return real(a, gv)
+        def counted(gv):
+            calls.append(gv.a.shape)
+            return real(gv)
 
         monkeypatch.setattr(games, "_unique_support", counted)
         rng = np.random.default_rng(531)
+        game = tmp_path / "game.txt"
         for shape in [(2, 2), (5, 6), (4, 3)]:
             a = rng.uniform(-1, 1, size=shape)
             calls.clear()
-            min_br_minmax(a, game_value(a))
-            assert calls == []
             planner_report(a, 1.0, 10.0, 1e-6)
             assert calls == [shape]
+            calls.clear()
+            game.write_text("\n".join(" ".join(map(repr, row)) for row in a.tolist()) + "\n")
+            assert cli.main(["value", str(game)]) == 0
+            assert cli.main(["simulate", str(game), "--learner", "mwu", "--schedule", "uniform",
+                             "--T", "5", "--out", str(tmp_path / "run")]) == 0
+            assert "optimal continuous reward bounds" in capsys.readouterr().out
+            assert calls == []
+
+    def test_analysis_keeps_its_own_game(self):
+        # the certificate runs on first use, after the caller's array changed
+        a = np.random.default_rng(531).uniform(-1, 1, size=(5, 6))
+        original = a.copy()
+        gv = game_value(a)
+        a[:] = 0.0
+        assert gv.a.tobytes() == original.tobytes() and not gv.a.flags.writeable
+        assert gv.support is not None
+        assert gv.support == game_value(original).support
 
 
 def scipy_linprog(c, a_ub, b_ub, a_eq, b_eq, lower, upper, options):
@@ -733,7 +761,7 @@ class TestLeanLinprog:
         before = game_value(matching_pennies())
         for a in REFUSED_GAMES:
             with pytest.raises((InputError, PreconditionError)):
-                min_br_minmax(a, game_value(a))
+                min_br_minmax(game_value(a))
         after = game_value(matching_pennies())
         for field in ("optimizer_strategy", "learner_strategy"):
             assert getattr(before, field).tobytes() == getattr(after, field).tobytes()
@@ -742,7 +770,7 @@ class TestLeanLinprog:
 
 class TestAssumptionNoPure:
     def test_matching_pennies_witness(self, mp_matrix):
-        w = check_assumption_no_pure(mp_matrix, game_value(mp_matrix))
+        w = check_assumption_no_pure(game_value(mp_matrix))
         assert w is not None
         assert np.allclose(w.x, [0.5, 0.5], atol=1e-8)
         assert {w.i1, w.i2} == {0, 1}
@@ -750,12 +778,12 @@ class TestAssumptionNoPure:
 
     def test_all_zeros_none(self):
         zeros = np.zeros((3, 3))
-        assert check_assumption_no_pure(zeros, game_value(zeros)) is None
+        assert check_assumption_no_pure(game_value(zeros)) is None
 
     def test_row_dominant_none(self):
         # unique minmax x = (1, 0); its best responses pay identically on support
         a = np.array([[1.0, 1.0], [0.0, 0.0]])
-        assert check_assumption_no_pure(a, game_value(a)) is None
+        assert check_assumption_no_pure(game_value(a)) is None
         # brute-force the (degenerate) minmax set to confirm no witness exists
         value = game_value(a).value
         for p in np.linspace(0.0, 1.0, 201):

@@ -176,7 +176,7 @@ def test_report_bounds_match_bound_functions(a):
     report = planner_report(a, eta, big_t, 1e-6)
     assert np.max(np.abs(np.subtract(report["bounds"], reward_bounds(a, big_t, eta)))) <= 1e-12
     gv = game_value(a)
-    _, k = min_br_minmax(a, gv)
+    _, k = min_br_minmax(gv)
     want = gv.value * big_t + math.log(a.shape[1] / k) / eta
     assert report["k"] == k
     assert abs(report["asymptotic_bound"] - want) <= 1e-12
@@ -495,7 +495,7 @@ def test_array_results_compare_by_identity(mp_matrix, mp_game):
         gv = game_value(mp_matrix)
         return [
             gv,
-            check_assumption_no_pure(mp_matrix, gv),
+            check_assumption_no_pure(gv),
             optimize_continuous(mp_matrix, None, 10.0, 0.5, 1e-6),
             alternating_plan(mp_matrix),
             simulate(mp_game, Schedule.constant([0.5, 0.5], 3), MWU, eta=0.1),
