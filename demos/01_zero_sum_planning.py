@@ -57,7 +57,7 @@ print(f"uniform-over-diagonal mix leaves {len(best_response_set(spread_out, game
 print(f"the concentrated mix leaves     {len(best_response_set(concentrated, game))} best response")
 
 x, k = min_br_minmax(gv)
-lo, hi = reward_bounds(a, T, eta)
+lo, hi = reward_bounds(gv, T, eta)
 print(f"least best-response count k = {k}; reward bracket [{lo:.3f}, {hi:.3f}]")
 
 r = reward_cont(Schedule.constant(concentrated, T, "continuous"), None, a, eta)

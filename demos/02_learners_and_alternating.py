@@ -15,6 +15,7 @@ from strategizer import (
     BimatrixGame,
     alternating_gain,
     alternating_plan,
+    game_value,
     matching_pennies,
     simulate,
 )
@@ -24,7 +25,7 @@ game = BimatrixGame.from_zero_sum(mp)
 T = 1000
 
 print("== The alternating plan =======================================")
-plan = alternating_plan(mp)   # full perturbation: pure actions
+plan = alternating_plan(game_value(mp))   # full perturbation: pure actions
 print(f"odd rounds play  {plan.x_odd}")
 print(f"even rounds play {plan.x_even}")
 print(f"their average is the minmax strategy {plan.base}")
@@ -48,5 +49,5 @@ print()
 print("== The surplus scales like eta*T ==============================")
 print("eta     (total - T*value) / (eta*T)")
 for eta in (0.05, 0.1, 0.2, 0.4):
-    print(f"{eta:4.2f}    {alternating_gain(mp, eta, 2000, plan=plan):8.4f}")
+    print(f"{eta:4.2f}    {alternating_gain(plan, eta, 2000):8.4f}")
 print("a near-constant slope: the gain is Omega(eta*T) with a game constant.")

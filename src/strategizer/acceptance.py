@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InputError
-from .games import as_simplex, as_weights, game_value, min_br_minmax, matching_pennies, unique_br_game, BimatrixGame
+from .games import as_matrix, as_simplex, as_weights, game_value, min_br_minmax, matching_pennies, unique_br_game, BimatrixGame
 from .learners import MWU, Schedule, _simulate_discrete, simulate, softmax
 from .ocdp import (
     DirectedGraph,
@@ -30,7 +30,6 @@ from .ocdp import (
 )
 from .planner import (
     _objective_terms,
-    _zero_sum_matrix,
     alternating_gain,
     alternating_plan,
     frank_wolfe,
@@ -166,9 +165,8 @@ def _planning_pass(rng, count):
 @criterion(1, "matching-pennies alternating reward", budget=1)
 def criterion_1(seed, count):
     """Alternating plan vs MWU on matching pennies hits (T/2)*tanh(eta) exactly."""
-    a = matching_pennies()
-    plan = alternating_plan(a)
-    game = BimatrixGame.from_zero_sum(a)
+    plan = alternating_plan(game_value(matching_pennies()))
+    game = BimatrixGame.from_zero_sum(plan.gv.a)
     big_t = 1000
     worst = 0.0
     for eta in (0.05, 0.1, 0.5):
@@ -182,8 +180,11 @@ def criterion_1(seed, count):
 def criterion_2(seed, count):
     """Planner rewards stay inside the Val*T .. Val*T + ln(m)/eta bracket."""
     failures = 0
+    last = None
     for a, eta, res in _planning_pass(np.random.default_rng(seed), count):
-        lo, hi = reward_bounds(a, float(ROUNDS), eta)
+        if a is not last:  # the pass yields each game once per eta
+            gv, last = game_value(a), a
+        lo, hi = reward_bounds(gv, float(ROUNDS), eta)
         if not lo - 2 * EPS <= res.r_star <= hi + 2 * EPS:
             failures += 1
     return failures == 0, f"{2 * count} planner runs, {failures} outside the bracket"
@@ -236,10 +237,9 @@ def criterion_5(seed, count):
 @criterion(6, "alternating gain slope", budget=5)
 def criterion_6(seed, count):
     """The measured alternating-gain slope is positive and nearly eta-free."""
-    a = matching_pennies()
-    plan = alternating_plan(a)
+    plan = alternating_plan(game_value(matching_pennies()))
     big_t = 2000
-    slopes = [alternating_gain(a, eta, big_t, plan=plan) for eta in (0.05, 0.1, 0.2, 0.4)]
+    slopes = [alternating_gain(plan, eta, big_t) for eta in (0.05, 0.1, 0.2, 0.4)]
     spread = (max(slopes) - min(slopes)) / (sum(slopes) / len(slopes))
     ok = all(s > 0 for s in slopes) and spread < 0.25
     return ok, f"slopes {['%.4f' % s for s in slopes]}, spread {spread:.1%} (< 25%)"
@@ -262,7 +262,7 @@ def hjb_residual(h, t: float, a, eta: float) -> float:
     at a vertex. Returns |dV/dt - max_x(...)|; the closed form solves the
     PDE, so the residual is O(fd_step^2 * curvature) plus solver tolerance.
     """
-    a = _zero_sum_matrix(a)
+    a = as_matrix(a)
     m = a.shape[1]
     fd_step = HJB_FD_STEP
     if not t > fd_step:

@@ -121,7 +121,7 @@ def _builtin_schedule(name: str, game: BimatrixGame, learner: str, rounds, eta, 
             raise PreconditionError("the alternating plan needs a zero-sum game")
         if continuous:
             raise PreconditionError("the alternating builtin is discrete; replicator needs a continuous schedule")
-        return alternating_plan(game.a).to_schedule(int(rounds))
+        return alternating_plan(game_value(game.a)).to_schedule(int(rounds))
     raise InputError(
         f"unknown builtin schedule {name!r}; use uniform, pure:i, constant-xstar, or alternating"
     )
@@ -149,7 +149,7 @@ def cmd_simulate(args) -> int:
             "continuous", schedule.lengths, schedule.strategies
         ) if schedule.mode == "discrete" else schedule
         cont = reward_cont(cont_schedule, h0, game.a, args.eta)
-        lo, hi = reward_bounds(game.a, cont_schedule.total, args.eta)
+        lo, hi = reward_bounds(game_value(game.a), cont_schedule.total, args.eta)
         print(f"continuous-time reward of the same time-average: {fileio.format_float(cont)}")
         print(f"optimal continuous reward bounds: [{fileio.format_float(lo)}, {fileio.format_float(hi)}]")
     print(f"wrote {csv_path} and {json_path}")

@@ -257,8 +257,8 @@ class GameValueResult:
     """Minmax value with bracketing strategy certificates, for the game `a`.
 
     min_j optimizer_strategy' A e_j and max_i e_i' A learner_strategy bracket
-    the value within certificate_gap. `a` is a read-only copy of the
-    validated payoff matrix, so the searches need only this analysis.
+    the value within certificate_gap. `a` is a read-only C-ordered copy of
+    the validated payoff matrix, so the searches need only this analysis.
     """
 
     value: float
@@ -333,7 +333,7 @@ def game_value(a) -> GameValueResult:
     One LP gives both strategies: the optimizer's from its primal solution,
     the learner's from the duals of the column constraints.
     """
-    a = as_matrix(a).copy(order="K")  # same layout: x @ a sums as on the caller's array
+    a = as_matrix(a).copy(order="C")  # one layout, so x @ a sums alike and a game has one answer
     a.flags.writeable = False
     n = a.shape[0]
     res = _minmax_lp(a)

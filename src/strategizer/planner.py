@@ -21,6 +21,7 @@ import numpy as np
 from .errors import CapExceededError, InputError, PreconditionError
 from .games import (
     BimatrixGame,
+    GameValueResult,
     _scipy_extension,
     as_matrix,
     as_simplex,
@@ -46,7 +47,7 @@ class PlannerResult:
 
 @dataclass(frozen=True, eq=False)
 class AlternatingPlan:
-    """Odd/even perturbation pair of a minmax strategy: (x_odd + x_even)/2 = base."""
+    """Odd/even perturbation pair of a minmax strategy of gv's game: (x_odd + x_even)/2 = base."""
 
     x_odd: np.ndarray
     x_even: np.ndarray
@@ -54,6 +55,7 @@ class AlternatingPlan:
     delta: float
     i1: int
     i2: int
+    gv: GameValueResult
 
     def to_schedule(self, total_rounds: int) -> Schedule:
         """Discrete schedule playing x_odd on odd rounds and x_even on even ones.
@@ -74,14 +76,6 @@ class AlternatingPlan:
         return Schedule.from_rounds(rounds)
 
 
-def _zero_sum_matrix(game) -> np.ndarray:
-    if isinstance(game, BimatrixGame):
-        if not game.zero_sum:
-            raise PreconditionError("closed form valid only for B = -A")
-        return game.a
-    return as_matrix(game)
-
-
 def reward_cont(schedule: Schedule, h0, a, eta: float) -> float:
     """Exact continuous-time reward of a schedule against replicator dynamics.
 
@@ -89,7 +83,7 @@ def reward_cont(schedule: Schedule, h0, a, eta: float) -> float:
     the schedule only through its time-average, so the piecewise-constant
     integral is evaluated exactly (no discretization).
     """
-    a = _zero_sum_matrix(a)
+    a = as_matrix(a)
     n, m = a.shape
     if schedule.mode != "continuous":
         raise PreconditionError("reward_cont requires a continuous schedule")
@@ -247,7 +241,7 @@ def optimize_continuous(a, h0, T: float, eta: float, epsilon: float) -> PlannerR
     classical fixed-step analysis needs ceil(2/(epsilon*eta)) iterations;
     the Newton steps of frank_wolfe certify within tens, also at large eta*T.
     """
-    a = _zero_sum_matrix(a)
+    a = as_matrix(a)
     n, m = a.shape
     if not epsilon > 0:
         raise InputError("epsilon must be positive")
@@ -269,28 +263,21 @@ def optimize_continuous(a, h0, T: float, eta: float, epsilon: float) -> PlannerR
     )
 
 
-def _bracket(value: float, m: int, T: float, eta: float) -> list[float]:
-    """[Val*T, Val*T + ln(m)/eta]: the optimal continuous reward bracket."""
-    return [value * T, value * T + math.log(m) / eta]
-
-
-def reward_bounds(a, T: float, eta: float) -> tuple[float, float]:
-    """The optimal continuous reward bracket of the zero-sum game A."""
-    a = _zero_sum_matrix(a)
+def reward_bounds(gv: GameValueResult, T: float, eta: float) -> tuple[float, float]:
+    """[Val*T, Val*T + ln(m)/eta]: the optimal continuous reward bracket of gv's game."""
     if not eta > 0:
         raise InputError("eta must be positive")
-    return tuple(_bracket(game_value(a).value, a.shape[1], T, eta))
+    return gv.value * T, gv.value * T + math.log(gv.a.shape[1]) / eta
 
 
-def alternating_plan(a) -> AlternatingPlan:
-    """Perturb a no-pure-assumption witness into an odd/even strategy pair.
+def alternating_plan(gv: GameValueResult) -> AlternatingPlan:
+    """Perturb a no-pure-assumption witness of gv's game into an odd/even strategy pair.
 
     x_odd = (1-delta)*x + delta*e_k and x_even = (1+delta)*x - delta*e_k,
     where delta is the largest simplex-feasible symmetric perturbation. On
     matching pennies that reproduces the pure alternation schedule.
     """
-    a = _zero_sum_matrix(a)
-    witness = check_assumption_no_pure(game_value(a))
+    witness = check_assumption_no_pure(gv)
     if witness is None:
         raise PreconditionError("game does not satisfy the no-pure assumption")
     x = witness.x
@@ -301,7 +288,7 @@ def alternating_plan(a) -> AlternatingPlan:
     e_k[k] = 1.0
     x_odd = (1.0 - delta) * x + delta * e_k
     x_even = (1.0 + delta) * x - delta * e_k
-    if x_odd @ a[:, witness.i1] < x_odd @ a[:, witness.i2]:
+    if x_odd @ gv.a[:, witness.i1] < x_odd @ gv.a[:, witness.i2]:
         x_odd, x_even = x_even, x_odd
     return AlternatingPlan(
         x_odd=as_simplex(x_odd),
@@ -310,27 +297,27 @@ def alternating_plan(a) -> AlternatingPlan:
         delta=delta,
         i1=witness.i1,
         i2=witness.i2,
+        gv=gv,
     )
 
 
-def alternating_gain(a, eta: float, T: int, plan: AlternatingPlan) -> float:
+def alternating_gain(plan: AlternatingPlan, eta: float, T: int) -> float:
     """Measured per-round surplus slope (total - T*Val) / (eta*T) vs MWU.
 
-    The theory guarantees a positive game-dependent constant; this reports
-    the empirical one for the given plan.
+    The plan is played on its own game, plan.gv.a, and measured against that
+    game's value. The theory guarantees a positive game-dependent constant;
+    this reports the empirical one for the given plan.
     """
     if not T >= 1:
         raise InputError(f"alternating_gain needs at least one round, got T = {T}")
-    a = _zero_sum_matrix(a)
-    game = BimatrixGame.from_zero_sum(a)
+    game = BimatrixGame.from_zero_sum(plan.gv.a)
     traj = simulate(game, plan.to_schedule(T), MWU, eta=eta)
-    value = game_value(a).value
-    return (traj.totals[0] - T * value) / (eta * T)
+    return (traj.totals[0] - T * plan.gv.value) / (eta * T)
 
 
 def planner_report(a, eta: float, T: float, epsilon: float) -> dict:
     """Full zero-sum planning summary as a JSON-ready dict."""
-    a = _zero_sum_matrix(a)
+    a = as_matrix(a)
     result = optimize_continuous(a, None, T, eta, epsilon)
     gv = game_value(a)
     value = gv.value
@@ -342,7 +329,7 @@ def planner_report(a, eta: float, T: float, epsilon: float) -> dict:
         "x_star": result.x_star.tolist(),
         "r_star": result.r_star,
         "epsilon": result.epsilon,
-        "bounds": _bracket(value, m, T, eta),
+        "bounds": list(reward_bounds(gv, T, eta)),
         "k": k,
         "asymptotic_bound": value * T + math.log(m / k) / eta,
         "assumption1": {"holds": witness is not None},

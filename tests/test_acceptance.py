@@ -5,6 +5,8 @@ them; failures always show the line). `strategizer battery` runs the same
 checks from the command line.
 """
 
+import pytest
+
 from strategizer import acceptance
 
 
@@ -56,3 +58,12 @@ def test_criterion_10_frank_wolfe_rate_and_gradient():
 
 def test_criterion_11_normalization_neutrality():
     _run(11)
+
+
+@pytest.mark.parametrize("number, count, value_lps", [(1, 200, 1), (2, 10, 10), (6, 200, 1)])
+def test_one_value_lp_per_game(number, count, value_lps, minmax_lp_calls):
+    # criterion 2 analyses each game once for both eta; 1 and 6 build one
+    # plan whose analysis also scores it
+    result = acceptance.ALL_CRITERIA[number](count=count)
+    assert result.passed, result.line()
+    assert minmax_lp_calls.count(None) == value_lps

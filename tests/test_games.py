@@ -549,6 +549,29 @@ def small_weight_games(count, seed):
     return out
 
 
+def layout_answer(a):
+    """Every answer of the analysis of a, in exact bytes; an exit 3 by its message."""
+    gv = game_value(a)
+    try:
+        k = min_br_minmax(gv)[1]
+    except PreconditionError as exc:
+        k = str(exc)
+    w = check_assumption_no_pure(gv)
+    witness = None if w is None else (w.x.tobytes(), w.i1, w.i2, w.k_action)
+    return (gv.value.hex(), gv.optimizer_strategy.tobytes(), gv.learner_strategy.tobytes(),
+            gv.certificate_gap.hex(), k, witness)
+
+
+@pytest.mark.parametrize("family", [near_degenerate_games, small_weight_games])
+def test_answers_do_not_depend_on_layout(family):
+    # a[:, permutation] leaves both families F-ordered, where x @ a sums in
+    # another order than on a C-ordered copy; game_value analyses a C-ordered
+    # copy, so both layouts get one answer
+    for a in family(200, 1):
+        assert a.flags.f_contiguous and not a.flags.c_contiguous
+        assert layout_answer(a) == layout_answer(np.ascontiguousarray(a))
+
+
 class TestUniqueSupportPruning:
     """On a game the unique-equilibrium certificate covers, the assumption
     search reads its verdict off gv's x and solves no LP; it still reaches

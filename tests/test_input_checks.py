@@ -12,7 +12,7 @@ import pytest
 
 from strategizer import (
     MWU, REPLICATOR, BimatrixGame, InputError, PreconditionError, Schedule, alternating_gain,
-    alternating_plan, best_response_set, fileio, matching_pennies, optimize_continuous,
+    alternating_plan, best_response_set, fileio, game_value, matching_pennies, optimize_continuous,
     reduce_hamiltonian, reward_bounds, reward_cont, simulate, unique_br_game,
 )
 from strategizer.acceptance import example_graph
@@ -58,19 +58,20 @@ LIBRARY_CASES = {
                              InputError, "overflows floating point"),
     "optimize-continuous-horizon-zero": (lambda: optimize_continuous(MP, None, 0.0, 0.5, 1e-6),
                                          InputError, "horizon T must be positive"),
-    "reward-bounds-eta-negative": (lambda: reward_bounds(MP, 10.0, -0.5),
+    "reward-bounds-eta-negative": (lambda: reward_bounds(game_value(MP), 10.0, -0.5),
                                    InputError, "eta must be positive"),
     "best-response-set-negative-tol": (lambda: best_response_set([0.5, 0.5], MP_GAME, tol=-1e-9),
                                        InputError, "tol must be non-negative"),
     "best-response-set-nan-tol": (lambda: best_response_set([0.5, 0.5], MP_GAME, tol=float("nan")),
                                   InputError, "tol must be non-negative"),
-    "alternating-gain-no-rounds": (lambda: alternating_gain(MP, 0.5, 0, alternating_plan(MP)),
-                                   InputError, "at least one round"),
+    "alternating-gain-no-rounds": (
+        lambda: alternating_gain(alternating_plan(game_value(MP)), 0.5, 0),
+        InputError, "at least one round"),
     "alternating-gain-fractional-rounds": (
-        lambda: alternating_gain(MP, 0.5, 2.5, alternating_plan(MP)),
+        lambda: alternating_gain(alternating_plan(game_value(MP)), 0.5, 2.5),
         InputError, "cannot run 2.5 rounds: it needs a whole number"),
     "alternating-plan-fractional-rounds": (
-        lambda: alternating_plan(MP).to_schedule(2.5),
+        lambda: alternating_plan(game_value(MP)).to_schedule(2.5),
         InputError, "cannot run 2.5 rounds: it needs a whole number"),
     "from-rounds-numpy-scalar": (lambda: Schedule.from_rounds(np.float64(1)),
                                  InputError, r"strategies of shape \(S, n\), got \(\) and \(\)"),

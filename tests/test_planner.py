@@ -71,9 +71,10 @@ class TestRewardCont:
             reward_cont(constant_schedule([0.5, 0.5], 1.0), h0, mp_matrix, 0.5)
 
     def test_rejects_general_sum(self):
+        # the planner takes A alone, so a game object, general-sum or not, is bad input
         game = BimatrixGame([[1.0, 0.0]], [[1.0, 0.0]])
         sched = constant_schedule([1.0], 1.0)
-        with pytest.raises(PreconditionError, match="B = -A"):
+        with pytest.raises(InputError, match="payoff matrix is not a table of numbers"):
             reward_cont(sched, None, game, 0.5)
 
 
@@ -134,22 +135,22 @@ class TestOptimizeContinuous:
             a = rng.uniform(-1, 1, size=(rng.integers(2, 5), rng.integers(2, 5)))
             eps = 1e-4
             res = optimize_continuous(a, None, 20.0, 0.5, eps)
-            lo, hi = reward_bounds(a, 20.0, 0.5)
+            lo, hi = reward_bounds(game_value(a), 20.0, 0.5)
             assert lo - eps <= res.r_star <= hi + eps
 
 
 class TestRewardBounds:
     def test_matching_pennies(self, mp_matrix):
-        lo, hi = reward_bounds(mp_matrix, 100.0, 0.5)
+        lo, hi = reward_bounds(game_value(mp_matrix), 100.0, 0.5)
         assert abs(lo) <= 1e-9
         assert abs(hi - 2 * math.log(2)) <= 1e-9
 
     def test_all_zeros(self):
-        lo, hi = reward_bounds(np.zeros((2, 4)), 7.0, 1.0)
+        lo, hi = reward_bounds(game_value(np.zeros((2, 4))), 7.0, 1.0)
         assert lo == 0.0 and abs(hi - math.log(4)) <= 1e-12
 
     def test_2x2(self):
-        lo, hi = reward_bounds(np.array([[2.0, 0.0], [0.0, 1.0]]), 10.0, 1.0)
+        lo, hi = reward_bounds(game_value(np.array([[2.0, 0.0], [0.0, 1.0]])), 10.0, 1.0)
         assert abs(lo - 20.0 / 3) <= 1e-8
         assert abs(hi - (20.0 / 3 + math.log(2))) <= 1e-8
 
@@ -174,8 +175,8 @@ def test_report_bounds_match_bound_functions(a):
     """planner_report derives every bound from its one game value."""
     eta, big_t = 0.5, 20.0
     report = planner_report(a, eta, big_t, 1e-6)
-    assert np.max(np.abs(np.subtract(report["bounds"], reward_bounds(a, big_t, eta)))) <= 1e-12
     gv = game_value(a)
+    assert np.max(np.abs(np.subtract(report["bounds"], reward_bounds(gv, big_t, eta)))) <= 1e-12
     _, k = min_br_minmax(gv)
     want = gv.value * big_t + math.log(a.shape[1] / k) / eta
     assert report["k"] == k
@@ -211,7 +212,7 @@ def test_lps_per_report(minmax_lp_calls):
 
 class TestAlternatingPlan:
     def test_matching_pennies_default_delta(self, mp_matrix):
-        plan = alternating_plan(mp_matrix)
+        plan = alternating_plan(game_value(mp_matrix))
         assert plan.delta == 1.0
         assert np.array_equal(np.sort(plan.x_odd), [0.0, 1.0])
         assert np.allclose((plan.x_odd + plan.x_even) / 2, plan.base, atol=1e-12)
@@ -221,7 +222,7 @@ class TestAlternatingPlan:
         assert plan.x_even @ a[:, plan.i1] < plan.x_even @ a[:, plan.i2]
 
     def test_full_delta_is_pure_alternation(self, mp_matrix):
-        plan = alternating_plan(mp_matrix)
+        plan = alternating_plan(game_value(mp_matrix))
         assert set(map(tuple, [plan.x_odd, plan.x_even])) == {
             (1.0, 0.0), (0.0, 1.0),
         }
@@ -230,24 +231,37 @@ class TestAlternatingPlan:
         assert abs(traj.totals[0] - 500 * math.tanh(0.1)) <= 1e-9
 
     def test_pair_reward_beats_value(self, mp_matrix):
-        plan = alternating_plan(mp_matrix)
+        plan = alternating_plan(game_value(mp_matrix))
         game = BimatrixGame.from_zero_sum(mp_matrix)
         traj = simulate(game, plan.to_schedule(2), MWU, eta=0.3)
         assert traj.totals[0] > 2 * game_value(mp_matrix).value
 
     def test_odd_horizon_plays_base_last(self, mp_matrix):
-        plan = alternating_plan(mp_matrix)
+        plan = alternating_plan(game_value(mp_matrix))
         sched = plan.to_schedule(5)
         rows = sched.round_strategies()
         assert np.array_equal(rows[-1], plan.base)
 
     def test_assumption_failure_raises(self):
         with pytest.raises(PreconditionError, match="no-pure"):
-            alternating_plan(np.zeros((2, 2)))
+            alternating_plan(game_value(np.zeros((2, 2))))
 
     def test_gain_positive(self, mp_matrix):
-        gain = alternating_gain(mp_matrix, 0.2, 400, alternating_plan(mp_matrix))
+        gain = alternating_gain(alternating_plan(game_value(mp_matrix)), 0.2, 400)
         assert gain > 0
+
+
+def test_bounds_and_gain_read_the_analysis(minmax_lp_calls):
+    # neither solves a value LP; the gain scores the plan on its own game
+    gv = game_value(matching_pennies())
+    plan = alternating_plan(gv)
+    minmax_lp_calls.clear()
+    lo, hi = reward_bounds(gv, 10.0, 0.5)
+    gain = alternating_gain(plan, 0.1, 100)
+    assert minmax_lp_calls == []
+    assert plan.gv is gv and (lo, hi) == (0.0, 2 * math.log(2))
+    assert gain == simulate(BimatrixGame.from_zero_sum(gv.a), plan.to_schedule(100), MWU,
+                            eta=0.1).totals[0] / (0.1 * 100)
 
 
 def test_alternating_gain_positive_on_battery_games():
@@ -256,10 +270,10 @@ def test_alternating_gain_positive_on_battery_games():
     gains = []
     for a in _random_games(np.random.default_rng(DEFAULT_SEED), DEFAULT_COUNT):
         try:
-            plan = alternating_plan(a)
+            plan = alternating_plan(game_value(a))
         except PreconditionError:
             continue
-        gains += [alternating_gain(a, eta, 1000, plan) for eta in (0.1, 1.0)]
+        gains += [alternating_gain(plan, eta, 1000) for eta in (0.1, 1.0)]
     assert len(gains) >= 300 and min(gains) > 0.0  # 160 games, smallest gain 2.2e-6
 
 
@@ -497,7 +511,7 @@ def test_array_results_compare_by_identity(mp_matrix, mp_game):
             gv,
             check_assumption_no_pure(gv),
             optimize_continuous(mp_matrix, None, 10.0, 0.5, 1e-6),
-            alternating_plan(mp_matrix),
+            alternating_plan(game_value(mp_matrix)),
             simulate(mp_game, Schedule.constant([0.5, 0.5], 3), MWU, eta=0.1),
         ]
 
