@@ -195,9 +195,9 @@ def criterion_3(seed, count):
     """Replaying the continuous optimum discretely never loses reward."""
     failures = 0
     for a, eta, res in _planning_pass(np.random.default_rng(seed), count):
-        continuous = Schedule.constant(res.x_star, float(ROUNDS), "continuous")
-        cont = reward_cont(continuous, None, a, eta)
-        disc = simulate(BimatrixGame.from_zero_sum(a), Schedule.constant(res.x_star, ROUNDS), MWU, eta=eta)
+        schedule = Schedule.constant(res.x_star, ROUNDS)
+        cont = reward_cont(schedule, None, a, eta)
+        disc = simulate(BimatrixGame.from_zero_sum(a), schedule, MWU, eta=eta)
         if disc.totals[0] < cont - 1e-9:
             failures += 1
     return failures == 0, f"{2 * count} comparisons, {failures} below the continuous reward"

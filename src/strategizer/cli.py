@@ -37,13 +37,17 @@ ENV_PREFIX = "STRATEGIZER_"
 LEARNER_NAMES = {"mwu": MWU, "br": BEST_RESPONSE, "replicator": REPLICATOR}
 
 
-# Each command's numeric parameters, {flag dest: (type, default)}; `main` fills
-# each flag left unset from STRATEGIZER_<NAME>, else the default, in this order.
+# Each command's numeric flags, {flag dest: (type, default, help)}; `build_parser` adds
+# them, and `main` fills each one left unset from STRATEGIZER_<NAME>, else the default.
 _PARAMS = {
-    "plan": {"eta": (float, 1.0), "T": (float, 100.0), "eps": (float, 1e-6)},
-    "simulate": {"eta": (float, 0.1), "eps": (float, 1e-6), "T": (float, 100.0)},
-    "brute": {"cap": (int, 10_000_000)},
-    "battery": {"seed": (int, acceptance.DEFAULT_SEED), "count": (int, acceptance.DEFAULT_COUNT)},
+    "plan": {"eta": (float, 1.0, "the learner's learning rate"), "T": (float, 100.0, "the horizon"),
+             "eps": (float, 1e-6, "the planner's certified reward tolerance")},
+    "simulate": {"eta": (float, 0.1, "the learner's learning rate"),
+                 "eps": (float, 1e-6, "planner tolerance for constant-xstar"),
+                 "T": (float, 100.0, "rounds, or duration for replicator, of a builtin schedule")},
+    "brute": {"cap": (int, 10_000_000, "most learner histories the search may build before it exits 4")},
+    "battery": {"seed": (int, acceptance.DEFAULT_SEED, "seed of the random games"),
+                "count": (int, acceptance.DEFAULT_COUNT, "games per randomized criterion")},
 }
 
 
@@ -96,7 +100,7 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _builtin_schedule(name: str, game: BimatrixGame, learner: str, rounds, eta, eps):
+def _builtin_schedule(name: str, game: BimatrixGame, gv, learner: str, rounds, eta, eps):
     continuous = learner == REPLICATOR
     mode = "continuous" if continuous else "discrete"
     if not (continuous or float(rounds).is_integer()):
@@ -121,7 +125,7 @@ def _builtin_schedule(name: str, game: BimatrixGame, learner: str, rounds, eta, 
             raise PreconditionError("the alternating plan needs a zero-sum game")
         if continuous:
             raise PreconditionError("the alternating builtin is discrete; replicator needs a continuous schedule")
-        return alternating_plan(game_value(game.a)).to_schedule(int(rounds))
+        return alternating_plan(gv).to_schedule(int(rounds))
     raise InputError(
         f"unknown builtin schedule {name!r}; use uniform, pure:i, constant-xstar, or alternating"
     )
@@ -133,25 +137,25 @@ def cmd_simulate(args) -> int:
     h0 = None
     if args.h0:
         h0 = fileio.read_matrix(args.h0).ravel()
+    gv = game_value(game.a) if game.zero_sum else None
     if os.path.exists(args.schedule):
         schedule = fileio.read_schedule(args.schedule)
     else:
-        schedule = _builtin_schedule(args.schedule, game, learner, args.T, args.eta, args.eps)
+        schedule = _builtin_schedule(args.schedule, game, gv, learner, args.T, args.eta, args.eps)
     traj = simulate(game, schedule, learner, eta=args.eta, h0=h0)
+    # every line is formatted before the files are written, so a failure writes nothing
+    lines = [f"optimizer total {fileio.format_float(traj.totals[0])}",
+             f"learner total   {fileio.format_float(traj.totals[1])}"]
+    if gv is not None and traj.rounds:
+        cont = reward_cont(schedule, h0, game.a, args.eta)
+        lo, hi = reward_bounds(gv, schedule.total, args.eta)
+        lines += [f"continuous-time reward of the same time-average: {fileio.format_float(cont)}",
+                  f"optimal continuous reward bounds: [{fileio.format_float(lo)}, {fileio.format_float(hi)}]"]
     csv_path = args.out + ".csv"
     json_path = args.out + ".json"
     fileio.atomic_write((csv_path, fileio.trajectory_csv(traj)),
                         (json_path, fileio.canonical_json(fileio.trajectory_json(traj))))
-    print(f"optimizer total {fileio.format_float(traj.totals[0])}")
-    print(f"learner total   {fileio.format_float(traj.totals[1])}")
-    if game.zero_sum and traj.rounds:
-        cont_schedule = Schedule(
-            "continuous", schedule.lengths, schedule.strategies
-        ) if schedule.mode == "discrete" else schedule
-        cont = reward_cont(cont_schedule, h0, game.a, args.eta)
-        lo, hi = reward_bounds(game_value(game.a), cont_schedule.total, args.eta)
-        print(f"continuous-time reward of the same time-average: {fileio.format_float(cont)}")
-        print(f"optimal continuous reward bounds: [{fileio.format_float(lo)}, {fileio.format_float(hi)}]")
+    print("\n".join(lines))
     print(f"wrote {csv_path} and {json_path}")
     return 0
 
@@ -267,9 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="zero-sum planning report (value, x*, bounds, k)")
     p.add_argument("game")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="play a schedule against a learner")
@@ -280,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="schedule JSON file or builtin: uniform, pure:i, constant-xstar, alternating",
     )
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--eps", type=float, default=None, help="planner tolerance for constant-xstar")
     p.add_argument("--h0", default=None, help="file with the learner's initial historical rewards")
     p.add_argument("--out", default="trajectory", help="output prefix for .csv/.json")
 
@@ -298,23 +296,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("brute", help="exact maximum reward by exhaustive search")
     p.add_argument("input", help="graph file or instance JSON")
-    p.add_argument("--cap", type=int, default=None,
-                   help="most learner histories the search may build before it "
-                        f"exits 4 (default {_PARAMS['brute']['cap'][1]})")
     p.add_argument("--out", default=None, help="write the best play-out as witness JSON")
 
     p = sub.add_parser("battery", help="run the acceptance criteria")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
     p.add_argument("--only", default=None, help="comma-separated criterion numbers")
 
+    for command, params in _PARAMS.items():
+        for name, (cast, default, text) in params.items():
+            sub.choices[command].add_argument("--" + name, type=cast, help=(
+                f"{text} (default: ${ENV_PREFIX}{name.upper()} if set, else {default})"))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for name, (cast, default) in _PARAMS.get(args.command, {}).items():
+        for name, (cast, default, _) in _PARAMS.get(args.command, {}).items():
             if getattr(args, name) is None:
                 setattr(args, name, _env_number(name, cast, default))
         # looked up at each call, so a replaced cmd_* function takes effect

@@ -2,7 +2,8 @@
 
 Matrix files: JSON {"rows": n, "cols": m, "data": [[...], ...]} row-major,
 or plain text with one row of space-separated decimals per line. Zero-sum
-games may supply only A; B is materialized as -A. Graphs: plain text
+games may supply only A; B is materialized as -A. A two-matrix file whose B
+is exactly -A is zero-sum too. Graphs: plain text
 ("n_vertices" then one "from to" pair per line, 1-indexed) or a DOT subset
 (digraph with bare integer node ids). Floats serialize with 17 significant
 digits and fixed field order so reruns are byte-identical.
@@ -181,7 +182,7 @@ def read_matrix(path: str) -> np.ndarray:
 
 def read_game(path: str) -> BimatrixGame:
     """A matrix file yields the zero-sum game B = -A; an {"a":..., "b":...}
-    JSON object yields a general-sum game."""
+    JSON object yields the game (A, B), zero-sum when B = -A exactly."""
     text = _read_text(path)
     if text.lstrip().startswith("{"):
         obj = _read_json(path, text)

@@ -14,7 +14,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple
 
@@ -213,11 +213,12 @@ class BimatrixGame:
     """A two-player matrix game (optimizer utility A, learner utility B).
 
     Both matrices are validated and made read-only at construction.
+    ``zero_sum`` is read off the payoffs: True exactly when B = -A entrywise.
     """
 
     a: np.ndarray
     b: np.ndarray
-    zero_sum: bool = False
+    zero_sum: bool = field(init=False)
 
     def __post_init__(self):
         a = as_matrix(self.a)
@@ -226,18 +227,16 @@ class BimatrixGame:
             raise DimensionMismatchError(
                 f"utility matrices disagree: A is {a.shape}, B is {b.shape}"
             )
-        if self.zero_sum and np.max(np.abs(a + b)) != 0.0:
-            raise InputError("zero_sum flag requires B = -A exactly")
         a.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "zero_sum", bool(self.zero_sum))
+        object.__setattr__(self, "zero_sum", bool(np.all(a == -b)))
 
     @classmethod
     def from_zero_sum(cls, a) -> "BimatrixGame":
         a = as_matrix(a)
-        return cls(a, -a, zero_sum=True)
+        return cls(a, -a)
 
     @property
     def n(self) -> int:

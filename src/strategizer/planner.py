@@ -81,12 +81,11 @@ def reward_cont(schedule: Schedule, h0, a, eta: float) -> float:
 
     The horizon T is the schedule's total duration. The closed form depends on
     the schedule only through its time-average, so the piecewise-constant
-    integral is evaluated exactly (no discretization).
+    integral is evaluated exactly (no discretization). A discrete schedule is
+    read the same way, each round lasting one time unit.
     """
     a = as_matrix(a)
     n, m = a.shape
-    if schedule.mode != "continuous":
-        raise PreconditionError("reward_cont requires a continuous schedule")
     T = schedule.total
     if not eta > 0:
         raise InputError("eta must be positive")
@@ -267,7 +266,10 @@ def reward_bounds(gv: GameValueResult, T: float, eta: float) -> tuple[float, flo
     """[Val*T, Val*T + ln(m)/eta]: the optimal continuous reward bracket of gv's game."""
     if not eta > 0:
         raise InputError("eta must be positive")
-    return gv.value * T, gv.value * T + math.log(gv.a.shape[1]) / eta
+    lo, hi = gv.value * T, gv.value * T + math.log(gv.a.shape[1]) / eta
+    if not math.isfinite(hi):  # also when lo is not
+        raise InputError(f"the reward bounds overflow floating point at eta = {eta:g}, T = {T:g}")
+    return lo, hi
 
 
 def alternating_plan(gv: GameValueResult) -> AlternatingPlan:

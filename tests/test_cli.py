@@ -522,6 +522,14 @@ def test_parser_reused_without_carry_over(capsys, monkeypatch, mp_file, tmp_path
     assert run(capsys, "plan", mp_file) == (0, report(1.0, 100.0), "")
 
 
+@pytest.mark.parametrize("command", ["value", "plan", "simulate", "reduce", "verify", "brute", "battery"])
+def test_help_renders(command, capsys):
+    # argparse %-formats a help string only when it prints it
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0 and "usage: strategizer " + command in capsys.readouterr().out
+
+
 def general_sum_files(tmp_path, a, b, segments):
     game = tmp_path / "gs-game.json"
     game.write_text(json.dumps({"a": fileio.matrix_to_json(a), "b": fileio.matrix_to_json(b)}))
@@ -615,6 +623,57 @@ def test_failed_second_write_leaves_no_file(command, capsys, mp_file, graph_file
     code, printed, err = run(capsys, *argv)
     assert code == 2 and "cannot write" in err and printed == ""
     assert sorted(out.parent.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["plan", "--eta", "1e-320", "--out", "{out}/r.json"],
+     "reward bounds overflow floating point at eta = 9.99989e-321, T = 100"),
+    (["simulate", "--learner", "mwu", "--schedule", "uniform", "--eta", "1e-320", "--T", "4",
+      "--out", "{out}/r"], "reward bounds overflow floating point at eta = 9.99989e-321, T = 4"),
+    # best response never reads eta, but the continuous-time lines do
+    (["simulate", "--learner", "br", "--schedule", "uniform", "--eta", "0", "--out", "{out}/r"],
+     "eta must be positive"),
+], ids=["plan-bounds-overflow", "simulate-bounds-overflow", "simulate-br-eta-zero"])
+def test_failure_writes_and_prints_nothing(argv, fragment, capsys, mp_file, tmp_path):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, printed, err = run(capsys, argv[0], mp_file, *(a.format(out=out_dir) for a in argv[1:]))
+    assert code == 2 and printed == "" and fragment in err and "Traceback" not in err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_two_matrix_zero_sum_file_is_the_matrix_file(capsys, tmp_path):
+    # B = -A written out in full is read as the zero-sum game A alone
+    one = tmp_path / "one.txt"
+    one.write_text(MP_TEXT)
+    a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps({"a": fileio.matrix_to_json(a), "b": fileio.matrix_to_json(-a)}))
+    prefix = str(tmp_path / "traj")
+    seen = []
+    for game in (one, two):
+        plan = run(capsys, "plan", str(game), "--T", "10")
+        sim = run(capsys, "simulate", str(game), "--learner", "mwu", "--schedule", "alternating",
+                  "--T", "10", "--out", prefix)
+        files = [open(prefix + ext, "rb").read() for ext in (".csv", ".json")]
+        seen.append((plan, sim, files))
+    assert seen[0] == seen[1]
+    assert seen[0][0][0] == 0 and len(seen[0][1][1].splitlines()) == 5  # with the bound lines
+
+
+@pytest.mark.parametrize("general_sum, schedule, value_lps", [
+    (False, "alternating", 1), (True, "uniform", 0),
+], ids=["zero-sum-alternating", "general-sum"])
+def test_simulate_solves_one_value_lp(general_sum, schedule, value_lps, minmax_lp_calls,
+                                      capsys, mp_file, tmp_path):
+    # the alternating plan and the bound lines share one analysis
+    game = mp_file
+    if general_sum:
+        game, _ = general_sum_files(tmp_path, [[1.0, -1.0], [-1.0, 1.0]], [[0.5, 0.0], [0.0, 2.0]], [])
+    code, _, err = run(capsys, "simulate", game, "--learner", "mwu", "--schedule", schedule,
+                       "--T", "10", "--out", str(tmp_path / "t"))
+    assert code == 0, err
+    assert minmax_lp_calls.count(None) == value_lps
 
 
 class TestReduceVerifyBrute:

@@ -159,8 +159,14 @@ class TestBimatrixGame:
         assert g.zero_sum and np.max(np.abs(g.a + g.b)) == 0.0
 
     def test_zero_sum_flag_checked(self):
-        with pytest.raises(InputError):
-            BimatrixGame([[1.0]], [[-0.5]], zero_sum=True)
+        # zero_sum is read off the payoffs, exactly, and cannot be passed in
+        a = np.array([[1.0, -0.5], [0.25, 3.0]])
+        assert BimatrixGame(a, -a).zero_sum
+        off = -a
+        off[1, 0] = np.nextafter(off[1, 0], np.inf)
+        assert not BimatrixGame(a, off).zero_sum
+        with pytest.raises(TypeError):
+            BimatrixGame(a, -a, zero_sum=True)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -46,8 +46,6 @@ LIBRARY_CASES = {
                                     PreconditionError, "requires a discrete schedule"),
     "time-average-empty": (lambda: Schedule("continuous", [], []).time_average(),
                            PreconditionError, "empty schedule"),
-    "reward-cont-discrete": (lambda: reward_cont(DISCRETE, None, MP, 0.5),
-                             PreconditionError, "requires a continuous schedule"),
     "reward-cont-eta-zero": (lambda: reward_cont(CONTINUOUS, None, MP, 0.0),
                              InputError, "eta must be positive"),
     "reward-cont-dimension": (lambda: reward_cont(Schedule.constant([1.0, 0.0, 0.0], 1.0, "continuous"),
@@ -60,6 +58,8 @@ LIBRARY_CASES = {
                                          InputError, "horizon T must be positive"),
     "reward-bounds-eta-negative": (lambda: reward_bounds(game_value(MP), 10.0, -0.5),
                                    InputError, "eta must be positive"),
+    "reward-bounds-overflow": (lambda: reward_bounds(game_value(MP), 10.0, 1e-320),
+                               InputError, "reward bounds overflow floating point at eta = 9.99989e-321, T = 10"),
     "best-response-set-negative-tol": (lambda: best_response_set([0.5, 0.5], MP_GAME, tol=-1e-9),
                                        InputError, "tol must be non-negative"),
     "best-response-set-nan-tol": (lambda: best_response_set([0.5, 0.5], MP_GAME, tol=float("nan")),

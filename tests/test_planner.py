@@ -30,7 +30,7 @@ from strategizer import planner
 from strategizer.acceptance import (
     DEFAULT_COUNT, DEFAULT_SEED, _random_games, fixed_step_objectives, hjb_residual,
 )
-from strategizer.learners import softmax
+from strategizer.learners import lse, softmax
 from strategizer.planner import _face_newton, _line_minimize, _objective_terms
 
 from away_step_fw import away_step_frank_wolfe
@@ -64,6 +64,14 @@ class TestRewardCont:
             r = reward_cont(split, None, mp_matrix, 0.9)
             assert abs(r - reward_cont(merged, None, mp_matrix, 0.9)) <= 1e-12
             assert abs(r - reward_cont(swapped, None, mp_matrix, 0.9)) <= 1e-12
+
+    def test_discrete_schedule(self, rng):
+        # a discrete schedule is read as one time unit per round
+        a, h0, eta = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, 4), 0.3
+        sched = Schedule("discrete", [2, 5, 1], rng.dirichlet(np.ones(3), 3))
+        xbar, big_t = sched.time_average(), sched.total
+        want = float(lse(eta * h0) - lse(eta * (h0 - big_t * (a.T @ xbar)))) / eta
+        assert reward_cont(sched, h0, a, eta) == want
 
     @pytest.mark.parametrize("h0", [[1.0, 2.0, 3.0], [[1.0], [2.0]]])
     def test_h0_shape_checked(self, mp_matrix, h0):
