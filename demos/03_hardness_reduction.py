@@ -37,11 +37,10 @@ print()
 print("== Playing the Hamiltonian cycle ===============================")
 cycle = find_hamiltonian_cycle(graph)
 print(f"independent backtracker finds: {' -> '.join(map(str, cycle + [1]))}")
-check = verify_cycle(graph, cycle)
-playout = play_ocdp(inst, check.sequence)
+playout = verify_cycle(inst, cycle).playout
 labels = playout_labels(inst, playout)
 for t, (row, lab) in enumerate(zip(playout.sequence, labels), start=1):
-    u, v = inst.edges[row]
+    u, v = graph.edges[row]
     hit = inst.a[row, playout.learner_actions[t - 1]]
     print(f"round {t}: optimizer plays {inst.row_labels[row]} = ({u},{v}), "
           f"learner sits on {lab}, reward {int(hit)}")

@@ -19,9 +19,8 @@ import numpy as np
 from . import acceptance, fileio
 from .errors import CapExceededError, InputError, PreconditionError, StrategizerError
 from .games import BimatrixGame, game_value
-from .learners import BEST_RESPONSE, MWU, REPLICATOR, Schedule, simulate
+from .learners import BEST_RESPONSE, LEARNER_KINDS, MWU, REPLICATOR, Schedule, simulate
 from .ocdp import (
-    DirectedGraph,
     brute_force_ocdp,
     extract_cycle,
     normalize_payoffs,
@@ -101,8 +100,8 @@ def cmd_plan(args) -> int:
 
 
 def _builtin_schedule(name: str, game: BimatrixGame, gv, learner: str, rounds, eta, eps):
-    continuous = learner == REPLICATOR
-    mode = "continuous" if continuous else "discrete"
+    mode = LEARNER_KINDS[learner]
+    continuous = mode == "continuous"
     if not (continuous or float(rounds).is_integer()):
         raise InputError(
             f"--T must be a whole number of rounds for a discrete learner, got {rounds:g}"
@@ -180,16 +179,12 @@ def cmd_reduce(args) -> int:
 
 def _witness(inst, playout, out_path):
     """The cycle a play-out traces, or None; writes the witness JSON to out_path if given."""
-    reward = playout.total_reward
-    cycle = None
-    # only a play-out earning k = n+1 in the reduction's n+1 rounds traces a cycle
-    if reward >= inst.k and reward == inst.T == inst.n_graph_vertices + 1:
-        cycle = extract_cycle(inst, playout, DirectedGraph(inst.n_graph_vertices, inst.edges))
+    cycle = extract_cycle(inst, playout, inst.graph)
     if out_path:
         fileio.atomic_write((out_path, fileio.canonical_json({
             "sequence": [i + 1 for i in playout.sequence],
             "learner": playout_labels(inst, playout),
-            "reward": reward,
+            "reward": playout.total_reward,
             "cycle": cycle,
         })))
     return cycle
@@ -199,20 +194,22 @@ def cmd_verify(args) -> int:
     graph = fileio.read_graph(args.graph)
     witness = fileio.read_witness(args.witness)
     inst = reduce_hamiltonian(graph)
-    res = None
-    if witness.get("cycle") is not None:
-        res = verify_cycle(graph, witness["cycle"])
+    given_cycle = witness.get("cycle") is not None
+    if given_cycle:
+        res = verify_cycle(inst, witness["cycle"])
         if not res.ok:
             print(f"FAIL: {res.reason}")
             return 1
-        sequence = list(res.sequence)
+        playout = res.playout
     else:
-        sequence = [i - 1 for i in witness["sequence"]]
-    playout = play_ocdp(inst, sequence)
+        for i in witness["sequence"]:  # the file's ids are 1-based
+            if not 1 <= i <= inst.n_actions_opt:
+                raise InputError(f"sequence id {i} outside 1..{inst.n_actions_opt}")
+        playout = play_ocdp(inst, [i - 1 for i in witness["sequence"]])
     cycle = _witness(inst, playout, args.out)  # writes before the verdict lines
-    if res is not None:
-        print(f"OK: cycle verified, reward {res.reward}")
-        print("sequence: " + " ".join(inst.row_labels[i] for i in res.sequence))
+    if given_cycle:
+        print(f"OK: cycle verified, reward {playout.total_reward}")
+        print("sequence: " + " ".join(inst.row_labels[i] for i in playout.sequence))
     print(f"reward {playout.total_reward} (k = {inst.k})")
     print("learner: " + " ".join(playout_labels(inst, playout)))
     if cycle is not None:

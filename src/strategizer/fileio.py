@@ -326,8 +326,8 @@ def instance_to_json(inst: OcdpInstance) -> dict:
         "labels": {
             "rows": list(inst.row_labels),
             "cols": list(inst.col_labels),
-            "edges": [list(e) for e in inst.edges],
-            "n_graph_vertices": inst.n_graph_vertices,
+            "edges": [list(e) for e in inst.graph.edges],
+            "n_graph_vertices": inst.graph.n_vertices,
         },
     }
 

@@ -22,7 +22,8 @@ from .games import BimatrixGame, as_simplex, as_weights
 MWU = "mwu"
 REPLICATOR = "replicator"
 BEST_RESPONSE = "best_response"
-LEARNER_KINDS = (MWU, REPLICATOR, BEST_RESPONSE)
+# Each learner kind and the schedule mode it runs on.
+LEARNER_KINDS = {MWU: "discrete", BEST_RESPONSE: "discrete", REPLICATOR: "continuous"}
 
 # Most rounds a discrete schedule may expand to. The simulator holds several
 # (T, n) and (T, m) float arrays; at this cap each takes 80 MB per column.
@@ -435,7 +436,8 @@ def simulate(
     continuous ones. The learner's strategy in round t depends on rounds
     1..t-1 only.
     """
-    if learner_kind not in LEARNER_KINDS:
+    mode = LEARNER_KINDS.get(learner_kind)
+    if mode is None:
         raise InputError(f"unknown learner kind {learner_kind!r}")
     if not math.isfinite(eta):
         raise InputError(f"eta must be finite, got {eta:g}")
@@ -444,14 +446,9 @@ def simulate(
         raise DimensionMismatchError(
             f"schedule strategies have dimension {schedule.dim}, game has {game.n} rows"
         )
-    if learner_kind == REPLICATOR:
-        if schedule.mode != "continuous":
-            raise PreconditionError("replicator dynamics needs a continuous schedule")
-        if not eta > 0:
-            raise InputError("eta must be positive")
-    elif schedule.mode != "discrete":
-        raise PreconditionError(f"{learner_kind} needs a discrete schedule")
-    elif learner_kind == MWU and not eta > 0:
+    if schedule.mode != mode:
+        raise PreconditionError(f"{learner_kind} needs a {mode} schedule")
+    if learner_kind != BEST_RESPONSE and not eta > 0:
         raise InputError("eta must be positive")
     if learner_kind == REPLICATOR:
         x, t = schedule.strategies.reshape(-1, game.n), np.cumsum(schedule.lengths)

@@ -65,13 +65,11 @@ class DirectedGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def edge_index(self) -> dict:
-        return {e: i for i, e in enumerate(self.edges)}
-
 
 @dataclass(frozen=True, eq=False)
 class OcdpInstance:
-    """A (A, B, n, m, k, T) control instance plus its graph provenance.
+    """A (A, B, n, m, k, T) control instance plus the graph it reduces (None
+    for an instance built directly from payoffs).
 
     Columns 0..n-1 are v_1..v_n and columns n..2n-1 are v_in_1..v_in_n; this
     ordering is what the learner's lexicographic tie-breaking acts on.
@@ -85,8 +83,7 @@ class OcdpInstance:
     T: int
     row_labels: tuple
     col_labels: tuple
-    edges: tuple
-    n_graph_vertices: int
+    graph: DirectedGraph | None
     normalized: bool
     a_int: np.ndarray = field(init=False, repr=False)
     b_int: np.ndarray = field(init=False, repr=False)
@@ -171,8 +168,7 @@ def reduce_hamiltonian(g: DirectedGraph) -> OcdpInstance:
         T=n + 1,
         row_labels=row_labels,
         col_labels=col_labels,
-        edges=g.edges,
-        n_graph_vertices=n,
+        graph=g,
         normalized=False,
     )
 
@@ -231,18 +227,23 @@ class CycleCheck:
     ok: bool
     reason: str
     sequence: tuple | None = None
-    reward: int | None = None
+    playout: OcdpPlayout | None = None
 
 
-def verify_cycle(g: DirectedGraph, cycle_vertices) -> CycleCheck:
-    """Check a vertex list is a Hamiltonian cycle and emit its edge sequence.
+def verify_cycle(inst: OcdpInstance, cycle_vertices) -> CycleCheck:
+    """Check a vertex list is a Hamiltonian cycle of the graph `inst` reduces
+    and play its edge sequence.
 
     The list is rotated to start at vertex 1, validated (spanning, distinct,
     consecutive edges exist, closes), and converted into the n+1 optimizer
-    actions (cycle edges then the first edge again). The resulting play-out
-    is asserted to earn exactly n+1 on the reduced instance.
+    actions (cycle edges then the first edge again). Vertex ids must be
+    integers (Python or numpy). The play-out is asserted to earn exactly n+1.
     """
-    cycle = [int(v) for v in cycle_vertices]
+    try:
+        cycle = list(map(index, cycle_vertices))
+    except TypeError as exc:
+        raise InputError(f"cycle vertex ids must be integers: {exc}") from None
+    g = inst.graph
     n = g.n_vertices
     if len(cycle) != n or len(set(cycle)) != n or any(
         not 1 <= v <= n for v in cycle
@@ -250,45 +251,42 @@ def verify_cycle(g: DirectedGraph, cycle_vertices) -> CycleCheck:
         return CycleCheck(ok=False, reason="not spanning")
     start = cycle.index(1)
     cycle = cycle[start:] + cycle[:start]
-    index = g.edge_index()
+    rows = {e: i for i, e in enumerate(g.edges)}
     seq = []
     for i in range(n):
         u, v = cycle[i], cycle[(i + 1) % n]
-        if (u, v) not in index:
+        if (u, v) not in rows:
             return CycleCheck(ok=False, reason=f"missing edge ({u},{v})")
-        seq.append(index[(u, v)])
+        seq.append(rows[(u, v)])
     seq.append(seq[0])
-    playout = play_ocdp(reduce_hamiltonian(g), seq)
+    playout = play_ocdp(inst, seq)
     if playout.total_reward != n + 1:
         raise RuntimeError(
             "reduction invariant violated: a Hamiltonian cycle play-out must "
             f"earn n+1, got {playout.total_reward}"
         )
-    return CycleCheck(ok=True, reason="ok", sequence=tuple(seq), reward=n + 1)
+    return CycleCheck(ok=True, reason="ok", sequence=tuple(seq), playout=playout)
 
 
-def extract_cycle(inst: OcdpInstance, playout: OcdpPlayout, g: DirectedGraph) -> list:
-    """Recover the Hamiltonian cycle from a reward-k play-out.
+def extract_cycle(inst: OcdpInstance, playout: OcdpPlayout, g: DirectedGraph) -> list | None:
+    """Recover the Hamiltonian cycle a witness play-out traces, or None.
 
-    The first n actions of any sequence earning k = n+1 trace the edges of
-    a Hamiltonian cycle starting at vertex 1; anything else means the
-    play-out is not a witness.
+    A play-out is a witness when it earns at least k and earns every one of
+    the reduction's T = n+1 rounds; its first n actions then trace the edges
+    of a Hamiltonian cycle starting at vertex 1.
     """
-    if playout.total_reward < inst.k:
-        raise PreconditionError(
-            f"sequence is not a witness: reward {playout.total_reward} < k = {inst.k}"
-        )
+    reward = playout.total_reward
     n = g.n_vertices
+    if not (reward >= inst.k and reward == inst.T == n + 1):
+        return None
     cycle = [1]
-    cur = 1
     for r in playout.sequence[:n]:
         u, v = g.edges[r]
-        if u != cur:
+        if u != cycle[-1]:
             raise RuntimeError(
                 "reduction invariant violated: witness actions do not trace a path"
             )
         cycle.append(v)
-        cur = v
     if cycle[-1] != 1 or len(set(cycle[:-1])) != n:
         raise RuntimeError(
             "reduction invariant violated: witness path is not a Hamiltonian cycle"

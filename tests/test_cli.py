@@ -9,7 +9,7 @@ import pytest
 
 from strategizer import (
     MWU, BimatrixGame, DirectedGraph, InputError, Schedule, StrategizerError, check_assumption_no_pure, cli,
-    fileio, game_value, planner_report, reduce_hamiltonian, simulate,
+    fileio, game_value, ocdp, planner_report, reduce_hamiltonian, simulate,
 )
 from strategizer.acceptance import example_graph, run_battery
 from strategizer.cli import main
@@ -378,6 +378,8 @@ def relabelled(**changes):
     ("verify", {"cycle": "12"}, "list of integers"),
     ("verify", {"sequence": [1.5, 2, 4, 6, 7, 1]}, "list of integers"),
     ("verify", {"cycle": None}, "'cycle' or 'sequence'"),
+    ("verify", {"sequence": [0, 1, 3, 5, 6, 0]}, "sequence id 0 outside 1..7"),
+    ("verify", {"sequence": [1, 2, 4, 6, 8, 1]}, "sequence id 8 outside 1..7"),
     ("simulate", {"mode": "discrete", "segments": 5}, "segments must be a list"),
     ("simulate", {"mode": "discrete", "segments": [{"count": 1e308, "strategy": [1, 0]}] * 2},
      "must total below 2**63"),
@@ -408,13 +410,14 @@ def relabelled(**changes):
     ("brute", instance_json(normalized=0), "'normalized' must be true or false, got 0"),
     ("brute", {**instance_json(), "normalized": None},
      "'normalized' must be true or false, got None"),
-], ids=["sequence-str", "cycle-str", "sequence-int", "cycle-string", "sequence-float",
-        "cycle-null", "segments-int", "counts-overflow", "durations-overflow", "instance-no-k",
-        "instance-negative-T", "instance-fractional-a", "instance-b-shape", "instance-fractional-T",
-        "instance-string-k", "instance-fractional-vertices", "instance-fractional-edge",
-        "instance-reversed-edges", "instance-1e16-vertices", "instance-null-row-label",
-        "instance-string-row-labels", "instance-int-col-labels", "instance-normalized-string",
-        "instance-normalized-zero", "instance-normalized-null"])
+], ids=["sequence-str", "cycle-str", "sequence-int", "cycle-string", "sequence-float", "cycle-null",
+        "sequence-id-zero", "sequence-id-above", "segments-int", "counts-overflow",
+        "durations-overflow", "instance-no-k", "instance-negative-T", "instance-fractional-a",
+        "instance-b-shape", "instance-fractional-T", "instance-string-k",
+        "instance-fractional-vertices", "instance-fractional-edge", "instance-reversed-edges",
+        "instance-1e16-vertices", "instance-null-row-label", "instance-string-row-labels",
+        "instance-int-col-labels", "instance-normalized-string", "instance-normalized-zero",
+        "instance-normalized-null"])
 def test_malformed_file_exit_2(command, content, message, capsys, graph_file, mp_file, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
@@ -697,6 +700,23 @@ class TestReduceVerifyBrute:
         w.write_text(json.dumps({"sequence": [1, 2, 4, 6, 7, 1]}))
         code, out, _ = run(capsys, "verify", graph_file, str(w))
         assert code == 0 and "1 -> 5 -> 2 -> 4 -> 3 -> 1" in out
+
+    def test_verify_cycle_reduces_and_plays_once(self, capsys, graph_file, tmp_path, monkeypatch):
+        calls = {"reduce_hamiltonian": 0, "play_ocdp": 0}
+        for name in calls:
+            original = getattr(ocdp, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(ocdp, name, counted)
+            monkeypatch.setattr(cli, name, counted)
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps({"cycle": [1, 5, 2, 4, 3]}))
+        code, out, _ = run(capsys, "verify", graph_file, str(w), "--out", str(tmp_path / "o.json"))
+        assert code == 0 and "extracted cycle" in out
+        assert calls == {"reduce_hamiltonian": 1, "play_ocdp": 1}
 
     def test_verify_bad_cycle_exit_1(self, capsys, graph_file, tmp_path):
         w = tmp_path / "w.json"

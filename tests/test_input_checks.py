@@ -13,7 +13,7 @@ import pytest
 from strategizer import (
     MWU, REPLICATOR, BimatrixGame, InputError, PreconditionError, Schedule, alternating_gain,
     alternating_plan, best_response_set, fileio, game_value, matching_pennies, optimize_continuous,
-    reduce_hamiltonian, reward_bounds, reward_cont, simulate, unique_br_game,
+    reduce_hamiltonian, reward_bounds, reward_cont, simulate, unique_br_game, verify_cycle,
 )
 from strategizer.acceptance import example_graph
 from strategizer.cli import main
@@ -77,6 +77,11 @@ LIBRARY_CASES = {
                                  InputError, r"strategies of shape \(S, n\), got \(\) and \(\)"),
     "as-matrix-1d": (lambda: as_matrix([1.0, 2.0]), InputError, "must be 2-D"),
     "unique-br-game-2": (lambda: unique_br_game(2), InputError, "n >= 3"),
+    # ids are read as integers, not truncated or parsed
+    "verify-cycle-float-ids": (lambda: verify_cycle(reduce_hamiltonian(example_graph()), [1.9, 5.2, 2, 4, 3]),
+                               InputError, "cycle vertex ids must be integers"),
+    "verify-cycle-string-ids": (lambda: verify_cycle(reduce_hamiltonian(example_graph()), list("15243")),
+                                InputError, "cycle vertex ids must be integers"),
 }
 
 

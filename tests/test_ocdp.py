@@ -125,9 +125,10 @@ def histories_built(inst, most):
     return most
 
 
-def every_small_graph():
-    """Every labelled digraph with 2, 3 and 4 vertices (3 + 63 + 4,095)."""
-    for n in (2, 3, 4):
+def every_small_graph(sizes=(2, 3, 4)):
+    """Every labelled digraph with the given numbers of vertices (3, 63 and
+    4,095 with 2, 3 and 4)."""
+    for n in sizes:
         pairs = list(itertools.permutations(range(1, n + 1), 2))
         for mask in range(1, 1 << len(pairs)):
             yield DirectedGraph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
@@ -378,20 +379,26 @@ class TestPlayOcdp:
 
 class TestVerifyCycle:
     def test_example_cycle(self, example_graph_5):
-        res = verify_cycle(example_graph_5, CYCLE)
-        assert res.ok and res.reward == 6
-        assert res.sequence == EXAMPLE_SEQUENCE
+        inst = reduce_hamiltonian(example_graph_5)
+        res = verify_cycle(inst, CYCLE)
+        assert res.ok and res.playout.total_reward == 6
+        assert res.sequence == res.playout.sequence == EXAMPLE_SEQUENCE
+        assert res.playout.learner_actions == play_ocdp(inst, EXAMPLE_SEQUENCE).learner_actions
 
     def test_rotated_cycle(self, example_graph_5):
-        res = verify_cycle(example_graph_5, [4, 3, 1, 5, 2])
+        res = verify_cycle(reduce_hamiltonian(example_graph_5), [4, 3, 1, 5, 2])
+        assert res.ok and res.sequence == EXAMPLE_SEQUENCE
+
+    def test_numpy_ids(self, example_graph_5):
+        res = verify_cycle(reduce_hamiltonian(example_graph_5), np.array(CYCLE))
         assert res.ok and res.sequence == EXAMPLE_SEQUENCE
 
     def test_missing_vertex(self, example_graph_5):
-        res = verify_cycle(example_graph_5, [1, 5, 2, 4])
-        assert not res.ok and res.reason == "not spanning"
+        res = verify_cycle(reduce_hamiltonian(example_graph_5), [1, 5, 2, 4])
+        assert not res.ok and res.reason == "not spanning" and res.playout is None
 
     def test_missing_edge(self, example_graph_5):
-        res = verify_cycle(example_graph_5, [1, 2, 4, 3, 5])
+        res = verify_cycle(reduce_hamiltonian(example_graph_5), [1, 2, 4, 3, 5])
         assert not res.ok and "missing edge" in res.reason
 
 
@@ -412,8 +419,46 @@ class TestExtractCycle:
         inst = reduce_hamiltonian(example_graph_5)
         playout = play_ocdp(inst, [0, 1, 3, 5, 6, 1])  # last move wastes a round
         assert playout.total_reward < 6
-        with pytest.raises(PreconditionError, match="witness"):
-            extract_cycle(inst, playout, example_graph_5)
+        assert extract_cycle(inst, playout, example_graph_5) is None
+
+    def test_short_horizon_is_not_a_witness(self, example_graph_5):
+        # reward k = 3 = T, but in 3 rounds, not the reduction's n+1 = 6
+        inst = dataclasses.replace(reduce_hamiltonian(example_graph_5), k=1, T=3)
+        playout = play_ocdp(inst, [0, 1, 3])
+        assert playout.total_reward == 3
+        assert extract_cycle(inst, playout, example_graph_5) is None
+
+    def test_reward_below_edited_k_is_not_a_witness(self, example_graph_5):
+        inst = dataclasses.replace(reduce_hamiltonian(example_graph_5), k=7)
+        playout = play_ocdp(inst, EXAMPLE_SEQUENCE)
+        assert playout.total_reward == 6
+        assert extract_cycle(inst, playout, example_graph_5) is None
+
+
+class TestReductionSymmetry:
+    """The brute-force optimum under edge reordering and vertex relabelling."""
+
+    def test_every_graph_with_two_or_three_vertices(self):
+        # the optimum ignores the edge order and any relabelling that fixes
+        # vertex 1; any relabelling keeps the YES/NO verdict
+        for g in every_small_graph((2, 3)):
+            n = g.n_vertices
+            inst = reduce_hamiltonian(g)
+            best = brute_force_ocdp(inst)[0]
+            assert brute_force_ocdp(reduce_hamiltonian(DirectedGraph(n, g.edges[::-1])))[0] == best
+            for perm in itertools.permutations(range(1, n + 1)):
+                label = dict(zip(range(1, n + 1), perm))
+                moved = DirectedGraph(n, tuple((label[u], label[v]) for u, v in g.edges))
+                other = brute_force_ocdp(reduce_hamiltonian(moved))[0]
+                if label[1] == 1:
+                    assert other == best
+                assert (other >= inst.k) == (best >= inst.k)
+
+    def test_moving_vertex_1_changes_a_no_optimum(self):
+        # the learner opens on v_1, so only an edge leaving vertex 1 pays in
+        # round one; (1, 2) earns it once, (2, 1) never
+        assert brute_force_ocdp(reduce_hamiltonian(DirectedGraph(2, ((1, 2),))))[0] == 1
+        assert brute_force_ocdp(reduce_hamiltonian(DirectedGraph(2, ((2, 1),))))[0] == 0
 
 
 class TestBruteForce:
@@ -514,7 +559,7 @@ class TestBruteForce:
                 k=1, T=int(rng.integers(1, 7)),
                 row_labels=tuple(f"r{i}" for i in range(rows)),
                 col_labels=tuple(f"c{j}" for j in range(cols)),
-                edges=(), n_graph_vertices=0, normalized=False))
+                graph=None, normalized=False))
         for inst in cases:
             best, seq, built = pop_cut_search(inst)
             assert unmemoised_search(inst) == (best, seq, built)
@@ -555,7 +600,7 @@ class TestBruteForce:
                 cycle = find_hamiltonian_cycle(g)
                 assert (best == n + 1) == (cycle is not None)
                 if cycle is not None:
-                    assert verify_cycle(g, extract_cycle(inst, play_ocdp(inst, seq), g)).ok
+                    assert verify_cycle(inst, extract_cycle(inst, play_ocdp(inst, seq), g)).ok
 
     def test_agreement_with_hamiltonian_oracle(self, rng):
         for _ in range(25):
@@ -563,11 +608,12 @@ class TestBruteForce:
             pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
             take = rng.choice(len(pairs), size=int(rng.integers(1, min(7, len(pairs)) + 1)), replace=False)
             g = DirectedGraph(n, tuple(pairs[i] for i in take))
-            best, _ = brute_force_ocdp(reduce_hamiltonian(g))
+            inst = reduce_hamiltonian(g)
+            best, _ = brute_force_ocdp(inst)
             cycle = find_hamiltonian_cycle(g)
             assert (best == n + 1) == (cycle is not None)
             if cycle is not None:
-                assert verify_cycle(g, cycle).ok
+                assert verify_cycle(inst, cycle).ok
 
     def test_every_small_graph(self):
         # the reduction theorem on every labelled digraph with 2, 3 and 4
