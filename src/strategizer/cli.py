@@ -44,7 +44,7 @@ _PARAMS = {
     "simulate": {"eta": (float, 0.1, "the learner's learning rate"),
                  "eps": (float, 1e-6, "planner tolerance for constant-xstar"),
                  "T": (float, 100.0, "rounds, or duration for replicator, of a builtin schedule")},
-    "brute": {"cap": (int, 10_000_000, "most learner histories the search may build before it exits 4")},
+    "brute": {"cap": (int, 10_000_000, "most learner histories the search's passes may build before it exits 4")},
     "battery": {"seed": (int, acceptance.DEFAULT_SEED, "seed of the random games"),
                 "count": (int, acceptance.DEFAULT_COUNT, "games per randomized criterion")},
 }

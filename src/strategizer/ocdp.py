@@ -298,28 +298,41 @@ def brute_force_ocdp(inst: OcdpInstance, cap: int = 10_000_000):
     """Exhaustive maximum reward over all pure action sequences.
 
     Depth-first search over an explicit stack, in lexicographic order, with
-    the admissible cut "each remaining round adds at most 1" and a global
-    stop once the ceiling T is reached. A node that cannot beat the
-    incumbent with a round to spare pushes only the children that pay
-    against its learner column j, the first argmax of its history. A
-    pending child holds its parent's history (a tuple of exact integers),
+    the admissible cut "each remaining round adds at most 1". A node that
+    cannot beat the incumbent with a round to spare pushes only the children
+    that pay against its learner column j, the first argmax of its history.
+    A pending child holds its parent's history (a tuple of exact integers),
     prefix, action and reward; it is cut again when popped and builds its
     own history only if it survives. Leaves are not pushed: the last round
     is scored at its parent, by the first row paying at j, else action 0.
+
+    The search runs in passes under a galloping floor f = T-1, T-2, T-4,
+    ..., then -1; doubling the drop keeps a long horizon at O(T)
+    histories, where stepping down by one would cost about T^2/2. A pass
+    seeds the incumbent at f with no sequence, so its cuts prune every
+    subtree that cannot beat f from the first node on, and it stops once
+    the incumbent reaches the floor of the pass before (T for the first),
+    which that pass proved the maximum cannot exceed. A pass that finds
+    nothing proves max <= f. A pass with f below the maximum returns it
+    with its first maximizing sequence in lexicographic order: nothing
+    earlier reaches the maximum, so no cut removes one of its prefixes.
 
     A finished subtree leaves a bound: the reward still to come depends only
     on the history and the depth, and reordered prefixes reach the same
     history. A marker beneath a node's children pops once they are done; if
     best - reward is below the T - depth rounds left, it is recorded in a
-    per-depth table keyed on the history. A popped child that survives the
-    cut is cut again when its reward plus its bound cannot beat the
-    incumbent, so the answer is unchanged and no more histories are built.
-    The tables keep at most one entry per history built (and the root's),
-    300-500 bytes each for n = 6-10: up to 3-5 GB at the default cap.
+    per-depth table keyed on the history. No completion of that subtree
+    beat best, whatever floor seeded it, so an entry is a true bound in
+    every later pass too, and one recorded again is never looser. A popped
+    child that survives the cut is cut again when its reward plus its bound
+    cannot beat the incumbent. The tables keep at most one entry per
+    history built (and the root's), 300-500 bytes each for n = 6-10: up to
+    3-5 GB at the default cap.
 
-    `cap` bounds the histories built (one per surviving node at depths
-    1..T-1), and CapExceededError is raised once the count passes it.
-    Returns (max_reward, first maximizing sequence in lexicographic order).
+    `cap` bounds the histories built over all passes (one per surviving
+    node at depths 1..T-1), and CapExceededError is raised once the count
+    passes it. Returns (max_reward, first maximizing sequence in
+    lexicographic order).
     """
     if not cap >= 1:
         raise InputError(f"the brute-force cap must be at least 1, got {cap}")
@@ -329,45 +342,48 @@ def brute_force_ocdp(inst: OcdpInstance, cap: int = 10_000_000):
     # children are pushed in reverse so that they pop in lexicographic order
     actions = range(inst.n_actions_opt - 1, -1, -1)
     pays = [[s for s in actions if col[s]] for col in a_cols]
-    best, best_seq, built, stack, bounds = -1, (), 0, [], {}
-    # the root: the learner opens with column 0, the first argmax of the zero history
-    h, prefix, reward = (0,) * inst.n_actions_learner, (), 0
+    built, bounds, ceiling, drop = 0, {}, big_t, 1
     while True:
-        depth = len(prefix)
-        j = h.index(max(h))
-        if depth == big_t - 1:
-            last = pays[j][-1] if pays[j] else 0
-            if reward + a_cols[j][last] > best:
-                best, best_seq = reward + a_cols[j][last], prefix + (last,)
-                if best == big_t:
-                    break
-        else:
-            # the marker pops once every child below it is finished; children
-            # go in from lists, which extend takes faster than generators
-            stack.append((h, prefix, None, reward))
-            if reward + (big_t - depth - 1) <= best:
-                stack.extend([(h, prefix, s, reward + 1) for s in pays[j]])
-            else:
-                col = a_cols[j]
-                stack.extend([(h, prefix, s, reward + col[s]) for s in actions])
-        while stack:
-            h, prefix, r, reward = stack.pop()
+        floor = max(big_t - drop, -1)
+        best, best_seq, stack = floor, None, []
+        # the root: the learner opens with column 0, the first argmax of the zero history
+        h, prefix, reward = (0,) * inst.n_actions_learner, (), 0
+        while True:
             depth = len(prefix)
-            if r is None:
-                # no completion of this subtree beats best - reward
-                if best - reward < big_t - depth:
-                    bounds.setdefault(depth, {})[h] = best - reward
-            elif reward + (big_t - depth - 1) > best:
-                built += 1
-                if built > cap:
-                    raise CapExceededError(
-                        f"brute force built more than the cap of {cap} histories"
-                    )
-                h = tuple(map(add, h, b_rows[r]))
-                prefix += (r,)
-                table = bounds.get(depth + 1)
-                if not table or reward + table.get(h, big_t) > best:
-                    break
-        else:
-            break
-    return best, best_seq
+            j = h.index(max(h))
+            if depth == big_t - 1:
+                last = pays[j][-1] if pays[j] else 0
+                if reward + a_cols[j][last] > best:
+                    best, best_seq = reward + a_cols[j][last], prefix + (last,)
+                    if best == ceiling:
+                        break
+            else:
+                # the marker pops once every child below it is finished; children
+                # go in from lists, which extend takes faster than generators
+                stack.append((h, prefix, None, reward))
+                if reward + (big_t - depth - 1) <= best:
+                    stack.extend([(h, prefix, s, reward + 1) for s in pays[j]])
+                else:
+                    col = a_cols[j]
+                    stack.extend([(h, prefix, s, reward + col[s]) for s in actions])
+            while stack:
+                h, prefix, r, reward = stack.pop()
+                depth = len(prefix)
+                if r is None:
+                    # no completion of this subtree beats best - reward
+                    if best - reward < big_t - depth:
+                        bounds.setdefault(depth, {})[h] = best - reward
+                elif reward + (big_t - depth - 1) > best:
+                    built += 1
+                    if built > cap:
+                        raise CapExceededError(f"brute force built more than the cap of {cap} histories")
+                    h = tuple(map(add, h, b_rows[r]))
+                    prefix += (r,)
+                    table = bounds.get(depth + 1)
+                    if not table or reward + table.get(h, big_t) > best:
+                        break
+            else:
+                break
+        if best_seq is not None:
+            return best, best_seq
+        ceiling, drop = floor, 2 * drop

@@ -460,7 +460,7 @@ def test_brute_long_horizon(capsys, tmp_path):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_brute_complete_digraph_yes(n, capsys, tmp_path):
-    # far more than 10^7 sequences, but the search builds only a few thousand
+    # far more than 10^7 sequences, but the search builds only a few dozen
     # histories before it reaches T
     path = tmp_path / "complete.txt"
     path.write_text(f"{n}\n" + "".join(f"{u} {v}\n" for u in range(1, n + 1)
@@ -735,7 +735,8 @@ class TestReduceVerifyBrute:
         assert code == 0 and "NO" in out
 
     def test_brute_cap_exit_4(self, capsys, graph_file):
-        code, _, err = run(capsys, "brute", graph_file, "--cap", "10")
+        # the example graph's search builds 8 histories
+        code, _, err = run(capsys, "brute", graph_file, "--cap", "7")
         assert code == 4 and "cap" in err
 
     @pytest.mark.parametrize("cap", ["0", "-1"])

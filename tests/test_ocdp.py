@@ -125,6 +125,15 @@ def histories_built(inst, most):
     return most
 
 
+def passes(big_t, best):
+    """The passes brute force makes to find a maximum of `best`: one per
+    floor T-1, T-2, T-4, ..., -1 down to the first floor below `best`."""
+    count, drop = 1, 1
+    while big_t - drop >= best:
+        count, drop = count + 1, 2 * drop
+    return count
+
+
 def every_small_graph(sizes=(2, 3, 4)):
     """Every labelled digraph with the given numbers of vertices (3, 63 and
     4,095 with 2, 3 and 4)."""
@@ -481,13 +490,45 @@ class TestBruteForce:
         assert best == 1  # the learner opens with v_1 and edge e_1 leaves it
 
     def test_cap(self, example_graph_5):
-        # the NO graph builds 211 histories (257 without the bound table): a
-        # cap counts them, not |E|^T
+        # the NO graph builds 37 histories, 10 in the pass that asks every
+        # round to pay and 27 in the next (211 searching from no incumbent):
+        # a cap counts them, not |E|^T
         edges = tuple(e for e in example_graph_5.edges if e != (5, 2))
         inst = reduce_hamiltonian(DirectedGraph(5, edges))
-        assert brute_force_ocdp(inst, cap=211)[0] == 5
-        with pytest.raises(CapExceededError, match="more than the cap of 210 histories"):
-            brute_force_ocdp(inst, cap=210)
+        assert brute_force_ocdp(inst, cap=37)[0] == 5
+        with pytest.raises(CapExceededError, match="more than the cap of 36 histories"):
+            brute_force_ocdp(inst, cap=36)
+
+    def test_cap_counts_histories_over_all_passes(self):
+        # one edge at T = 200: the pass at floor T - 2^i builds 2^i
+        # histories, so the first eight build 255 and the last, at floor -1,
+        # 199 more; a cap inside the last pass trips with the same message
+        inst = dataclasses.replace(reduce_hamiltonian(DirectedGraph(2, ((1, 2),))), T=200)
+        assert brute_force_ocdp(inst, cap=454) == (1, (0,) * 200)
+        for cap in (256, 453):
+            with pytest.raises(CapExceededError,
+                               match=f"^brute force built more than the cap of {cap} histories$"):
+                brute_force_ocdp(inst, cap=cap)
+
+    def test_nothing_pays(self):
+        # A = 0: every pass fails down to the floor -1, whose first leaf is
+        # the all-zero sequence
+        for big_t in range(1, 8):
+            inst = ocdp.OcdpInstance(
+                a=np.zeros((2, 3)), b=np.array([[1, -1, 0], [0, 2, -1]]) / 160, k=1, T=big_t,
+                row_labels=("r0", "r1"), col_labels=("c0", "c1", "c2"),
+                graph=None, normalized=False)
+            assert brute_force_ocdp(inst) == exhaustive_best(inst) == (0, (0,) * big_t)
+
+    def test_raw_and_normalized_search_alike(self, example_graph_5):
+        # normalizing maps the histories of each depth one to one, so both
+        # scales give the same answer after the same histories
+        no_graph = DirectedGraph(5, tuple(e for e in example_graph_5.edges if e != (5, 2)))
+        for g in (example_graph_5, no_graph):
+            inst = reduce_hamiltonian(g)
+            normalized = normalize_payoffs(inst)
+            assert brute_force_ocdp(normalized) == brute_force_ocdp(inst)
+            assert histories_built(normalized, 1000) == histories_built(inst, 1000)
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one_rejected(self, cap, example_graph_5):
@@ -495,10 +536,13 @@ class TestBruteForce:
             brute_force_ocdp(reduce_hamiltonian(example_graph_5), cap=cap)
 
     def test_long_horizon(self):
-        # one edge: the search runs T rounds deep without recursing
+        # one edge: the search runs T rounds deep without recursing, and the
+        # galloping floor keeps it to O(T) histories (13,190 at T = 5,000);
+        # stepping the floor down by one would build about T^2/2
         inst = reduce_hamiltonian(DirectedGraph(2, ((1, 2),)))
         for big_t in (200, 5000):
-            assert brute_force_ocdp(dataclasses.replace(inst, T=big_t)) == (1, (0,) * big_t)
+            longer = dataclasses.replace(inst, T=big_t)
+            assert brute_force_ocdp(longer, cap=3 * big_t) == (1, (0,) * big_t)
 
     def test_huge_horizon_meets_the_cap_first(self):
         # the bound tables are made per depth as the search reaches it, so a
@@ -509,9 +553,9 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_complete_digraph(self, n):
-        # 20^6 and 30^7 sequences; the search stops at T after 679 and 2,284
-        # histories (899 and 2,894 without the bound table)
-        built = {5: 679, 6: 2284}[n]
+        # 20^6 and 30^7 sequences; the first pass stops at T after 23 and 36
+        # histories (679 and 2,284 searching from no incumbent)
+        built = {5: 23, 6: 36}[n]
         g = DirectedGraph(n, tuple(itertools.permutations(range(1, n + 1), 2)))
         inst = reduce_hamiltonian(g)
         best, seq = brute_force_ocdp(inst, cap=built)
@@ -539,9 +583,10 @@ class TestBruteForce:
 
     def test_matches_pop_cut_search(self, rng):
         # the push-time cut and last-round scoring change neither the answer
-        # nor the histories built, and the bound table changes only the count,
-        # never upwards, on reductions (T and k redrawn, raw and normalized)
-        # and on random 0/1 A with B in multiples of 1/160
+        # nor the histories built; the passes and the bound table keep the
+        # answer, build at most passes times the unmemoised count, and fewer
+        # in all, on reductions (T and k redrawn, raw and normalized) and on
+        # random 0/1 A with B in multiples of 1/160
         cases = []
         for _ in range(120):
             n = int(rng.integers(2, 7))
@@ -560,20 +605,25 @@ class TestBruteForce:
                 row_labels=tuple(f"r{i}" for i in range(rows)),
                 col_labels=tuple(f"c{j}" for j in range(cols)),
                 graph=None, normalized=False))
+        unmemoised = searched = 0
         for inst in cases:
             best, seq, built = pop_cut_search(inst)
             assert unmemoised_search(inst) == (best, seq, built)
-            assert brute_force_ocdp(inst, cap=max(built, 1)) == (best, seq)
-            fewer = histories_built(inst, max(built, 1))
-            assert brute_force_ocdp(inst, cap=fewer) == (best, seq)
-            if fewer >= 2:
+            most = passes(inst.T, best) * max(built, 1)
+            assert brute_force_ocdp(inst, cap=most) == (best, seq)
+            needed = histories_built(inst, most)
+            assert brute_force_ocdp(inst, cap=needed) == (best, seq)
+            if needed >= 2:
                 with pytest.raises(CapExceededError):
-                    brute_force_ocdp(inst, cap=fewer - 1)
+                    brute_force_ocdp(inst, cap=needed - 1)
+            unmemoised += max(built, 1)
+            searched += needed
+        assert searched < unmemoised
 
     def test_matches_unmemoised_search(self, rng):
-        # the bound table keeps the answer and never builds more histories,
-        # on every small digraph (raw and normalized) and on 6-vertex
-        # reductions two rounds past the cycle
+        # the passes and the bound table keep the answer and build at most
+        # passes times the unmemoised count, on every small digraph (raw and
+        # normalized) and on 6-vertex reductions two rounds past the cycle
         cases = []
         for g in every_small_graph():
             inst = reduce_hamiltonian(g)
@@ -583,7 +633,7 @@ class TestBruteForce:
             cases.append(dataclasses.replace(inst, T=8))
         for inst in cases:
             best, seq, built = unmemoised_search(inst)
-            assert brute_force_ocdp(inst, cap=max(built, 1)) == (best, seq)
+            assert brute_force_ocdp(inst, cap=passes(inst.T, best) * max(built, 1)) == (best, seq)
 
     def test_agreement_with_hamiltonian_oracle_six_to_eight_vertices(self, rng):
         # 8 graphs per size, every other one with a planted cycle, at T = n+1
