@@ -73,29 +73,26 @@ def _print_json(obj, out_path=None):
     sys.stdout.write(text)
 
 
+def _zero_sum_payoffs(path: str, what: str) -> np.ndarray:
+    """A of the game in the file at path, which must be zero-sum."""
+    game = fileio.read_game(path)
+    if not game.zero_sum:
+        raise PreconditionError(f"{what} needs a zero-sum game (B = -A); use 'strategizer "
+                                "simulate' for general-sum play")
+    return game.a
+
+
 def cmd_value(args) -> int:
-    a = fileio.read_matrix(args.game)
-    res = game_value(a)
-    _print_json(
-        {
-            "value": res.value,
-            "optimizer_strategy": res.optimizer_strategy.tolist(),
-            "learner_strategy": res.learner_strategy.tolist(),
-            "certificate_gap": res.certificate_gap,
-        },
-        args.out,
-    )
+    res = game_value(_zero_sum_payoffs(args.game, "the game value"))
+    _print_json({"value": res.value, "optimizer_strategy": res.optimizer_strategy.tolist(),
+                 "learner_strategy": res.learner_strategy.tolist(),
+                 "certificate_gap": res.certificate_gap}, args.out)
     return 0
 
 
 def cmd_plan(args) -> int:
-    game = fileio.read_game(args.game)
-    if not game.zero_sum:
-        raise PreconditionError(
-            "planning needs a zero-sum game (B = -A); use 'strategizer simulate' "
-            "for general-sum play"
-        )
-    _print_json(planner_report(game.a, args.eta, args.T, args.eps), args.out)
+    _print_json(planner_report(_zero_sum_payoffs(args.game, "planning"), args.eta, args.T,
+                               args.eps), args.out)
     return 0
 
 
@@ -113,7 +110,7 @@ def _builtin_schedule(name: str, game: BimatrixGame, gv, learner: str, rounds, e
         idx = _parse_int(name.split(":", 1)[1], "pure action index")
         if not 1 <= idx <= game.n:
             raise InputError(f"pure action index {idx} outside 1..{game.n}")
-        return Schedule.constant(np.arange(game.n) == idx - 1, total, mode)
+        return Schedule.constant(np.eye(game.n)[idx - 1], total, mode)
     if name == "constant-xstar":
         if not game.zero_sum:
             raise PreconditionError("constant-xstar runs the zero-sum planner; game is general-sum")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import tempfile
 from itertools import chain
@@ -21,15 +20,17 @@ from itertools import chain
 import numpy as np
 
 from .errors import InputError
-from .games import BimatrixGame, as_matrix
+from .games import BimatrixGame, _floats, as_matrix
 from .learners import Schedule, Trajectory
 from .ocdp import DirectedGraph, OcdpInstance, normalize_payoffs, reduce_hamiltonian
 
 
-def format_float(x: float) -> str:
-    if not math.isfinite(x):
+def format_float(x, template: str = "%.17g") -> str:
+    """x by a template of "%.17g" fields (x a tuple if several); non-finite x is refused."""
+    text = template % x
+    if "n" in text:  # "%.17g" spells only inf and nan with an n
         raise InputError("cannot serialize non-finite float")
-    return format(float(x), ".17g")
+    return text
 
 
 def canonical_json(obj) -> str:
@@ -57,10 +58,7 @@ def _float_array(obj) -> str | None:
         template = "[" + ", ".join([_float_row(len(obj[0]))] * len(obj)) + "]"
     else:
         return None
-    text = template % tuple(values)
-    if "n" in text:  # "%.17g" spells only inf and nan with an n
-        raise InputError("cannot serialize non-finite float")
-    return text
+    return format_float(tuple(values), template)
 
 
 def _emit(obj, out):
@@ -138,8 +136,9 @@ def matrix_from_json(obj) -> np.ndarray:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"matrix JSON needs rows/cols/data: {exc}") from exc
+    field = "matrix JSON field {!r} must be a whole number".format
     m = as_matrix(data)
-    if m.shape != (rows, cols):
+    if m.shape != (_whole_number(rows, field("rows")), _whole_number(cols, field("cols"))):
         raise InputError(
             f"matrix JSON declares {rows}x{cols} but data is {m.shape[0]}x{m.shape[1]}"
         )
@@ -196,7 +195,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing file, or one not UTF-8 text
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -206,19 +205,24 @@ def _read_json(path: str, text: str | None = None):
         return json.loads(_read_text(path) if text is None else text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # json's int() refuses an integer of over 4,300 digits
+        raise InputError(f"{path}: {exc}") from exc
 
 
 # --- schedules ---------------------------------------------------------------
 
-def schedule_from_json(obj) -> Schedule:
+def read_schedule(path: str) -> Schedule:
+    obj = _read_json(path)
     try:
         mode = obj["mode"]
         segments = obj["segments"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"schedule JSON needs mode and segments: {exc}") from exc
+    key = {"discrete": "count", "continuous": "duration"}.get(mode) if type(mode) is str else None
+    if key is None:  # Schedule refuses the mode before any segment is read
+        return Schedule(mode, [], [])
     if not isinstance(segments, list):
         raise InputError("schedule segments must be a list")
-    key = "count" if mode == "discrete" else "duration"
     lengths, strategies = [], []
     for i, seg in enumerate(segments):
         try:
@@ -227,21 +231,6 @@ def schedule_from_json(obj) -> Schedule:
         except (KeyError, TypeError) as exc:
             raise InputError(f"schedule segment {i} needs {key} and strategy: {exc}") from exc
     return Schedule(mode, lengths, strategies)
-
-
-def schedule_to_json(schedule: Schedule) -> dict:
-    key = "count" if schedule.mode == "discrete" else "duration"
-    return {
-        "mode": schedule.mode,
-        "segments": [
-            {key: length, "strategy": x}
-            for length, x in zip(schedule.lengths.tolist(), schedule.strategies.tolist())
-        ],
-    }
-
-
-def read_schedule(path: str) -> Schedule:
-    return schedule_from_json(_read_json(path))
 
 
 # --- graphs -------------------------------------------------------------------
@@ -332,12 +321,11 @@ def instance_to_json(inst: OcdpInstance) -> dict:
     }
 
 
-def _whole_number(value, name: str) -> int:
-    """A JSON integer, or a float without a fractional part, as an int."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise InputError(f"instance field {name!r} must be a whole number, got {value!r}")
+def _whole_number(value, what: str) -> int:
+    """value, a number by games' rule with no fractional part, as an int; errors start with what."""
+    x = _floats(value, InputError, what)
+    if not (x.ndim == 0 and float(x).is_integer()):  # inf, from a huge int, is not
+        raise InputError(f"{what}, got {value!r}")
     return int(value)
 
 
@@ -348,12 +336,14 @@ def instance_from_json(obj) -> OcdpInstance:
     try:
         labels = obj["labels"]
         a, b = matrix_from_json(obj["a"]), matrix_from_json(obj["b"])
-        k, T = _whole_number(obj["k"], "k"), _whole_number(obj["T"], "T")
+        field = "instance field {!r} must be a whole number".format
+        k, T = _whole_number(obj["k"], field("k")), _whole_number(obj["T"], field("T"))
         names = list(labels["rows"]), list(labels["cols"])
         normalized = obj["normalized"]
         graph = DirectedGraph(
-            _whole_number(labels["n_graph_vertices"], "n_graph_vertices"),
-            tuple(tuple(_whole_number(v, "labels.edges") for v in e) for e in labels["edges"]),
+            _whole_number(labels["n_graph_vertices"], field("n_graph_vertices")),
+            tuple(tuple(_whole_number(v, field("labels.edges")) for v in e)
+                  for e in labels["edges"]),
         )
     except KeyError as exc:
         raise InputError(f"instance JSON needs field {exc}") from exc
@@ -393,14 +383,16 @@ def read_instance_or_graph(path: str) -> OcdpInstance:
 
 def read_witness(path: str) -> dict:
     """A witness file holds {"cycle": [vertices]} and/or {"sequence": [edge ids]}
-    with 1-based integer ids; a null field counts as absent."""
+    with 1-based whole-number ids, read as ints; a null field counts as absent."""
     obj = _read_json(path)
     if not isinstance(obj, dict) or (obj.get("cycle") is None and obj.get("sequence") is None):
         raise InputError(f"{path}: witness JSON needs a 'cycle' or 'sequence' field")
     for key in ("cycle", "sequence"):
-        ids = obj.get(key)
-        if not (ids is None or isinstance(ids, list) and all(type(v) is int for v in ids)):
-            raise InputError(f"{path}: witness '{key}' must be a list of integers")
+        ids, what = obj.get(key), f"{path}: witness '{key}' must be a list of integers"
+        if isinstance(ids, list):
+            obj[key] = [_whole_number(v, what) for v in ids]
+        elif ids is not None:
+            raise InputError(f"{what}, got {ids!r}")
     return obj
 
 
@@ -423,12 +415,10 @@ def trajectory_csv(traj: Trajectory) -> str:
         table = np.column_stack([
             traj.t, traj.optimizer_reward, traj.learner_reward, running, traj.learner_strategy,
         ])
-        if not np.isfinite(table).all():
-            raise InputError("cannot serialize non-finite float")
         row = ",".join(["%.17g"] * table.shape[1])
         for start in range(0, traj.rounds, _CSV_CHUNK_ROWS):
             chunk = table[start:start + _CSV_CHUNK_ROWS]
-            lines.append("\n".join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
+            lines.append(format_float(tuple(chunk.ravel().tolist()), "\n".join([row] * len(chunk))))
     return "\n".join(lines) + "\n"
 
 

@@ -56,6 +56,7 @@ def _scipy_extension(name: str):
 _highs = _scipy_extension("scipy.optimize._highspy._core")  # private: scipy >= 1.15
 
 DEFAULT_TOL = 1e-7
+_NUMBERS = (int, float, np.integer, np.floating)  # what _floats reads as a number, bool aside
 
 # unique-equilibrium certificate (_unique_support): the first-order margin
 # per unit of 1 + max|A|, and the constant C of its product test
@@ -147,12 +148,31 @@ def linprog(c, a_ub, b_ub, a_eq, b_eq, lower, upper, options) -> _LPResult:
     return _LPResult(ok, 0 if ok else 4, message, x, np.array(solution.row_dual)[:k])
 
 
+def _floats(values, error: type, what: str, copy: bool = False, ndmin: int = 0) -> np.ndarray:
+    """values as a float array (new if copy, of at least ndmin dimensions) by the one rule
+    of what a number is: a Python or numpy int or float. A string, boolean, None or other
+    object at any depth, or rows of unequal shapes, raise error("<what>: <why>"); an int too
+    large for a float becomes inf. Types are checked as one set, not value by value."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return np.array(values, dtype=float, copy=copy or None, ndmin=ndmin)
+    try:
+        cells = np.array(values, dtype=object, ndmin=ndmin)
+        kinds = [t for t in set(map(type, cells.flat)) if t is bool or not issubclass(t, _NUMBERS)]
+        if not kinds:
+            return cells.astype(float)
+        np.asarray(cells.tolist(), dtype=float)  # numpy's own words for ragged rows and words
+    except (TypeError, ValueError) as exc:  # also arrays of shapes numpy cannot stack
+        raise error(f"{what}: {exc}") from None
+    except OverflowError:  # an int too large for a float: inf, if every value is a number
+        if not kinds:
+            return np.where(abs(cells) <= sys.float_info.max, cells, np.inf).astype(float)
+    bad = next(v for v in cells.flat if type(v) in kinds)
+    raise error(f"{what}: {bad!r} is not a number")
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and return a finite 2-D float payoff matrix."""
-    try:
-        m = np.asarray(a, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
-        raise InputError(f"payoff matrix is not a table of numbers: {exc}") from None
+    m = _floats(a, InputError, "payoff matrix is not a table of numbers")
     if m.ndim != 2 or m.size == 0:
         raise InputError(f"payoff matrix must be 2-D and non-empty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -169,10 +189,8 @@ def as_simplex(values) -> np.ndarray:
     divided by its sum. A vector whose sum overflows is divided by its largest
     weight first. Returns a new read-only float array.
     """
-    try:
-        w = np.array(values, dtype=float, ndmin=1)
-    except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
-        raise DimensionMismatchError(f"strategy is not an array of numbers: {exc}") from None
+    what = "strategy is not an array of numbers"
+    w = _floats(values, DimensionMismatchError, what, copy=True, ndmin=1)
     if w.shape[-1] == 0 and 0 not in w.shape[:-1]:
         raise DimensionMismatchError("a strategy needs at least one weight")
     low, top = w.min(initial=np.inf), w.max(initial=0.0)
@@ -196,10 +214,7 @@ def as_simplex(values) -> np.ndarray:
 
 def as_weights(x, dim: int, what: str) -> np.ndarray:
     """x as a finite float vector of length dim; errors name it `what`."""
-    try:
-        w = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged rows, strings, objects
-        raise DimensionMismatchError(f"{what} is not a vector of numbers: {exc}") from None
+    w = _floats(x, DimensionMismatchError, f"{what} is not a vector of numbers")
     if w.shape != (dim,):
         size = w.size if w.ndim == 1 else f"shape {w.shape}"
         raise DimensionMismatchError(f"{what} has dimension {size}, expected {dim}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError, InputError, PreconditionError
-from .games import BimatrixGame, as_simplex, as_weights
+from .games import BimatrixGame, _floats, as_simplex, as_weights
 
 MWU = "mwu"
 REPLICATOR = "replicator"
@@ -128,11 +128,9 @@ def respond(kind: str, h, eta: float = 1.0) -> np.ndarray:
 def _schedule_arrays(lengths, strategies):
     """A schedule's lengths and strategies as float arrays of shapes (S,) and (S, n).
     Lengths None stand for one round per leading entry of strategies."""
-    try:
-        lengths = None if lengths is None else np.array(lengths, dtype=float)
-        x = np.asarray(strategies, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged rows land here too
-        raise DimensionMismatchError(f"bad schedule row dimension or number: {exc}") from exc
+    what = "bad schedule row dimension or number"
+    lengths = None if lengths is None else _floats(lengths, DimensionMismatchError, what, copy=True)
+    x = _floats(strategies, DimensionMismatchError, what)
     if lengths is None:
         lengths = np.ones(x.shape[:1])
     if x.ndim == 1 and x.size == 0:

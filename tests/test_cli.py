@@ -73,6 +73,15 @@ class TestValue:
         code, _, err = run(capsys, "value", str(p))
         assert code == 2 and "column 2" in err
 
+    def test_general_sum_exit_3(self, capsys, tmp_path):
+        # the value and its strategies are those of the zero-sum game A alone,
+        # which a general-sum file does not describe
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"a": matrix_json([[1.0, 0.0], [0.0, 1.0]]),
+                                 "b": matrix_json([[0.5, 0.0], [0.0, 2.0]])}))
+        code, out, err = run(capsys, "value", str(p))
+        assert code == 3 and out == "" and "the game value needs a zero-sum game" in err
+
 
 class TestPlan:
     def test_report_fields(self, capsys, mp_file):
@@ -366,6 +375,16 @@ def instance_json(graph=None, **changes):
     return {key: value for key, value in obj.items() if value is not None}
 
 
+def matrix_json(data):
+    return {"rows": len(data), "cols": len(data[0]), "data": data}
+
+
+def schedule_json(mode, **changes):
+    """A one-segment schedule of two actions, with segment fields replaced."""
+    key = "duration" if mode == "continuous" else "count"
+    return {"mode": mode, "segments": [{key: 1, "strategy": [0.5, 0.5], **changes}]}
+
+
 def relabelled(**changes):
     """The example instance's labels with fields replaced."""
     return {**instance_json()["labels"], **changes}
@@ -410,6 +429,25 @@ def relabelled(**changes):
     ("brute", instance_json(normalized=0), "'normalized' must be true or false, got 0"),
     ("brute", {**instance_json(), "normalized": None},
      "'normalized' must be true or false, got None"),
+    # one rule of what a number is: no string, boolean or int beyond a float
+    ("value", matrix_json([["1", "-1"], ["-1", "1"]]), "not a table of numbers: '1' is not a number"),
+    ("value", matrix_json([[True, False], [False, True]]), "True is not a number"),
+    ("value", matrix_json([[1, True], [-1, 1]]), "True is not a number"),
+    ("value", matrix_json([[1, 10**400], [-1, 1]]), "payoff matrix contains non-finite entries"),
+    ("value", {**matrix_json([[1, -1], [-1, 1]]), "rows": "2"},
+     "matrix JSON field 'rows' must be a whole number: '2' is not a number"),
+    ("value", {**matrix_json([[1, -1]]), "rows": True},
+     "matrix JSON field 'rows' must be a whole number: True is not a number"),
+    ("simulate", schedule_json("discrete", count="3"), "schedule row dimension or number: '3' is not"),
+    ("simulate", schedule_json("discrete", count=True), "True is not a number"),
+    ("simulate", schedule_json("discrete", count=10**400), "schedule lengths must be finite"),
+    ("simulate", schedule_json("discrete", strategy=["1", "0"]), "'1' is not a number"),
+    ("simulate", schedule_json("continuous", duration="1.5"), "'1.5' is not a number"),
+    ("simulate", schedule_json("foo"), "schedule mode must be discrete or continuous, got 'foo'"),
+    ("brute", instance_json(k=True), "'k' must be a whole number: True is not a number"),
+    ("brute", instance_json(T=10**400), "'T' must be a whole number"),
+    ("verify", {"cycle": [True, 5, 2, 4, 3]}, "list of integers: True is not a number"),
+    ("verify", {"sequence": [10**400]}, "list of integers"),
 ], ids=["sequence-str", "cycle-str", "sequence-int", "cycle-string", "sequence-float", "cycle-null",
         "sequence-id-zero", "sequence-id-above", "segments-int", "counts-overflow",
         "durations-overflow", "instance-no-k", "instance-negative-T", "instance-fractional-a",
@@ -417,11 +455,15 @@ def relabelled(**changes):
         "instance-fractional-vertices", "instance-fractional-edge", "instance-reversed-edges",
         "instance-1e16-vertices", "instance-null-row-label", "instance-string-row-labels",
         "instance-int-col-labels", "instance-normalized-string", "instance-normalized-zero",
-        "instance-normalized-null"])
+        "instance-normalized-null", "matrix-strings", "matrix-booleans", "matrix-int-and-boolean",
+        "matrix-400-digit-int", "matrix-rows-string", "matrix-rows-true", "count-string",
+        "count-true", "count-400-digit-int", "strategy-strings", "duration-string", "mode-first",
+        "instance-k-true", "instance-400-digit-T", "cycle-true", "sequence-400-digit-id"])
 def test_malformed_file_exit_2(command, content, message, capsys, graph_file, mp_file, tmp_path):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
     argv = {
+        "value": ["value", str(path)],
         "verify": ["verify", graph_file, str(path)],
         "simulate": ["simulate", mp_file, "--learner", "mwu", "--schedule", str(path),
                      "--out", str(tmp_path / "out")],
@@ -429,6 +471,24 @@ def test_malformed_file_exit_2(command, content, message, capsys, graph_file, mp
     }[command]
     code, _, err = run(capsys, *argv)
     assert code == 2 and message in err and "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("command", ["value", "plan", "simulate", "reduce", "brute", "verify"])
+def test_file_not_utf8_exit_2(command, capsys, graph_file, mp_file, tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(b"1 -1\n-1 \xff\n")
+    argv = {
+        "value": ["value", str(path)],
+        "plan": ["plan", str(path)],
+        "simulate": ["simulate", mp_file, "--learner", "mwu", "--schedule", str(path),
+                     "--out", str(tmp_path / "out")],
+        "reduce": ["reduce", str(path), "--out", str(tmp_path / "r")],
+        "brute": ["brute", str(path)],
+        "verify": ["verify", graph_file, str(path)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and f"cannot read {path}: 'utf-8' codec" in err
+    assert not list(tmp_path.glob("out.*")) and not list(tmp_path.glob("r.*"))
 
 
 @pytest.mark.parametrize("command", ["reduce", "brute", "verify"])
@@ -655,13 +715,15 @@ def test_two_matrix_zero_sum_file_is_the_matrix_file(capsys, tmp_path):
     prefix = str(tmp_path / "traj")
     seen = []
     for game in (one, two):
+        value = run(capsys, "value", str(game))
         plan = run(capsys, "plan", str(game), "--T", "10")
         sim = run(capsys, "simulate", str(game), "--learner", "mwu", "--schedule", "alternating",
                   "--T", "10", "--out", prefix)
         files = [open(prefix + ext, "rb").read() for ext in (".csv", ".json")]
-        seen.append((plan, sim, files))
+        seen.append((value, plan, sim, files))
     assert seen[0] == seen[1]
-    assert seen[0][0][0] == 0 and len(seen[0][1][1].splitlines()) == 5  # with the bound lines
+    assert seen[0][0][0] == seen[0][1][0] == 0
+    assert len(seen[0][2][1].splitlines()) == 5  # with the bound lines
 
 
 @pytest.mark.parametrize("general_sum, schedule, value_lps", [
@@ -700,6 +762,22 @@ class TestReduceVerifyBrute:
         w.write_text(json.dumps({"sequence": [1, 2, 4, 6, 7, 1]}))
         code, out, _ = run(capsys, "verify", graph_file, str(w))
         assert code == 0 and "1 -> 5 -> 2 -> 4 -> 3 -> 1" in out
+
+    @pytest.mark.parametrize("witness", [{"cycle": [1.0, 5, 2, 4.0, 3]},
+                                         {"sequence": [1.0, 2, 4, 6, 7.0, 1]}],
+                             ids=["cycle", "sequence"])
+    def test_verify_reads_whole_float_ids_as_integers(self, witness, capsys, graph_file, tmp_path):
+        # a whole number is a whole number: 4.0 is the id 4, as it is for k and T
+        w = tmp_path / "w.json"
+        w.write_text(json.dumps(witness))
+        as_ints = {key: [int(v) for v in ids] for key, ids in witness.items()}
+        (tmp_path / "ints.json").write_text(json.dumps(as_ints))
+        outcomes = []
+        for path in (w, tmp_path / "ints.json"):
+            code, out, err = run(capsys, "verify", graph_file, str(path),
+                                 "--out", str(tmp_path / "out.json"))
+            outcomes.append((code, out, err, (tmp_path / "out.json").read_text()))
+        assert outcomes[0] == outcomes[1] and outcomes[0][0] == 0
 
     def test_verify_cycle_reduces_and_plays_once(self, capsys, graph_file, tmp_path, monkeypatch):
         calls = {"reduce_hamiltonian": 0, "play_ocdp": 0}

@@ -89,9 +89,9 @@ class TestGameIo:
 
 class TestScheduleIo:
     def test_round_trip(self, tmp_path):
-        sched = Schedule("discrete", [3, 2], [[0.5, 0.5], [1.0, 0.0]])
         path = tmp_path / "s.json"
-        path.write_text(fileio.canonical_json(fileio.schedule_to_json(sched)))
+        path.write_text(fileio.canonical_json({"mode": "discrete", "segments": [
+            {"count": 3, "strategy": [0.5, 0.5]}, {"count": 2, "strategy": [1.0, 0.0]}]}))
         back = fileio.read_schedule(str(path))
         assert back.mode == "discrete" and back.total == 5
         assert np.array_equal(back.strategies[1], [1.0, 0.0])

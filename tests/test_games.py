@@ -112,7 +112,7 @@ class TestAsSimplex:
         assert v[0] == 1 / 3
 
     def test_pure(self):
-        assert np.array_equal(as_simplex(np.arange(3) == 1), [0.0, 1.0, 0.0])
+        assert np.array_equal(as_simplex(np.eye(3)[1]), [0.0, 1.0, 0.0])
 
     def test_overflowing_sum(self):
         # the sum 2e308 overflows: that row is scaled by its largest weight

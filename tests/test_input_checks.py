@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from strategizer import (
-    MWU, REPLICATOR, BimatrixGame, InputError, PreconditionError, Schedule, alternating_gain,
-    alternating_plan, best_response_set, fileio, game_value, matching_pennies, optimize_continuous,
-    reduce_hamiltonian, reward_bounds, reward_cont, simulate, unique_br_game, verify_cycle,
+    MWU, REPLICATOR, BimatrixGame, DimensionMismatchError, InputError, PreconditionError, Schedule,
+    alternating_gain, alternating_plan, best_response_set, fileio, game_value, matching_pennies,
+    optimize_continuous, reduce_hamiltonian, reward_bounds, reward_cont, simulate, unique_br_game,
+    verify_cycle,
 )
 from strategizer.acceptance import example_graph
 from strategizer.cli import main
-from strategizer.games import as_matrix
+from strategizer.games import as_matrix, as_simplex, as_weights
 
 MP = matching_pennies()
 MP_GAME = BimatrixGame.from_zero_sum(MP)
@@ -76,6 +77,9 @@ LIBRARY_CASES = {
     "from-rounds-numpy-scalar": (lambda: Schedule.from_rounds(np.float64(1)),
                                  InputError, r"strategies of shape \(S, n\), got \(\) and \(\)"),
     "as-matrix-1d": (lambda: as_matrix([1.0, 2.0]), InputError, "must be 2-D"),
+    # a one-hot strategy is written with numbers, not as a comparison's booleans
+    "as-simplex-bool-array": (lambda: as_simplex(np.arange(3) == 1), DimensionMismatchError,
+                              "strategy is not an array of numbers: False is not a number"),
     "unique-br-game-2": (lambda: unique_br_game(2), InputError, "n >= 3"),
     # ids are read as integers, not truncated or parsed
     "verify-cycle-float-ids": (lambda: verify_cycle(reduce_hamiltonian(example_graph()), [1.9, 5.2, 2, 4, 3]),
@@ -90,6 +94,69 @@ def test_library_check(case):
     call, error, fragment = LIBRARY_CASES[case]
     with pytest.raises(error, match=fragment):
         call()
+
+
+# Values that are not numbers, each placed inside an otherwise valid input.
+NOT_NUMBERS = {"string": "1", "boolean": True, "numpy-boolean": np.True_, "null": None}
+
+# Each array conversion: how it embeds a value, and the class and message
+# fragment it raises for a value that is not a number and for 10**400, an int
+# too large for a float, which it refuses as non-finite.
+CONVERSIONS = {
+    "as_matrix": (lambda v: as_matrix([[1.0, v], [0.0, 1.0]]),
+                  (InputError, "payoff matrix is not a table of numbers"),
+                  (InputError, "payoff matrix contains non-finite entries")),
+    "as_simplex": (lambda v: as_simplex([1.0, v]),
+                   (DimensionMismatchError, "strategy is not an array of numbers"),
+                   (InputError, "strategy contains non-finite weights")),
+    "as_weights": (lambda v: as_weights([1.0, v], 2, "h0"),
+                   (DimensionMismatchError, "h0 is not a vector of numbers"),
+                   (InputError, "h0 has non-finite entries")),
+    "schedule-strategy": (lambda v: Schedule("discrete", [1], [[1.0, v]]),
+                          (DimensionMismatchError, "bad schedule row dimension or number"),
+                          (InputError, "strategy contains non-finite weights")),
+    "schedule-length": (lambda v: Schedule("continuous", [1.0, v], [[1.0, 0.0]] * 2),
+                        (DimensionMismatchError, "bad schedule row dimension or number"),
+                        (InputError, "schedule lengths must be finite")),
+}
+
+
+@pytest.mark.parametrize("value", [*sorted(NOT_NUMBERS), "400-digit-int"])
+@pytest.mark.parametrize("conversion", sorted(CONVERSIONS))
+def test_one_number_rule(conversion, value):
+    convert, not_number, non_finite = CONVERSIONS[conversion]
+    error, fragment = not_number if value in NOT_NUMBERS else non_finite
+    with pytest.raises(InputError, match=fragment) as info:
+        convert(NOT_NUMBERS.get(value, 10**400))
+    assert type(info.value) is error
+    if value in NOT_NUMBERS:
+        assert f"{NOT_NUMBERS[value]!r} is not a number" in str(info.value)
+
+
+# arrays of shapes (2, 2) and (2, 3), which numpy cannot stack into one array
+UNSTACKABLE = [np.zeros((2, 2)), np.zeros((2, 3))]
+
+
+@pytest.mark.parametrize("convert, error, fragment", [
+    (lambda: as_matrix(UNSTACKABLE), InputError, "payoff matrix is not a table of numbers"),
+    (lambda: as_simplex(UNSTACKABLE), DimensionMismatchError, "strategy is not an array of numbers"),
+    (lambda: as_weights(UNSTACKABLE, 2, "h0"), DimensionMismatchError, "h0 is not a vector of numbers"),
+    (lambda: Schedule("discrete", [1, 1], UNSTACKABLE), DimensionMismatchError,
+     "bad schedule row dimension or number"),
+    (lambda: Schedule.from_rounds(UNSTACKABLE), DimensionMismatchError,
+     "bad schedule row dimension or number"),
+], ids=["as_matrix", "as_simplex", "as_weights", "schedule", "from-rounds"])
+def test_unstackable_arrays_refused(convert, error, fragment):
+    with pytest.raises(InputError, match=fragment) as info:
+        convert()
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("conversion", sorted(CONVERSIONS))
+def test_python_and_numpy_numbers_pass(conversion):
+    convert = CONVERSIONS[conversion][0]
+    for value in (1, 1.0, np.int8(1), np.uint64(1), np.float32(1.0), np.float64(1.0)):
+        convert(value)  # none raises
 
 
 def _malformed_instance():
@@ -114,6 +181,9 @@ FILE_CASES = {
     "dot-semicolon-line": (fileio.read_graph, "digraph {\n1 -> 2; 2 -> x\n}", "DOT line 2:"),
     "instance-malformed": (fileio.read_instance_or_graph, _malformed_instance(),
                            "malformed instance JSON"),
+    # more digits than Python converts to an int: refused while parsing
+    "json-integer-too-long": (fileio.read_schedule, '{"mode": "discrete", "segments": [{"count": '
+                              + "9" * 5000 + ', "strategy": [1]}]}', "digits"),
 }
 
 
@@ -123,6 +193,17 @@ def test_file_check(case, tmp_path):
     path = tmp_path / "input"
     path.write_text(text)
     with pytest.raises(InputError, match=fragment):
+        reader(str(path))
+
+
+@pytest.mark.parametrize("reader", [
+    fileio.read_matrix, fileio.read_game, fileio.read_schedule, fileio.read_graph,
+    fileio.read_instance_or_graph, fileio.read_witness,
+], ids=lambda f: f.__name__)
+def test_file_not_utf8_refused(reader, tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(b'{"rows": 1, "cols": 1, "data": [[1]], "note": "\xff"}')
+    with pytest.raises(InputError, match="cannot read .*'utf-8' codec can't decode byte 0xff"):
         reader(str(path))
 
 

@@ -1,10 +1,12 @@
-"""Exact symmetries of the discrete simulator under power-of-two scaling.
+"""Exact symmetries of the discrete simulator and the planner under
+power-of-two scaling.
 
 Multiplying payoffs by 2^j, and the MWU step size by 2^-j, changes no
 rounding in floating point: every product and sum of the scaled game is
 exactly 2^j times that of the original. So the learner plays bit-identical
 strategies, and every reward and history is exactly 2^j times the
-original's.
+original's. Likewise the planner's objective eta*T*A is the same float
+array for (2^j A, 2^-j T) as for (A, T), so Frank-Wolfe takes the same steps.
 """
 
 import numpy as np
@@ -12,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from strategizer import BEST_RESPONSE, MWU, BimatrixGame, Schedule, simulate
+from strategizer import (
+    BEST_RESPONSE, MWU, BimatrixGame, Schedule, optimize_continuous, planner_report, simulate,
+)
 
 # payoffs in [-1, 1] kept away from the subnormal range, where scaling down
 # by 2^-j would round
@@ -58,3 +62,37 @@ def test_best_response_under_scaled_payoffs(run):
     factor = 2.0**j
     base = simulate(game, schedule, BEST_RESPONSE)
     assert_scaled(base, simulate(scale(factor), schedule, BEST_RESPONSE), factor)
+
+
+ETA, HORIZON, EPS = 0.5, 32.0, 1e-6  # eta*T = 16
+
+
+def same_bits(got, want):
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 4)), elements=PAYOFFS),
+       j=st.integers(-8, 8))
+def test_planner_under_scaled_payoffs_and_horizon(a, j):
+    # x*, r* and epsilon come from Frank-Wolfe alone, which sees the same floats
+    factor = 2.0**j
+    base = optimize_continuous(a, None, HORIZON, ETA, EPS)
+    scaled = optimize_continuous(factor * a, None, HORIZON / factor, ETA, EPS)
+    for field in ("x_star", "r_star", "epsilon", "iterations"):
+        assert same_bits(getattr(scaled, field), getattr(base, field)), field
+
+
+def test_planner_report_under_scaled_payoffs_and_horizon():
+    # k and the Assumption 1 verdict read the value LP, which HiGHS solves
+    # afresh for 2^j A: they agree on these seeded games, not by construction
+    rng = np.random.default_rng(20240817)
+    for _ in range(200):
+        a = rng.uniform(-1.0, 1.0, size=tuple(rng.integers(2, 7, 2)))
+        factor = 2.0 ** int(rng.integers(-8, 9))
+        base = planner_report(a, ETA, HORIZON, EPS)
+        scaled = planner_report(factor * a, ETA, HORIZON / factor, EPS)
+        for key in ("x_star", "r_star", "epsilon"):
+            assert same_bits(scaled[key], base[key]), key
+        assert scaled["k"] == base["k"]
+        assert scaled["assumption1"]["holds"] == base["assumption1"]["holds"]
